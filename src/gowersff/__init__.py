@@ -8,17 +8,7 @@ engines, scans for polynomial-phase obstructions, and sweeps primes to
 exhibit the U_d ~ 1/p scaling against explicit proven bounds.
 """
 
-from .field import (
-    PrimeField,
-    additive_character,
-    dft,
-    dft_direct,
-    idft,
-    is_prime,
-    legendre_symbol,
-    mod_inverse,
-    prime_field,
-)
+from .field import PrimeField, is_prime, legendre_symbol, prime_field
 from .traces import (
     INFINITY,
     FamilyDescriptor,

@@ -11,12 +11,12 @@ import json
 import sys
 
 from .field import is_prime
-from .norms import DEFAULT_WORK_CAP, NormRequest, WorkCapExceeded, evaluate
-from .probe import DEFAULT_CEILING as PROBE_CEILING
+from .norms import DEFAULT_WORK_CAP, WorkCapExceeded
 from .probe import probe_report
-from . import harness
 from .harness import (
+    DEFAULT_CEILING,
     VerifyConfig,
+    _make_record,
     emit,
     load_config,
     make_table,
@@ -75,20 +75,7 @@ def _cmd_norm(args) -> int:
     engine = args.engine
     if engine == "auto":
         engine = "recursive" if args.d == 1 else "accelerated"
-    result = evaluate(NormRequest.from_table(table, args.d, engine, args.work_cap))
-    constant = harness._spec_bound_constant(spec, table, args.d)
-    record = harness.ScanRecord(
-        p=table.p,
-        family=table.descriptor.label,
-        d=args.d,
-        engine=engine,
-        u_d=result.u_d,
-        u_d_times_p=result.u_d_times_p,
-        bound_constant=constant,
-        bound=constant / table.p,
-        bound_satisfied=bool(result.u_d <= constant / table.p + 1e-12),
-        elapsed_ms=result.elapsed * 1e3,
-    )
+    record = _make_record(spec, table, args.d, engine, args.work_cap)
     _emit_records([record], args.format, args.output)
     return 0
 
@@ -187,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_family(pr)
     pr.add_argument("--d", type=int, required=True)
     pr.add_argument("--threshold", type=float, default=0.5)
-    pr.add_argument("--ceiling", type=float, default=PROBE_CEILING)
+    pr.add_argument("--ceiling", type=float, default=DEFAULT_CEILING)
     add_output(pr, formats=False)
     pr.set_defaults(func=_cmd_probe)
 

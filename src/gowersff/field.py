@@ -1,20 +1,19 @@
 """Exact arithmetic in F_p and the numeric primitives built on it.
 
 A :class:`PrimeField` owns the per-prime precomputed data that the rest of
-the library consumes: the table of additive character values e(a/p), the
-quadratic-residue table, optional inverse/discrete-log tables for small p,
-and the chirp kernel of the prime-length discrete Fourier transform.  All
-of it is immutable after construction, so instances are safe to share
-across threads; every function in this module is pure.
+the library consumes: the table of additive character values e(a/p), and
+lazily built quadratic-residue, inverse and (for p up to a cap)
+discrete-log tables.  All of it is immutable once built, so instances are
+safe to share across threads; every function in this module is pure.
 
 The DFT convention used throughout is
 
     dft(v)[t] = (1/p) * sum_x v[x] * e(-x*t/p),
 
-so a pure phase e(c*x/p) transforms to the indicator of t = c.  Prime
-lengths are handled by Bluestein's chirp embedding into a power-of-two
-transform (see :meth:`PrimeField.dft`); a direct O(p^2) reference
-transform is kept for testing.
+so a pure phase e(c*x/p) transforms to the indicator of t = c.  It is
+numpy's FFT, which takes any length, with ``norm="forward"`` (see
+:meth:`PrimeField.dft`); a direct O(p^2) reference transform is kept for
+testing.
 """
 
 from __future__ import annotations
@@ -27,12 +26,7 @@ __all__ = [
     "is_prime",
     "PrimeField",
     "prime_field",
-    "mod_inverse",
     "legendre_symbol",
-    "additive_character",
-    "dft",
-    "dft_direct",
-    "idft",
 ]
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
@@ -42,7 +36,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Largest modulus for which int64 intermediate products x*y stay exact.
 _MAX_P = 1 << 31
 
-# Default ceiling on p for the optional inverse / discrete-log tables.
+# Default ceiling on p for the optional discrete-log table.
 _DEFAULT_TABLE_CAP = 1 << 20
 
 
@@ -96,7 +90,7 @@ class PrimeField:
     Parameters
     ----------
     p : odd prime modulus (3 <= p < 2^31).
-    table_cap : build inverse and discrete-log tables only when p <= cap.
+    table_cap : build the discrete-log table only when p <= cap.
     """
 
     def __init__(self, p: int, table_cap: int = _DEFAULT_TABLE_CAP):
@@ -117,16 +111,6 @@ class PrimeField:
         #: e(a/p) for 0 <= a < p; single source of character values.
         self.char_table = table
 
-        if p <= table_cap:
-            inv = np.zeros(p, dtype=np.int64)
-            inv[1] = 1
-            for i in range(2, p):
-                inv[i] = (-(p // i) * inv[p % i]) % p
-            inv.setflags(write=False)
-            self.inverse_table: np.ndarray | None = inv
-        else:
-            self.inverse_table = None
-
     # -- basic arithmetic ------------------------------------------------
 
     def inverse(self, a: int) -> int:
@@ -134,8 +118,6 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self.inverse_table is not None:
-            return int(self.inverse_table[a])
         return pow(a, self.p - 2, self.p)
 
     @functools.cached_property
@@ -175,8 +157,6 @@ class PrimeField:
     @functools.cached_property
     def inverse_values(self) -> np.ndarray:
         """x^-1 for all x (0 mapped to 0), for bulk table generation."""
-        if self.inverse_table is not None:
-            return self.inverse_table
         inv = np.zeros(self.p, dtype=np.int64)
         inv[1] = 1
         for i in range(2, self.p):
@@ -184,62 +164,29 @@ class PrimeField:
         inv.setflags(write=False)
         return inv
 
-    @functools.cached_property
-    def shift_index(self) -> np.ndarray:
-        """(h, x) -> (x + h) mod p index matrix, cached for small p."""
-        if self.p > 4096:
-            raise ValueError("shift index matrix restricted to p <= 4096")
-        idx = (np.arange(self.p)[:, None] + np.arange(self.p)[None, :]) % self.p
-        idx.setflags(write=False)
-        return idx
+    # -- prime-length DFT ------------------------------------------------
 
-    # -- Bluestein DFT ---------------------------------------------------
-
-    @functools.cached_property
-    def _bluestein_plan(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """Chirp and padded-kernel FFT for the prime-length transform.
-
-        Bluestein's identity x*t = (x^2 + t^2 - (t-x)^2) / 2 rewrites the
-        length-p DFT as one linear convolution with the chirp
-        w[n] = exp(-i*pi*n^2/p), which is evaluated by power-of-two FFTs
-        of size M >= 2p - 1.  Angles are reduced with n^2 taken mod 2p so
-        the chirp loses no precision at large n.
-        """
-        p = self.p
-        m = 1 << (2 * p - 1).bit_length()
-        n = np.arange(p, dtype=np.int64)
-        w = np.exp(-1j * np.pi * ((n * n) % (2 * p)) / p)
-        kernel = np.zeros(m, dtype=np.complex128)
-        kernel[:p] = np.conj(w)
-        kernel[m - p + 1 :] = np.conj(w[1:])[::-1]
-        kernel_fft = np.fft.fft(kernel)
-        w.setflags(write=False)
-        kernel_fft.setflags(write=False)
-        return m, w, kernel_fft
+    def _vectors(self, v: np.ndarray) -> np.ndarray:
+        """v as complex128 of shape (..., p); ValueError on another length."""
+        v = np.asarray(v, dtype=np.complex128)
+        if v.shape[-1] != self.p:
+            raise ValueError(f"vector length {v.shape[-1]} != p = {self.p}")
+        return v
 
     def dft(self, v: np.ndarray) -> np.ndarray:
         """Normalized DFT along the last axis: (1/p) sum_x v[x] e(-xt/p).
 
-        O(p log p) for any p via the chirp embedding; accepts batched
-        input of shape (..., p).
+        O(p log p) for any p; accepts batched input of shape (..., p).
         """
-        v = np.asarray(v, dtype=np.complex128)
-        if v.shape[-1] != self.p:
-            raise ValueError(f"vector length {v.shape[-1]} != p = {self.p}")
-        m, w, kernel_fft = self._bluestein_plan
-        a = np.fft.fft(v * w, n=m, axis=-1)
-        c = np.fft.ifft(a * kernel_fft, axis=-1)
-        return c[..., : self.p] * w / self.p
+        return np.fft.fft(self._vectors(v), axis=-1, norm="forward")
 
     def idft(self, v: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`dft`: sum_t v[t] e(+xt/p) (normalization p)."""
-        return self.p * np.conj(self.dft(np.conj(v)))
+        return np.fft.ifft(self._vectors(v), axis=-1, norm="forward")
 
     def dft_direct(self, v: np.ndarray) -> np.ndarray:
         """O(p^2) reference DFT from the character table (testing only)."""
-        v = np.asarray(v, dtype=np.complex128)
-        if v.shape[-1] != self.p:
-            raise ValueError(f"vector length {v.shape[-1]} != p = {self.p}")
+        v = self._vectors(v)
         t = np.arange(self.p, dtype=np.int64)
         kernel = np.conj(self.char_table[np.outer(t, t) % self.p])
         return v @ kernel.T / self.p
@@ -252,14 +199,6 @@ class PrimeField:
 def prime_field(p: int) -> PrimeField:
     """Shared, cached PrimeField instance for p (fields are immutable)."""
     return PrimeField(p)
-
-
-# -- module-level operation forms ----------------------------------------
-
-
-def mod_inverse(a: int, field: PrimeField) -> int:
-    """Return b with a*b = 1 (mod p); raises on a = 0 mod p."""
-    return field.inverse(a)
 
 
 def legendre_symbol(a: int, field: PrimeField) -> int:
@@ -284,22 +223,3 @@ def legendre_symbol(a: int, field: PrimeField) -> int:
         a %= n
     return result
 
-
-def additive_character(a: int, field: PrimeField) -> complex:
-    """e(a/p) read from the per-field table (bit-identical across calls)."""
-    return complex(field.char_table[a % field.p])
-
-
-def dft(v: np.ndarray, field: PrimeField) -> np.ndarray:
-    """Normalized prime-length DFT (see :meth:`PrimeField.dft`)."""
-    return field.dft(v)
-
-
-def dft_direct(v: np.ndarray, field: PrimeField) -> np.ndarray:
-    """Direct O(p^2) reference transform."""
-    return field.dft_direct(v)
-
-
-def idft(v: np.ndarray, field: PrimeField) -> np.ndarray:
-    """Conjugate transform with normalization p; inverts :func:`dft`."""
-    return field.idft(v)

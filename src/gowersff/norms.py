@@ -64,7 +64,7 @@ def _tolerance(p: int, d: int) -> float:
 
 def _finalize(value: float, tol: float) -> float:
     if value < 0:
-        if value < -_TOL_TIGHT:
+        if value < -tol:
             raise ArithmeticError(f"engine produced negative pnorm {value}")
         return 0.0
     return float(value)
@@ -263,6 +263,8 @@ def evaluate(request: NormRequest) -> NormResult:
     d = request.d
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     start = time.perf_counter()
     if request.engine == "oracle":
         u_d = gowers_oracle(values, d, request.work_cap)

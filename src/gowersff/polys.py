@@ -63,24 +63,6 @@ def _monic(coeffs: Coeffs, p: int) -> Coeffs:
     return tuple(c * lead_inv % p for c in coeffs)
 
 
-def _poly_mod(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
-    """Remainder of a by b (b nonzero)."""
-    a = list(a)
-    db, lead_inv = degree(b), pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] * lead_inv % p
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * c) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
 def poly_divmod(a: Coeffs, b: Coeffs, p: int) -> tuple[Coeffs, Coeffs]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -106,7 +88,7 @@ def poly_gcd(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
     """Monic gcd by the Euclidean algorithm."""
     a, b = normalize(a, p), normalize(b, p)
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        a, b = b, poly_divmod(a, b, p)[1]
     return _monic(a, p)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .field import PrimeField
 from . import polys
+from .harness import DEFAULT_CEILING
 from .norms import WorkCapExceeded, gowers_accelerated, u1
 from .traces import TraceTable
 
@@ -40,9 +41,6 @@ __all__ = [
 
 #: Correlation magnitude treated as "the function is this phase".
 PHASE_PROXY = 0.99
-
-#: Default empirical ceiling on U_d * p for the uniform branch.
-DEFAULT_CEILING = 1e3
 
 
 @dataclass(frozen=True)
@@ -72,15 +70,10 @@ class Decomposition:
     """phi = t1 + t2 with t2 the sum of the detected phase components."""
 
     t1: np.ndarray
+    t2: np.ndarray
     components: tuple[PhaseComponent, ...]
     d: int
     threshold: float
-
-    def t2(self, field: PrimeField) -> np.ndarray:
-        out = np.zeros(field.p, dtype=np.complex128)
-        for comp in self.components:
-            out += comp.beta * _phase_values(comp.coeffs, field)
-        return out
 
 
 def _phase_values(coeffs, field: PrimeField) -> np.ndarray:
@@ -194,8 +187,8 @@ def decompose(
     t2 = np.zeros(field.p, dtype=np.complex128)
     for comp in components:
         t2 += comp.beta * _phase_values(comp.coeffs, field)
-    t1 = values - t2
-    return Decomposition(t1=t1, components=components, d=d, threshold=threshold)
+    return Decomposition(t1=values - t2, t2=t2, components=components, d=d,
+                         threshold=threshold)
 
 
 @dataclass(frozen=True)

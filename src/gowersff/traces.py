@@ -102,6 +102,8 @@ class TraceTable:
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != (self.field.p,):
             raise ValueError(f"values must have shape ({self.field.p},)")
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

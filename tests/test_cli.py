@@ -65,6 +65,28 @@ class TestNorm:
         assert code == 2
         assert "work cap" in err
 
+    def test_p_not_above_d_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "norm", "--p", "3", "--family", "inverse_phase", "--d", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "p > d" in err
+
+    def test_row_matches_scan_except_timing(self, capsys):
+        argv = ("--family", "kloosterman", "--d", "3")
+        code_n, out_n, _ = run(capsys, "norm", "--p", "101", *argv)
+        code_s, out_s, _ = run(capsys, "scan", "--primes", "101", *argv)
+        assert code_n == code_s == 0
+        rows = []
+        for out in (out_n, out_s):
+            header, row = out.splitlines()
+            assert header == ",".join(SCAN_COLUMNS)
+            fields = dict(zip(SCAN_COLUMNS, row.split(",")))
+            del fields["elapsed_ms"]
+            rows.append(fields)
+        assert rows[0] == rows[1]
+
 
 class TestProbe:
     def test_json_schema(self, capsys):

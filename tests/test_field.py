@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gowersff import (
-    PrimeField,
-    additive_character,
-    dft,
-    dft_direct,
-    idft,
-    is_prime,
-    legendre_symbol,
-    mod_inverse,
-    prime_field,
-)
+from gowersff import PrimeField, is_prime, legendre_symbol, prime_field
 from conftest import euler_legendre
+
+ODD_PRIMES_TO_400 = [p for p in range(3, 401) if is_prime(p)]
 
 
 class TestIsPrime:
@@ -38,13 +30,13 @@ class TestPrimeField:
             PrimeField(2)
 
     def test_inverse_table_exhaustive_p997(self, field997):
-        inv = field997.inverse_table
+        inv = field997.inverse_values
         x = np.arange(1, 997, dtype=np.int64)
         assert np.all(inv[x] * x % 997 == 1)
 
     def test_inverse_involution_exhaustive_p997(self, field997):
         for a in range(1, 997):
-            assert mod_inverse(mod_inverse(a, field997), field997) == a
+            assert field997.inverse(field997.inverse(a)) == a
 
     def test_primitive_root_generates(self, field101):
         g = field101.primitive_root
@@ -64,18 +56,18 @@ class TestPrimeField:
 
 class TestModInverse:
     def test_identity(self):
-        assert mod_inverse(1, prime_field(7)) == 1
+        assert prime_field(7).inverse(1) == 1
 
     def test_two_mod_seven(self):
-        assert mod_inverse(2, prime_field(7)) == 4  # 2*4 = 8 = 1 mod 7
+        assert prime_field(7).inverse(2) == 4  # 2*4 = 8 = 1 mod 7
 
     def test_exhaustive_self_check_p997(self, field997):
         for a in range(1, 997):
-            assert a * mod_inverse(a, field997) % 997 == 1
+            assert a * field997.inverse(a) % 997 == 1
 
     def test_zero_rejected(self, field101):
         with pytest.raises(ZeroDivisionError):
-            mod_inverse(0, field101)
+            field101.inverse(0)
 
 
 class TestLegendreSymbol:
@@ -107,7 +99,7 @@ class TestLegendreSymbol:
 
 class TestAdditiveCharacter:
     def test_zero_is_one(self, field101):
-        assert additive_character(0, field101) == 1 + 0j
+        assert complex(field101.char_table[0]) == 1 + 0j
 
     def test_conjugate_symmetry_exact(self, field101):
         t = field101.char_table
@@ -119,7 +111,7 @@ class TestAdditiveCharacter:
 
     def test_reads_come_from_one_table(self, field101):
         a = 17
-        assert additive_character(a, field101) == complex(field101.char_table[a])
+        assert complex(field101.char_table[a % field101.p]) == complex(field101.char_table[a])
 
     def test_unit_modulus(self, field499):
         assert np.abs(np.abs(field499.char_table) - 1).max() <= 1e-15
@@ -127,29 +119,42 @@ class TestAdditiveCharacter:
 
 class TestDft:
     def test_constant_vector(self, field101):
-        hat = dft(np.ones(101), field101)
+        hat = field101.dft(np.ones(101))
         assert abs(hat[0] - 1) <= 1e-10
         assert np.abs(hat[1:]).max() <= 1e-10
 
     def test_single_mode(self, field101):
         c = 17
         v = field101.char_table[(c * np.arange(101)) % 101]
-        hat = dft(v, field101)
+        hat = field101.dft(v)
         assert abs(hat[c] - 1) <= 1e-10
         mask = np.ones(101, dtype=bool)
         mask[c] = False
         assert np.abs(hat[mask]).max() <= 1e-10
 
-    def test_fast_agrees_with_direct_p499(self, field499):
-        rng = np.random.default_rng(42)
-        v = rng.normal(size=499) + 1j * rng.normal(size=499)
-        assert np.abs(dft(v, field499) - dft_direct(v, field499)).max() <= 1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from(ODD_PRIMES_TO_400),
+        rows=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(p=499, rows=0, seed=42)
+    def test_fast_agrees_with_direct(self, p, rows, seed):
+        """dft matches dft_direct, and idft inverts it, on (p,) and (k, p)."""
+        F = prime_field(p)
+        shape = (p,) if rows == 0 else (rows, p)
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        hat = F.dft(v)
+        assert hat.shape == shape
+        assert np.abs(hat - F.dft_direct(v)).max() <= 1e-12
+        assert np.abs(F.idft(hat) - v).max() <= 1e-9
 
     def test_length_mismatch_rejected(self, field101):
         with pytest.raises(ValueError):
-            dft(np.ones(100), field101)
+            field101.dft(np.ones(100))
         with pytest.raises(ValueError):
-            dft_direct(np.ones(100), field101)
+            field101.dft_direct(np.ones(100))
 
     @pytest.mark.parametrize("p", [101, 499, 997])
     def test_parseval(self, p):
@@ -157,7 +162,7 @@ class TestDft:
         rng = np.random.default_rng(p)
         v = rng.normal(size=p) + 1j * rng.normal(size=p)
         lhs = (np.abs(v) ** 2).mean()
-        rhs = (np.abs(dft(v, F)) ** 2).sum()
+        rhs = (np.abs(F.dft(v)) ** 2).sum()
         assert abs(lhs - rhs) <= 1e-9 * lhs
 
     @pytest.mark.parametrize("p", [101, 499, 997])
@@ -165,18 +170,18 @@ class TestDft:
         F = prime_field(p)
         rng = np.random.default_rng(p + 1)
         v = rng.normal(size=p) + 1j * rng.normal(size=p)
-        assert np.abs(idft(dft(v, F), F) - v).max() <= 1e-9
+        assert np.abs(F.idft(F.dft(v)) - v).max() <= 1e-9
 
     def test_batched_rows_match_single(self, field101):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(5, 101)) + 1j * rng.normal(size=(5, 101))
-        batched = dft(m, field101)
+        batched = field101.dft(m)
         for i in range(5):
-            assert np.abs(batched[i] - dft(m[i], field101)).max() <= 1e-12
+            assert np.abs(batched[i] - field101.dft(m[i])).max() <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=996))
 def test_mod_inverse_roundtrip_property(a):
     F = prime_field(997)
-    assert a * mod_inverse(a, F) % 997 == 1
+    assert a * F.inverse(a) % 997 == 1

@@ -236,6 +236,9 @@ class TestNormProperties:
         assert _finalize(-0.5e-9, 1e-9) == 0.0
         with pytest.raises(ArithmeticError):
             _finalize(-1e-6, 1e-9)
+        assert _finalize(-5e-9, 1e-8) == 0.0
+        with pytest.raises(ArithmeticError):
+            _finalize(-5e-9, 1e-9)
 
 
 class TestEvaluate:
@@ -261,6 +264,14 @@ class TestEvaluate:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             evaluate(NormRequest(values=np.ones(11, dtype=np.complex128), d=1, engine="fft"))
+
+    @pytest.mark.parametrize("engine", ["oracle", "recursive", "accelerated"])
+    def test_non_finite_values_rejected(self, engine):
+        for bad in (np.nan, np.inf):
+            v = np.ones(11, dtype=np.complex128)
+            v[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(NormRequest(values=v, d=2, engine=engine))
 
     def test_accelerated_request_at_d1_uses_mean_formula(self):
         v = np.ones(31, dtype=np.complex128)

@@ -133,7 +133,7 @@ class TestDecompose:
         rng = np.random.default_rng(14)
         v = np.exp(2j * np.pi * rng.random(101))
         dec = decompose(v, 3, 0.05, field101)
-        assert np.abs(dec.t1 + dec.t2(field101) - v).max() <= 1e-12
+        assert np.abs(dec.t1 + dec.t2 - v).max() <= 1e-12
 
     def test_kloosterman_plus_square_phase(self, field101):
         v = kloosterman_trace(field101).values + poly_phase((0, 0, 1), 101)

@@ -335,6 +335,13 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="pointwise bound"):
             TraceTable(field101, np.full(101, 3.0, dtype=np.complex128), desc)
 
+    def test_non_finite_values_rejected(self, field101):
+        desc = FamilyDescriptor("mixed_ask", "bad", 1, {INFINITY: 0})
+        v = np.zeros(101, dtype=np.complex128)
+        v[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            TraceTable(field101, v, desc)
+
     def test_values_are_read_only(self, field101):
         t = inverse_phase_trace(field101)
         with pytest.raises(ValueError):
