@@ -1,7 +1,8 @@
 """Command-line interface: gen, norm, probe, scan, verify, baseline.
 
 Exit codes: 0 success / verify PASS, 1 verify FAIL, 2 usage error
-(including refused preconditions and work-cap refusals).
+(including refused preconditions, work-cap refusals and tables that do
+not fit in memory).
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, WorkCapExceeded, OSError, ZeroDivisionError) as exc:
+    except (ValueError, WorkCapExceeded, OSError, ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

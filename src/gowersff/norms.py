@@ -13,9 +13,12 @@ where C is complex conjugation.  The three routes are:
 * ``gowers_recursive``   -- the inductive definition
   U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
   xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost O(p^d * p).
-* ``gowers_accelerated`` -- the same recursion with the d = 2 base
-  replaced by the Fourier identity U_2 = sum_t |phi_hat(t)|^4;
-  cost O(p^(d-2) * p log p) with batched prime-length DFTs.
+* ``gowers_accelerated`` -- U_d = (1/p^k) sum over h in F_p^k of
+  U_2(Delta_h phi), k = d - 2, with the Fourier base
+  U_2 = sum_t |phi_hat(t)|^4.  U_2(Delta_h phi) is unchanged by permuting
+  the h_i and by flipping their signs, so one row is transformed per
+  orbit: C((p+1)/2 + k - 1, k) rows, about p^k / (2^k k!), each a
+  prime-length DFT; the work-cap estimate is rows * p * log2 p.
 
 Values are real up to rounding; engines check the imaginary part where
 one exists and clamp tiny negative results to zero.
@@ -24,10 +27,12 @@ one exists and clamp tiny negative results to zero.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import PrimeField, prime_field
 from .traces import TraceTable
@@ -161,6 +166,27 @@ def u2_accelerated(values: np.ndarray, field: PrimeField | None = None) -> float
     return _finalize(float((power * power).sum()), _tolerance(field.p, 2))
 
 
+def _orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outer directions h in F_p^k up to permutation and sign, with orbit sizes.
+
+    The representatives are the sorted k-tuples over 0..(p-1)/2; a
+    representative's orbit holds k!/prod(mult!) arrangements times
+    2^(nonzero entries) sign choices, so the weights sum to p^k.
+    """
+    combos = itertools.combinations_with_replacement(range((p + 1) // 2), k)
+    reps = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64)
+    reps = reps.reshape(-1, k)
+    # k!/prod(mult!) = prod over positions of (i+1) / (1-based place in its run).
+    weights = np.ones(len(reps))
+    place = np.ones(len(reps))
+    for i in range(k):
+        if i:
+            place = np.where(reps[:, i] == reps[:, i - 1], place + 1, 1.0)
+        weights *= (i + 1) / place
+    weights *= 2.0 ** np.count_nonzero(reps, axis=1)
+    return reps, np.rint(weights)
+
+
 def gowers_accelerated(
     values: np.ndarray,
     d: int,
@@ -168,10 +194,14 @@ def gowers_accelerated(
     work_cap: int = DEFAULT_WORK_CAP,
     allow_deep: bool = False,
 ) -> float:
-    """U_d by the recursion with the Fourier-accelerated d = 2 base.
+    """U_d from one U_2 row per orbit of the outer directions (h_1..h_{d-2}).
 
+    Each row Delta_h phi(x) = prod over omega in {0,1}^(d-2) of
+    C^|omega| phi(x + omega.h) goes through the batched Fourier base, and
+    the orbit weights from :func:`_orbits` restore the full average.
     Refuses d > 4 at p > 256 unless ``allow_deep``, and any request whose
-    estimated cost p^(d-1) log2(p) exceeds ``work_cap``.
+    estimated cost rows * p * log2(p), with rows = C((p+1)/2 + d - 3, d - 2),
+    exceeds ``work_cap``.
     """
     values = np.asarray(values, dtype=np.complex128)
     p = len(values)
@@ -183,29 +213,36 @@ def gowers_accelerated(
             f"accelerated engine refuses d = {d} at p = {p} > 256 "
             "(pass allow_deep=True to override)"
         )
-    est = p ** (d - 1) * max(1.0, np.log2(p))
+    n_orbits = math.comb((p + 1) // 2 + d - 3, d - 2)  # rows transformed, see _orbits
+    est = n_orbits * p * max(1.0, np.log2(p))
     if est > work_cap:
         raise WorkCapExceeded(
-            f"estimated cost p^(d-1) log2 p = {est:.3g} exceeds work cap {work_cap}"
+            f"estimated cost rows * p * log2 p = {est:.3g} exceeds work cap {work_cap}"
         )
     if d == 2:
         return u2_accelerated(values, field)
-    if d == 3:
-        # Batch all p multiplicative differences through one chunked DFT.
-        acc = np.empty(p)
-        chunk = max(1, (1 << 21) // p)
-        x = np.arange(p, dtype=np.int64)
-        for start in range(0, p, chunk):
-            h = np.arange(start, min(start + chunk, p), dtype=np.int64)
-            rows = values[(h[:, None] + x[None, :]) % p] * np.conj(values)[None, :]
-            hat = field.dft(rows)
-            power = hat.real * hat.real + hat.imag * hat.imag
-            acc[start : start + len(h)] = (power * power).sum(axis=1)
-        return _finalize(float(acc.mean()), _tolerance(p, d))
-    per_h = np.empty(p)
-    for h in range(p):
-        per_h[h] = gowers_accelerated(xi(values, h), d - 1, field, work_cap, allow_deep)
-    return _finalize(float(per_h.mean()), _tolerance(p, d))
+    k = d - 2
+    reps, weights = _orbits(p, k)
+    # Row s of shifted[0] is phi(x + s), of shifted[1] its conjugate; views, not copies.
+    periodic = np.concatenate([values, values[:-1]])
+    shifted = [sliding_window_view(periodic, p), sliding_window_view(np.conj(periodic), p)]
+    corners = [np.asarray(omega, dtype=np.int64)
+               for omega in itertools.product((0, 1), repeat=k)][1:]
+    total = 0.0
+    # 2^18 values (4 MB of complex128) per chunk: larger chunks run no
+    # faster and only raise peak memory.
+    chunk = max(1, (1 << 18) // p)
+    for start in range(0, len(reps), chunk):
+        h = reps[start : start + chunk]
+        factors = (shifted[omega.sum() % 2][(h @ omega) % p] for omega in corners)
+        rows = next(factors)  # a fresh array, so the other corners multiply in place
+        for factor in factors:
+            rows *= factor
+        rows *= values  # the omega = 0 corner
+        hat = field.dft(rows)
+        power = hat.real * hat.real + hat.imag * hat.imag
+        total += float(weights[start : start + chunk] @ (power * power).sum(axis=1))
+    return _finalize(total / p**k, _tolerance(p, d))
 
 
 def gowers_norm(values: np.ndarray, d: int, field: PrimeField | None = None) -> float:

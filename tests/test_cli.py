@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gowersff import cli
 from gowersff.cli import main
 from gowersff.harness import SCAN_COLUMNS
 
@@ -183,6 +184,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "norm", "--p", "11", "--family", "nope", "--d", "1")
         assert code == 2
         assert "unknown family" in err
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def too_large(spec, p):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+        monkeypatch.setattr(cli, "make_table", too_large)
+        code, out, err = run(capsys, "norm", "--p", "101", "--family", "kloosterman", "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Unable to allocate" in err
+        assert "Traceback" not in err
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

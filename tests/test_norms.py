@@ -1,8 +1,15 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowersff import (
     NormRequest,
+    PrimeField,
     WorkCapExceeded,
     evaluate,
     gowers_accelerated,
@@ -10,6 +17,7 @@ from gowersff import (
     gowers_oracle,
     gowers_recursive,
     inverse_phase_trace,
+    is_prime,
     kloosterman_trace,
     legendre_curve_trace,
     legendre_poly_trace,
@@ -18,8 +26,14 @@ from gowersff import (
     u2_accelerated,
     xi,
 )
-from gowersff.norms import _finalize
+from gowersff.norms import _finalize, _orbits
 from conftest import poly_phase, random_unit_vector
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+# (p, d) pairs the oracle finishes quickly: odd primes with p^(d+1) <= 2e6.
+ORACLE_CASES = [(p, d) for d in (3, 4, 5) for p in range(3, 40)
+                if is_prime(p) and p ** (d + 1) <= 2 * 10**6]
 
 
 class TestXi:
@@ -157,6 +171,51 @@ class TestAccelerated:
         v = np.ones(997, dtype=np.complex128)
         with pytest.raises(WorkCapExceeded, match="work cap"):
             gowers_accelerated(v, 4, work_cap=10**6)
+
+    def test_work_cap_estimate_counts_orbit_rows(self, field101):
+        # 51 rows * 101 * log2(101) ~ 3.4e4 fits; p^2 log2 p ~ 6.8e4 would not.
+        v = kloosterman_trace(field101).values
+        u3 = gowers_accelerated(v, 3, field101, work_cap=50_000)
+        assert abs(u3 - gowers_recursive(v, 3)) <= 1e-9
+
+
+class TestOrbitKernel:
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(ORACLE_CASES), st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, case, seed):
+        p, d = case
+        rng = np.random.default_rng(seed)
+        v = rng.random(p) * np.exp(2j * np.pi * rng.random(p))
+        accelerated = gowers_accelerated(v, d, allow_deep=True)
+        assert abs(accelerated - gowers_oracle(v, d)) <= 1e-9
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_orbit_weights_and_count(self, p, k):
+        reps, weights = _orbits(p, k)
+        assert weights.sum() == p**k
+        assert len(reps) == math.comb((p + 1) // 2 + k - 1, k)
+
+    @pytest.mark.parametrize("d, rows", [(3, 51), (4, 1326)])
+    def test_one_dft_row_per_orbit(self, monkeypatch, field101, d, rows):
+        values = kloosterman_trace(field101).values
+        seen = []
+        dft = PrimeField.dft
+
+        def spy(self, v):
+            seen.append(math.prod(np.shape(v)[:-1]))
+            return dft(self, v)
+
+        monkeypatch.setattr(PrimeField, "dft", spy)
+        gowers_accelerated(values, d, field101)
+        assert sum(seen) == rows
+
+    @pytest.mark.parametrize("d, p", [(3, 1009), (4, 101), (4, 211)])
+    def test_matches_benchmark_references(self, d, p):
+        expected = json.loads(REFERENCES.read_text())["u_d"][f"kloosterman|{d}|{p}"]
+        field = prime_field(p)
+        u_d = gowers_accelerated(kloosterman_trace(field).values, d, field)
+        assert u_d == pytest.approx(expected, rel=1e-9)
 
 
 class TestEngineEquivalence:
