@@ -36,8 +36,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Largest modulus for which int64 intermediate products x*y stay exact.
 _MAX_P = 1 << 31
 
-# Default ceiling on p for the optional discrete-log table.
-_DEFAULT_TABLE_CAP = 1 << 20
+# Largest p for which the discrete-log table is built.
+_DLOG_TABLE_CAP = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -90,10 +90,9 @@ class PrimeField:
     Parameters
     ----------
     p : odd prime modulus (3 <= p < 2^31).
-    table_cap : build the discrete-log table only when p <= cap.
     """
 
-    def __init__(self, p: int, table_cap: int = _DEFAULT_TABLE_CAP):
+    def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if p == 2:
@@ -101,7 +100,6 @@ class PrimeField:
         if p >= _MAX_P:
             raise ValueError(f"p = {p} exceeds the supported range (< 2^31)")
         self.p = int(p)
-        self.table_cap = int(table_cap)
 
         half = p // 2
         table = np.empty(p, dtype=np.complex128)
@@ -133,8 +131,8 @@ class PrimeField:
     @functools.cached_property
     def dlog_table(self) -> np.ndarray:
         """dlog[g^k] = k for the primitive root g; dlog[0] = -1."""
-        if self.p > self.table_cap:
-            raise ValueError(f"discrete logs not tabulated for p > {self.table_cap}")
+        if self.p > _DLOG_TABLE_CAP:
+            raise ValueError(f"discrete logs not tabulated for p > {_DLOG_TABLE_CAP}")
         g = self.primitive_root
         dlog = np.full(self.p, -1, dtype=np.int64)
         x = 1

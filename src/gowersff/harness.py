@@ -29,7 +29,6 @@ from .norms import (
     NormRequest,
     evaluate,
     gowers_recursive,
-    u1,
     gowers_accelerated,
 )
 from .traces import (
@@ -430,8 +429,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         if table is None:
             continue
         for d in config.d_values:
-            primary = u1(table.values) if d == 1 else gowers_accelerated(
-                table.values, d, field0, work_cap=config.work_cap)
+            primary = gowers_accelerated(table.values, d, field0, work_cap=config.work_cap)
             reference = gowers_recursive(table.values, d)
             delta = abs(primary - reference)
             ok = delta <= ENGINE_AGREEMENT_TOL

@@ -13,15 +13,18 @@ where C is complex conjugation.  The three routes are:
 * ``gowers_recursive``   -- the inductive definition
   U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
   xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost O(p^d * p).
-* ``gowers_accelerated`` -- U_d = (1/p^k) sum over h in F_p^k of
+* ``gowers_accelerated`` -- the entry point for every d >= 1: U_1 is
+  |mean|^2, and for d >= 2, U_d = (1/p^k) sum over h in F_p^k of
   U_2(Delta_h phi), k = d - 2, with the Fourier base
   U_2 = sum_t |phi_hat(t)|^4.  U_2(Delta_h phi) is unchanged by permuting
   the h_i and by flipping their signs, so one row is transformed per
-  orbit: C((p+1)/2 + k - 1, k) rows, about p^k / (2^k k!), each a
-  prime-length DFT; the work-cap estimate is rows * p * log2 p.
+  orbit: C((p+1)/2 + k - 1, k) rows, about p^k / (2^k k!), each the
+  product of 2^k shifted tables and then a prime-length DFT.  Its one
+  cost policy is the work cap on rows * p * (2^k + log2 p).
 
 Values are real up to rounding; engines check the imaginary part where
-one exists and clamp tiny negative results to zero.
+one exists (relative to the real part) and clamp tiny negative results
+to zero.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ def u1(values: np.ndarray) -> float:
     return float(m.real * m.real + m.imag * m.imag)
 
 
+def _shifts(values: np.ndarray) -> np.ndarray:
+    """Row s is x -> phi(x + s): a (p, p) view of the doubled table, not a copy."""
+    return sliding_window_view(np.concatenate([values, values[:-1]]), len(values))
+
+
 def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) -> float:
     """Ground-truth U_d by the unrolled cube sum over (x, h_1, ..., h_d)."""
     values = np.asarray(values, dtype=np.complex128)
@@ -98,12 +106,7 @@ def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) 
             f"oracle requires p^(d+1) = {terms} elementary terms, "
             f"over the work cap {work_cap}"
         )
-    if p <= 2048:
-        idx = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p
-        shifted = values[idx]  # shifted[s, x] = phi((x + s) mod p)
-    else:
-        shifted = None
-    x = np.arange(p, dtype=np.int64)
+    shifted = _shifts(values)
     corners = list(itertools.product((0, 1), repeat=d))
     powers = p ** np.arange(d, dtype=np.int64)
     total = 0.0 + 0.0j
@@ -114,16 +117,12 @@ def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) 
         h = (ks[:, None] // powers[None, :]) % p  # base-p digits: the h-tuples
         prod = np.ones((len(h), p), dtype=np.complex128)
         for omega in corners:
-            shift = (h @ np.asarray(omega, dtype=np.int64)) % p
-            if shifted is not None:
-                rows = shifted[shift]
-            else:
-                rows = values[(shift[:, None] + x[None, :]) % p]
+            rows = shifted[(h @ np.asarray(omega, dtype=np.int64)) % p]
             prod *= np.conj(rows) if sum(omega) % 2 else rows
         total += prod.sum()
     total /= p ** (d + 1)
     tol = _tolerance(p, d)
-    if abs(total.imag) > tol:
+    if abs(total.imag) > tol * max(1.0, abs(total.real)):
         raise ArithmeticError(f"cube sum has imaginary part {total.imag}")
     return _finalize(total.real, tol)
 
@@ -145,11 +144,9 @@ def gowers_recursive(values: np.ndarray, d: int) -> float:
         # (1/p) sum_h U_1(xi_h(phi)), all h at once in row-chunks.
         acc = np.empty(p)
         chunk = max(1, (1 << 21) // p)
-        x = np.arange(p, dtype=np.int64)
+        shifted, conj = _shifts(values), np.conj(values)
         for start in range(0, p, chunk):
-            h = np.arange(start, min(start + chunk, p), dtype=np.int64)
-            rows = values[(h[:, None] + x[None, :]) % p] * np.conj(values)[None, :]
-            acc[start : start + len(h)] = _u1_rows(rows)
+            acc[start : start + chunk] = _u1_rows(shifted[start : start + chunk] * conj)
         return _finalize(float(acc.mean()), _tolerance(p, d))
     per_h = np.empty(p)
     for h in range(p):
@@ -192,40 +189,35 @@ def gowers_accelerated(
     d: int,
     field: PrimeField | None = None,
     work_cap: int = DEFAULT_WORK_CAP,
-    allow_deep: bool = False,
 ) -> float:
-    """U_d from one U_2 row per orbit of the outer directions (h_1..h_{d-2}).
+    """U_d for any d >= 1; from d = 2 on, one U_2 row per orbit of (h_1..h_{d-2}).
 
-    Each row Delta_h phi(x) = prod over omega in {0,1}^(d-2) of
-    C^|omega| phi(x + omega.h) goes through the batched Fourier base, and
-    the orbit weights from :func:`_orbits` restore the full average.
-    Refuses d > 4 at p > 256 unless ``allow_deep``, and any request whose
-    estimated cost rows * p * log2(p), with rows = C((p+1)/2 + d - 3, d - 2),
-    exceeds ``work_cap``.
+    d = 1 is :func:`u1`.  Otherwise each row Delta_h phi(x) = prod over
+    omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h) goes through the
+    batched Fourier base, and the orbit weights from :func:`_orbits`
+    restore the full average.  Refuses any request whose estimated cost
+    rows * p * (2^(d-2) + log2 p), with rows = C((p+1)/2 + d - 3, d - 2),
+    exceeds ``work_cap``: each row is 2^(d-2) corner products and one DFT.
     """
     values = np.asarray(values, dtype=np.complex128)
     p = len(values)
-    if d < 2:
-        raise ValueError("accelerated engine requires d >= 2 (use u1 for d = 1)")
-    field = field or prime_field(p)
-    if d > 4 and p > 256 and not allow_deep:
-        raise WorkCapExceeded(
-            f"accelerated engine refuses d = {d} at p = {p} > 256 "
-            "(pass allow_deep=True to override)"
-        )
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if d == 1:
+        return u1(values)
     n_orbits = math.comb((p + 1) // 2 + d - 3, d - 2)  # rows transformed, see _orbits
-    est = n_orbits * p * max(1.0, np.log2(p))
+    est = n_orbits * p * (2 ** (d - 2) + max(1.0, np.log2(p)))
     if est > work_cap:
         raise WorkCapExceeded(
-            f"estimated cost rows * p * log2 p = {est:.3g} exceeds work cap {work_cap}"
+            f"U_{d} at p = {p}: estimated cost rows * p * (2^(d-2) + log2 p) = "
+            f"{est:.3g} exceeds work cap {work_cap}"
         )
+    field = field or prime_field(p)
     if d == 2:
         return u2_accelerated(values, field)
     k = d - 2
     reps, weights = _orbits(p, k)
-    # Row s of shifted[0] is phi(x + s), of shifted[1] its conjugate; views, not copies.
-    periodic = np.concatenate([values, values[:-1]])
-    shifted = [sliding_window_view(periodic, p), sliding_window_view(np.conj(periodic), p)]
+    shifted = [_shifts(values), _shifts(np.conj(values))]  # by the parity of |omega|
     corners = [np.asarray(omega, dtype=np.int64)
                for omega in itertools.product((0, 1), repeat=k)][1:]
     total = 0.0
@@ -246,13 +238,8 @@ def gowers_accelerated(
 
 
 def gowers_norm(values: np.ndarray, d: int, field: PrimeField | None = None) -> float:
-    """The norm itself, U_d^(1/2^d), via the best engine for (p, d)."""
-    values = np.asarray(values, dtype=np.complex128)
-    if d == 1:
-        pnorm = u1(values)
-    else:
-        pnorm = gowers_accelerated(values, d, field)
-    return float(pnorm ** (1.0 / 2**d))
+    """The norm itself, U_d^(1/2^d), via :func:`gowers_accelerated`."""
+    return float(gowers_accelerated(values, d, field) ** (1.0 / 2**d))
 
 
 # -- request/result contract -------------------------------------------------
@@ -308,7 +295,7 @@ def evaluate(request: NormRequest) -> NormResult:
     elif request.engine == "recursive":
         u_d = gowers_recursive(values, d)
     elif request.engine == "accelerated":
-        u_d = u1(values) if d == 1 else gowers_accelerated(values, d, work_cap=request.work_cap)
+        u_d = gowers_accelerated(values, d, work_cap=request.work_cap)
     else:
         raise ValueError(f"unknown engine {request.engine!r}; choose from {ENGINES}")
     elapsed = time.perf_counter() - start

@@ -23,7 +23,7 @@ import numpy as np
 from .field import PrimeField
 from . import polys
 from .harness import DEFAULT_CEILING
-from .norms import WorkCapExceeded, gowers_accelerated, u1
+from .norms import WorkCapExceeded, gowers_accelerated
 from .traces import TraceTable
 
 __all__ = [
@@ -97,7 +97,8 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
         yield None, field.dft(values)
         return
     x2 = (np.arange(p, dtype=np.int64) ** 2) % p
-    chunk = max(1, (1 << 21) // p)
+    # 2^18 values (4 MB of complex128) per chunk, as in the U_d kernel.
+    chunk = max(1, (1 << 18) // p)
     for start in range(0, p, chunk):
         a = np.arange(start, min(start + chunk, p), dtype=np.int64)
         twisted = values[None, :] * np.conj(field.char_table[(a[:, None] * x2[None, :]) % p])
@@ -247,7 +248,7 @@ def probe_report(
     field = table.field
     decomp = decompose(table.values, d, threshold, field)
     residual = decomp.t1
-    residual_u = u1(residual) if d == 1 else gowers_accelerated(residual, d, field)
+    residual_u = gowers_accelerated(residual, d, field)
     report = dichotomy_report(table, d, ceiling) if d in (2, 3) else None
     return {
         "p": field.p,

@@ -101,7 +101,7 @@ def test_criterion_2_exact_laws():
             for deg, coeffs in phases.items():
                 v = poly_phase(coeffs, p)
                 for d in range(deg + 1, 5):
-                    u_d = u1(v) if d == 1 else gowers_accelerated(v, d)
+                    u_d = gowers_accelerated(v, d)
                     assert abs(u_d - 1) <= 1e-9
         assert time.perf_counter() - start <= 60
 
@@ -179,7 +179,7 @@ def test_criterion_6_invariance_suite():
         for table in tables:
             r = table.descriptor.rank
             for d in (1, 2, 3):
-                u_d = u1(table.values) if d == 1 else gowers_accelerated(table.values, d, F)
+                u_d = gowers_accelerated(table.values, d, F)
                 assert u_d <= r ** (2**d) + 1e-6
 
         for q in (31, 101):

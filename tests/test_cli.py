@@ -66,6 +66,16 @@ class TestNorm:
         assert code == 2
         assert "work cap" in err
 
+    def test_accelerated_work_cap_refusal_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "norm", "--p", "257", "--family", "kloosterman", "--d", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "work cap" in err
+        assert "allow" not in err  # no hint at a library-only override
+        assert "Traceback" not in err
+
     def test_p_not_above_d_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "norm", "--p", "3", "--family", "inverse_phase", "--d", "3",

@@ -153,9 +153,10 @@ class TestAccelerated:
         u3 = gowers_accelerated(v, 3, F)
         assert 0 <= u3 * 1009 <= 1e3
 
-    def test_d1_refused(self):
-        with pytest.raises(ValueError, match="u1"):
-            gowers_accelerated(np.ones(11, dtype=np.complex128), 1)
+    def test_d1_is_u1(self):
+        rng = np.random.default_rng(6)
+        v = rng.normal(size=11) + 1j * rng.normal(size=11)
+        assert gowers_accelerated(v, 1) == u1(v)
 
     def test_deep_refusal_above_256(self):
         v = np.ones(257, dtype=np.complex128)
@@ -165,15 +166,22 @@ class TestAccelerated:
     def test_deep_allowed_at_small_p(self):
         rng = np.random.default_rng(8)
         v = random_unit_vector(7, rng)
-        assert abs(gowers_accelerated(v, 5, allow_deep=True) - gowers_oracle(v, 5)) <= 1e-9
+        assert abs(gowers_accelerated(v, 5) - gowers_oracle(v, 5)) <= 1e-9
 
     def test_work_cap_estimate_refusal(self):
         v = np.ones(997, dtype=np.complex128)
         with pytest.raises(WorkCapExceeded, match="work cap"):
             gowers_accelerated(v, 4, work_cap=10**6)
 
+    def test_work_cap_estimate_counts_corner_products(self):
+        # C(7 + 9, 10) = 8008 rows * 13 * (2^10 + log2 13) ~ 1.07e8; counting
+        # only the DFTs (rows * p * log2 p) would give ~3.9e5 and run it.
+        v = np.ones(13, dtype=np.complex128)
+        with pytest.raises(WorkCapExceeded, match="work cap"):
+            gowers_accelerated(v, 12, work_cap=10**6)
+
     def test_work_cap_estimate_counts_orbit_rows(self, field101):
-        # 51 rows * 101 * log2(101) ~ 3.4e4 fits; p^2 log2 p ~ 6.8e4 would not.
+        # 51 rows * 101 * (2 + log2(101)) ~ 4.5e4 fits; p^2 log2 p ~ 6.8e4 would not.
         v = kloosterman_trace(field101).values
         u3 = gowers_accelerated(v, 3, field101, work_cap=50_000)
         assert abs(u3 - gowers_recursive(v, 3)) <= 1e-9
@@ -186,7 +194,7 @@ class TestOrbitKernel:
         p, d = case
         rng = np.random.default_rng(seed)
         v = rng.random(p) * np.exp(2j * np.pi * rng.random(p))
-        accelerated = gowers_accelerated(v, d, allow_deep=True)
+        accelerated = gowers_accelerated(v, d)
         assert abs(accelerated - gowers_oracle(v, d)) <= 1e-9
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -227,8 +235,16 @@ class TestEngineEquivalence:
             v = random_unit_vector(p, rng)
             oracle = gowers_oracle(v, d)
             assert abs(oracle - gowers_recursive(v, d)) <= 1e-9
-            if d >= 2:
-                assert abs(oracle - gowers_accelerated(v, d)) <= 1e-9
+            assert abs(oracle - gowers_accelerated(v, d)) <= 1e-9
+
+    @pytest.mark.parametrize("p, d", [(3, 5), (5, 4), (7, 4)])
+    def test_oracle_accepts_large_norms(self, p, d):
+        # U_d of these values reaches ~1e17, so rounding leaves an imaginary
+        # part far above any absolute tolerance but tiny relative to U_d.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            v = 3 * (rng.normal(size=p) + 1j * rng.normal(size=p))
+            assert gowers_oracle(v, d) == pytest.approx(gowers_recursive(v, d), rel=1e-12)
 
 
 class TestNormProperties:
@@ -280,7 +296,7 @@ class TestNormProperties:
         for deg, coeffs in cases.items():
             v = poly_phase(coeffs, p)
             for d in range(deg + 1, 5):
-                u_d = u1(v) if d == 1 else gowers_accelerated(v, d)
+                u_d = gowers_accelerated(v, d)
                 assert abs(u_d - 1) <= 1e-9
 
     def test_nonnegativity_on_random_inputs(self):
