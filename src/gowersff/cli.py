@@ -73,9 +73,7 @@ def _cmd_gen(args) -> int:
 def _cmd_norm(args) -> int:
     spec = parse_family(args.family, args.family_args)
     table = make_table(spec, args.p)
-    engine = args.engine
-    if engine == "auto":
-        engine = "recursive" if args.d == 1 else "accelerated"
+    engine = "accelerated" if args.engine == "auto" else args.engine
     record = _make_record(spec, table, args.d, engine, args.work_cap)
     _emit_records([record], args.format, args.output)
     return 0

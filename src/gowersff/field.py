@@ -6,6 +6,11 @@ lazily built quadratic-residue, inverse and (for p up to a cap)
 discrete-log tables.  All of it is immutable once built, so instances are
 safe to share across threads; every function in this module is pure.
 
+The multiplicative tables (inverses, discrete logs, and the values of
+multiplicative characters in :mod:`gowersff.traces`) are numpy scatters
+from one power table g^k mod p of the primitive root g, built from ~sqrt(p)
+baby and giant steps; no table loops over the elements of F_p in Python.
+
 The DFT convention used throughout is
 
     dft(v)[t] = (1/p) * sum_x v[x] * e(-x*t/p),
@@ -19,6 +24,7 @@ testing.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -128,17 +134,35 @@ class PrimeField:
                 return g
         raise AssertionError("no primitive root found")  # unreachable for prime p
 
+    def _powers(self) -> np.ndarray:
+        """g^k mod p for 0 <= k < p - 1, g the primitive root.
+
+        Baby steps g^j (j < m) and giant steps g^(m*i) (m ~ sqrt(p)) come
+        from Python; their outer product mod p is one numpy operation,
+        exact in int64 since p < 2^31.  Not cached: the callers keep only
+        what they derive from it.
+        """
+        p, g, n = self.p, self.primitive_root, self.p - 1
+        m = math.isqrt(n - 1) + 1
+        baby = np.empty(m, dtype=np.int64)
+        giant = np.empty(-(-n // m), dtype=np.int64)
+        x = 1
+        for j in range(m):
+            baby[j] = x
+            x = x * g % p
+        y = 1
+        for i in range(len(giant)):
+            giant[i] = y
+            y = y * x % p
+        return (giant[:, None] * baby[None, :] % p).ravel()[:n]
+
     @functools.cached_property
     def dlog_table(self) -> np.ndarray:
         """dlog[g^k] = k for the primitive root g; dlog[0] = -1."""
         if self.p > _DLOG_TABLE_CAP:
             raise ValueError(f"discrete logs not tabulated for p > {_DLOG_TABLE_CAP}")
-        g = self.primitive_root
         dlog = np.full(self.p, -1, dtype=np.int64)
-        x = 1
-        for k in range(self.p - 1):
-            dlog[x] = k
-            x = x * g % self.p
+        dlog[self._powers()] = np.arange(self.p - 1, dtype=np.int64)
         dlog.setflags(write=False)
         return dlog
 
@@ -155,10 +179,10 @@ class PrimeField:
     @functools.cached_property
     def inverse_values(self) -> np.ndarray:
         """x^-1 for all x (0 mapped to 0), for bulk table generation."""
+        n = self.p - 1
+        pw = self._powers()
         inv = np.zeros(self.p, dtype=np.int64)
-        inv[1] = 1
-        for i in range(2, self.p):
-            inv[i] = (-(self.p // i) * inv[self.p % i]) % self.p
+        inv[pw] = pw[-np.arange(n) % n]  # (g^k)^-1 = g^(n-k)
         inv.setflags(write=False)
         return inv
 

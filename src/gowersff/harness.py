@@ -449,15 +449,15 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     if not ok:
         failures.append(f"kloosterman direct vs transform: {delta:.3g}")
     if p0 >= 5:
-        ints_a = legendre_curve_integers(field0, "point_count")
-        ints_b = legendre_curve_integers(field0, "char_sum")
-        ok = bool(np.array_equal(ints_a, ints_b))
+        counted = legendre_curve_integers(field0, "point_count")
+        transform = legendre_curve_integers(field0, "transform")
+        ok = bool(np.array_equal(counted, transform))
         agreements.append({
             "check": "legendre_curve_methods", "p": p0,
-            "delta": 0.0 if ok else float(np.abs(ints_a - ints_b).max()), "ok": ok,
+            "delta": 0.0 if ok else float(np.abs(counted - transform).max()), "ok": ok,
         })
         if not ok:
-            failures.append("legendre_curve point_count vs char_sum differ")
+            failures.append("legendre_curve point_count vs transform differ")
 
     baseline = random_baseline(
         config.baseline_p, config.baseline_d, config.baseline_trials, config.seed

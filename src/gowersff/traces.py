@@ -27,6 +27,7 @@ Families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping
 
@@ -56,6 +57,9 @@ __all__ = [
 INFINITY = "inf"
 
 _POINTWISE_SLACK = 1e-12
+
+#: Largest distance from an integer a rounded point count may have.
+_INTEGER_SLACK = 0.25
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,6 @@ class MultiplicativeCharacter:
 
     @property
     def order(self) -> int:
-        import math
-
         return (self.field.p - 1) // math.gcd(self.index, self.field.p - 1)
 
     @property
@@ -138,15 +140,16 @@ class MultiplicativeCharacter:
         return self.index == 0
 
     def values(self) -> np.ndarray:
-        """chi(x) for all x in F_p, walking the powers of g (no dlogs needed)."""
-        p, g, m = self.field.p, self.field.primitive_root, self.index
-        n = p - 1
-        unit = np.exp(2j * np.pi * (np.arange(n, dtype=np.int64) * m % n) / n)
-        out = np.zeros(p, dtype=np.complex128)
-        x = 1
-        for k in range(n):
-            out[x] = unit[k]
-            x = x * g % p
+        """chi(x) for all x in F_p, scattered over the powers of g (no dlogs needed).
+
+        chi(g^k) = e(k*(m/c)/order) with c = gcd(m, p-1), so only the
+        order-th roots of unity are evaluated.
+        """
+        n, order = self.field.p - 1, self.order
+        step = self.index // (n // order)
+        roots = np.exp(2j * np.pi * np.arange(order) / order)
+        out = np.zeros(self.field.p, dtype=np.complex128)
+        out[self.field._powers()] = roots[np.arange(n, dtype=np.int64) * step % order]
         return out
 
     def __call__(self, x: int) -> complex:
@@ -243,13 +246,27 @@ def kloosterman_trace(field: PrimeField, method: str = "transform") -> TraceTabl
 def legendre_curve_integers(field: PrimeField, method: str = "point_count") -> np.ndarray:
     """The integers p - N(x), N(x) = |{(u,v): v^2 = u(u-1)(u-x)}|, for all x.
 
-    ``point_count`` counts affine solutions through 1 + (c/p) fiber
-    sizes; ``char_sum`` evaluates -sum_u ((u(u-1)(u-x))/p).  Both return
-    the same integer array (entries at x in {0, 1} use the same formulas
-    even though the trace table overrides them).
+    Both methods return the same integer array (entries at x in {0, 1}
+    use the same formulas even though the trace table overrides them).
+    ``transform`` evaluates p - N(x) = -sum_u ((u(u-1))/p) ((u-x)/p) as
+    one cyclic correlation, p * idft(dft(a) * conj(dft(chi))), in
+    O(p log p), and rounds it; ``point_count`` counts affine solutions
+    through 1 + (c/p) fiber sizes in O(p^2) and is the test oracle.
     """
     p = field.p
     leg = field.legendre_table
+    if method == "transform":
+        u = np.arange(p, dtype=np.int64)
+        a = leg[u * ((u - 1) % p) % p]
+        corr = -p * field.idft(field.dft(a) * np.conj(field.dft(leg)))
+        counts = np.rint(corr.real)
+        # Rounding to the nearest integer is exact only if the transform
+        # error stays far below 1/2 (it measures ~5e-12 at p ~ 10^6).
+        if not np.abs(corr - counts).max() <= _INTEGER_SLACK:
+            raise ArithmeticError(f"legendre_curve correlation is not integral at p = {p}")
+        return counts.astype(np.int64)
+    if method != "point_count":
+        raise ValueError(f"unknown method {method!r}; use 'transform' or 'point_count'")
     x = np.arange(p, dtype=np.int64)
     counts = np.zeros(p, dtype=np.int64)
     chunk = max(1, (1 << 21) // p)
@@ -257,18 +274,11 @@ def legendre_curve_integers(field: PrimeField, method: str = "point_count") -> n
         u = np.arange(start, min(start + chunk, p), dtype=np.int64)
         cubic = (u * ((u - 1) % p))[:, None] % p
         cubic = cubic * ((u[:, None] - x[None, :]) % p) % p
-        if method == "point_count":
-            counts += (1 + leg[cubic]).sum(axis=0)
-        elif method == "char_sum":
-            counts -= leg[cubic].sum(axis=0)
-        else:
-            raise ValueError(f"unknown method {method!r}; use 'point_count' or 'char_sum'")
-    if method == "point_count":
-        return p - counts
-    return counts
+        counts += (1 + leg[cubic]).sum(axis=0)
+    return p - counts
 
 
-def legendre_curve_trace(field: PrimeField, method: str = "point_count") -> TraceTable:
+def legendre_curve_trace(field: PrimeField, method: str = "transform") -> TraceTable:
     """x -> (p - N(x))/sqrt(p) off {0, 1}; both cells there are 1/sqrt(p)."""
     p = field.p
     if p < 5:

@@ -141,7 +141,7 @@ def test_criterion_5_cross_construction_identities():
             assert np.abs(lhs - rhs).max() <= 1e-9
         F101 = prime_field(101)
         a = legendre_curve_integers(F101, "point_count")
-        b = legendre_curve_integers(F101, "char_sum")
+        b = legendre_curve_integers(F101, "transform")
         assert np.array_equal(a, b)
         F499 = prime_field(499)
         direct = kloosterman_trace(F499, method="direct").values

@@ -85,18 +85,20 @@ class TestNorm:
         assert "p > d" in err
 
     def test_row_matches_scan_except_timing(self, capsys):
-        argv = ("--family", "kloosterman", "--d", "3")
-        code_n, out_n, _ = run(capsys, "norm", "--p", "101", *argv)
-        code_s, out_s, _ = run(capsys, "scan", "--primes", "101", *argv)
-        assert code_n == code_s == 0
-        rows = []
-        for out in (out_n, out_s):
-            header, row = out.splitlines()
-            assert header == ",".join(SCAN_COLUMNS)
-            fields = dict(zip(SCAN_COLUMNS, row.split(",")))
-            del fields["elapsed_ms"]
-            rows.append(fields)
-        assert rows[0] == rows[1]
+        # d = 1 included: --engine auto means accelerated at every d, as in scan.
+        for d in ("1", "3"):
+            argv = ("--family", "kloosterman", "--d", d)
+            code_n, out_n, _ = run(capsys, "norm", "--p", "101", *argv)
+            code_s, out_s, _ = run(capsys, "scan", "--primes", "101", *argv)
+            assert code_n == code_s == 0
+            rows = []
+            for out in (out_n, out_s):
+                header, row = out.splitlines()
+                assert header == ",".join(SCAN_COLUMNS)
+                fields = dict(zip(SCAN_COLUMNS, row.split(",")))
+                del fields["elapsed_ms"]
+                rows.append(fields)
+            assert rows[0] == rows[1], d
 
 
 class TestProbe:

@@ -54,6 +54,28 @@ class TestPrimeField:
             assert pow(g, int(F.dlog_table[x]), 61) == x
 
 
+def _check_power_tables(p: int, xs) -> None:
+    """inverse_values and dlog_table at xs against pow() (no shared code)."""
+    F = prime_field(p)
+    g = F.primitive_root
+    xs = np.asarray(xs, dtype=np.int64)
+    assert F.inverse_values[0] == 0 and F.dlog_table[0] == -1
+    assert np.all(F.inverse_values[xs] * xs % p == 1)
+    for x, k in zip(xs.tolist(), F.dlog_table[xs].tolist()):
+        assert 0 <= k < p - 1 and pow(g, k, p) == x
+
+
+class TestPowerTables:
+    @given(st.sampled_from([p for p in range(3, 10**4) if is_prime(p)]))
+    @example(3)
+    @settings(max_examples=30, deadline=None)
+    def test_exhaustive_small_primes(self, p):
+        _check_power_tables(p, range(1, p))
+
+    def test_sampled_at_p1000003(self):
+        _check_power_tables(1000003, np.random.default_rng(3).integers(1, 1000003, size=2000))
+
+
 class TestModInverse:
     def test_identity(self):
         assert prime_field(7).inverse(1) == 1

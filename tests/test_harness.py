@@ -19,6 +19,7 @@ from gowersff import (
     scan_primes,
     verify,
 )
+from gowersff import harness
 from gowersff.harness import (
     BASELINE_COLUMNS,
     SCAN_COLUMNS,
@@ -168,6 +169,18 @@ class TestVerify:
     def test_p_not_exceeding_d_refused(self):
         with pytest.raises(ValueError, match="p > d"):
             verify(replace(SMALL_CONFIG, primes=(2, 11), d_values=(1, 2, 3)))
+
+    def test_legendre_curve_transform_checked_against_point_count(self, monkeypatch):
+        real = harness.legendre_curve_integers
+
+        def skewed(field, method):
+            ints = real(field, method)
+            return ints + 1 if method == "transform" else ints
+
+        monkeypatch.setattr(harness, "legendre_curve_integers", skewed)
+        report = verify(SMALL_CONFIG)
+        assert not report.passed
+        assert "legendre_curve point_count vs transform differ" in report.failures
 
     def test_summary_mentions_result(self):
         report = verify(SMALL_CONFIG)

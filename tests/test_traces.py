@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gowersff import (
     INFINITY,
     FamilyDescriptor,
     MultiplicativeCharacter,
+    PrimeField,
     TraceTable,
     conductor_bound_xi,
     exceptional_set,
     fourier_trace,
     inverse_phase_trace,
+    is_prime,
     kloosterman_trace,
     legendre_curve_integers,
     legendre_curve_trace,
@@ -160,9 +162,38 @@ class TestLegendreCurve:
     def test_methods_agree_exactly_as_integers(self, p):
         F = prime_field(p)
         a = legendre_curve_integers(F, "point_count")
-        b = legendre_curve_integers(F, "char_sum")
+        b = legendre_curve_integers(F, "transform")
         assert a.dtype.kind == b.dtype.kind == "i"
         assert np.array_equal(a, b)
+
+    @given(st.sampled_from([p for p in range(5, 401) if is_prime(p)]))
+    @example(5)
+    @example(7)
+    @example(1009)
+    @settings(max_examples=25, deadline=None)
+    def test_transform_equals_point_count(self, p):
+        F = prime_field(p)
+        counted = legendre_curve_integers(F, "point_count")
+        transform = legendre_curve_integers(F, "transform")
+        assert transform.dtype.kind == "i"
+        assert np.array_equal(transform, counted)
+
+    def test_hasse_bound_at_p100003(self):
+        # |p - N(x)| <= 2 sqrt(p) for every x; TraceTable checks it as well.
+        v = legendre_curve_trace(prime_field(100003)).values
+        assert np.abs(v).max() <= 2
+
+    def test_non_integral_correlation_refused(self, monkeypatch):
+        F = prime_field(101)
+        idft = PrimeField.idft
+        # Every correlation entry 0.4 from an integer, past the 0.25 guard.
+        monkeypatch.setattr(PrimeField, "idft", lambda self, v: idft(self, v) + 0.4 / self.p)
+        with pytest.raises(ArithmeticError, match="not integral"):
+            legendre_curve_integers(F, "transform")
+
+    def test_unknown_method_rejected(self, field101):
+        with pytest.raises(ValueError, match="unknown method"):
+            legendre_curve_integers(field101, "magic")
 
     def test_point_count_against_naive_enumeration(self):
         # Independent oracle: literally enumerate (u, v) pairs at p = 11.
@@ -243,6 +274,30 @@ class TestMixedAsk:
         vals = chi.values()
         for x in range(101):
             assert abs(vals[x] - euler_legendre(x, 101)) <= 1e-12
+
+
+def _check_character_values(p: int, m_random: int, ks) -> None:
+    """chi_m(g^k) = e(m k/(p-1)) with m k reduced mod p-1 in exact integers."""
+    F = prime_field(p)
+    g, n = F.primitive_root, p - 1
+    ks = np.asarray(ks, dtype=np.int64)
+    xs = np.array([pow(g, int(k), p) for k in ks], dtype=np.int64)
+    for m in (0, 1, n // 2, p - 2, m_random % n):
+        vals = MultiplicativeCharacter(F, m).values()
+        expected = np.exp(2j * np.pi * (m * ks % n) / n)
+        assert vals[0] == 0
+        assert np.abs(vals[xs] - expected).max() <= 1e-12, (p, m)
+
+
+class TestCharacterValues:
+    @given(st.sampled_from([p for p in range(3, 10**4) if is_prime(p)]), st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_against_powers_of_g(self, p, m):
+        _check_character_values(p, m, range(p - 1))
+
+    def test_sampled_at_p1000003(self):
+        ks = np.random.default_rng(5).integers(0, 1000002, size=2000)
+        _check_character_values(1000003, 123456789, ks)
 
 
 class TestFourierTrace:
