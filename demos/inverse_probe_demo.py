@@ -3,7 +3,8 @@
 A function over F_p with non-negligible U_d either is (close to) a
 polynomial phase e(P(x)/p) of degree < d, or its U_d * p stays small.
 This demo plants a phase inside a Kloosterman background, recovers it,
-and classifies several tables.
+recovers a cubic phase that only the d = 4 scan can see, and classifies
+several tables.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from gowersff import (
     legendre_curve_trace,
     mixed_ask_trace,
     prime_field,
+    scan_obstructions,
 )
 
 p = 101
@@ -35,17 +37,27 @@ for comp in dec.components:
 residual = gowers_accelerated(dec.t1, 3, F)
 print(f"  residual U_3 * p = {residual * p:.3f}  (the Kloosterman part is uniform)")
 
-# 2. classify tables: an exact phase vs. genuinely uniform families
+# 2. a cubic phase e((7x^3 + 4x)/p) has no quadratic obstruction, but the
+#    full d = 4 scan over all p^3 cubics finds it exactly
 chi = MultiplicativeCharacter(F, 0)
+cubic_phase = mixed_ask_trace(((0, 4, 0, 7), (1,)), ((1,), (1,)), chi, F)
+print("\nplanted cubic e((7x^3 + 4x)/p) at p = 101:")
+for d in (3, 4):
+    found = [(c.coeffs, round(c.magnitude, 4))
+             for c in scan_obstructions(cubic_phase.values, d, 0.5, F)]
+    print(f"  d = {d} scan: {found}")
+
+# 3. classify tables: exact phases vs. genuinely uniform families
 linear_phase = mixed_ask_trace(((0, 1), (1,)), ((1,), (1,)), chi, F)
 
 print("\ndichotomy reports:")
 for table, d in [
     (linear_phase, 2),
+    (cubic_phase, 4),
     (kloosterman_trace(prime_field(499)), 2),
     (legendre_curve_trace(F), 3),
 ]:
     rep = dichotomy_report(table, d)
-    print(f"  {rep.family:<28} d={rep.d} p={rep.p:>4}: "
+    print(f"  {rep.family:<33} d={rep.d} p={rep.p:>4}: "
           f"max corr = {rep.max_correlation:.4f}, "
           f"U_d*p = {rep.u_d_times_p:9.4f}  ->  {rep.branch}")

@@ -8,7 +8,7 @@ engines, scans for polynomial-phase obstructions, and sweeps primes to
 exhibit the U_d ~ 1/p scaling against explicit proven bounds.
 """
 
-from .field import PrimeField, is_prime, legendre_symbol, prime_field
+from .field import PrimeField, is_prime, prime_field
 from .traces import (
     INFINITY,
     FamilyDescriptor,
@@ -35,14 +35,12 @@ from .norms import (
     gowers_oracle,
     gowers_recursive,
     u1,
-    u2_accelerated,
     xi,
 )
 from .probe import (
     Decomposition,
     DichotomyReport,
     PhaseComponent,
-    correlate_candidates,
     decompose,
     dichotomy_report,
     max_phase_correlation,

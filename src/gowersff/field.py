@@ -2,14 +2,14 @@
 
 A :class:`PrimeField` owns the per-prime precomputed data that the rest of
 the library consumes: the table of additive character values e(a/p), and
-lazily built quadratic-residue, inverse and (for p up to a cap)
-discrete-log tables.  All of it is immutable once built, so instances are
-safe to share across threads; every function in this module is pure.
+lazily built quadratic-residue and inverse tables.  All of it is
+immutable once built, so instances are safe to share across threads;
+every function in this module is pure.
 
-The multiplicative tables (inverses, discrete logs, and the values of
-multiplicative characters in :mod:`gowersff.traces`) are numpy scatters
-from one power table g^k mod p of the primitive root g, built from ~sqrt(p)
-baby and giant steps; no table loops over the elements of F_p in Python.
+The multiplicative tables (inverses, and the values of multiplicative
+characters in :mod:`gowersff.traces`) are numpy scatters from one power
+table g^k mod p of the primitive root g, built from ~sqrt(p) baby and
+giant steps; no table loops over the elements of F_p in Python.
 
 The DFT convention used throughout is
 
@@ -32,7 +32,6 @@ __all__ = [
     "is_prime",
     "PrimeField",
     "prime_field",
-    "legendre_symbol",
 ]
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
@@ -41,9 +40,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest modulus for which int64 intermediate products x*y stay exact.
 _MAX_P = 1 << 31
-
-# Largest p for which the discrete-log table is built.
-_DLOG_TABLE_CAP = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -157,16 +153,6 @@ class PrimeField:
         return (giant[:, None] * baby[None, :] % p).ravel()[:n]
 
     @functools.cached_property
-    def dlog_table(self) -> np.ndarray:
-        """dlog[g^k] = k for the primitive root g; dlog[0] = -1."""
-        if self.p > _DLOG_TABLE_CAP:
-            raise ValueError(f"discrete logs not tabulated for p > {_DLOG_TABLE_CAP}")
-        dlog = np.full(self.p, -1, dtype=np.int64)
-        dlog[self._powers()] = np.arange(self.p - 1, dtype=np.int64)
-        dlog.setflags(write=False)
-        return dlog
-
-    @functools.cached_property
     def legendre_table(self) -> np.ndarray:
         """(a/p) for 0 <= a < p, built by enumerating the squares mod p."""
         t = np.full(self.p, -1, dtype=np.int64)
@@ -221,27 +207,3 @@ class PrimeField:
 def prime_field(p: int) -> PrimeField:
     """Shared, cached PrimeField instance for p (fields are immutable)."""
     return PrimeField(p)
-
-
-def legendre_symbol(a: int, field: PrimeField) -> int:
-    """Legendre symbol (a/p) in {-1, 0, 1} by quadratic-reciprocity iteration.
-
-    O(log p) Jacobi-style ladder; the Euler criterion a^((p-1)/2) is kept
-    out of the hot path and used as the test oracle.
-    """
-    a %= field.p
-    n = field.p
-    if a == 0:
-        return 0
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result
-

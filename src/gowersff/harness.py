@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import is_prime, prime_field
+from .field import prime_field
 from .norms import (
     DEFAULT_WORK_CAP,
     NormRequest,
@@ -74,6 +74,12 @@ ENGINE_AGREEMENT_TOL = 1e-9
 KLOOSTERMAN_METHOD_TOL = 1e-8
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a ceiling, threshold or work cap that is not finite and positive."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _power(base: float, exponent: int) -> float:
     try:
         return float(base) ** exponent
@@ -121,9 +127,6 @@ class FamilySpec:
     f1: tuple[tuple[int, ...], tuple[int, ...]] = ((), (1,))   # mixed_ask
     f2: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (1,))
     chi: str = "0"                         # index, or "q" for quadratic
-
-    def min_p(self) -> int:
-        return 5 if self.name == "legendre_curve" else 3
 
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
@@ -269,18 +272,17 @@ def scan_primes(
     engine: str = "accelerated",
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> tuple[list[ScanRecord], list[dict]]:
-    """One record per prime; per-item failures are collected, not fatal."""
+    """One record per prime; per-item failures are collected, not fatal.
+
+    A bad prime, p <= d or a prime too small for the family is refused
+    where the table or the record is built, and becomes an error record.
+    """
+    _check_positive("work_cap", work_cap)
     records: list[ScanRecord] = []
     errors: list[dict] = []
     for p in primes:
         try:
             p = int(p)
-            if not is_prime(p) or p == 2:
-                raise ValueError(f"{p} is not an odd prime")
-            if p <= d:
-                raise ValueError(f"p = {p} violates the precondition p > d = {d}")
-            if p < spec.min_p():
-                raise ValueError(f"{spec.name} requires p >= {spec.min_p()}")
             records.append(_make_record(spec, make_table(spec, p), d, engine, work_cap))
         except Exception as exc:  # per-item error record, scan continues
             errors.append({"p": p, "family": spec.name, "d": d, "error": str(exc)})
@@ -325,6 +327,10 @@ class VerifyConfig:
     seed: int = 1
     work_cap: int = DEFAULT_WORK_CAP
     stable_output: bool = False
+
+    def __post_init__(self):
+        _check_positive("ceiling", self.ceiling)
+        _check_positive("work_cap", self.work_cap)
 
 
 def load_config(path: str) -> VerifyConfig:

@@ -19,7 +19,8 @@ where C is complex conjugation.  The three routes are:
   U_2 = sum_t |phi_hat(t)|^4.  U_2(Delta_h phi) is unchanged by permuting
   the h_i and by flipping their signs, so one row is transformed per
   orbit: C((p+1)/2 + k - 1, k) rows, about p^k / (2^k k!), each the
-  product of 2^k shifted tables and then a prime-length DFT.  Its one
+  product of 2^k shifted tables and then a prime-length DFT (U_2 itself
+  is k = 0: one row, phi, with weight 1).  Its one
   cost policy is the work cap on rows * p * (2^k + log2 p).
 
 Values are real up to rounding; engines check the imaginary part where
@@ -47,7 +48,6 @@ __all__ = [
     "u1",
     "gowers_oracle",
     "gowers_recursive",
-    "u2_accelerated",
     "gowers_accelerated",
     "gowers_norm",
     "NormRequest",
@@ -154,25 +154,18 @@ def gowers_recursive(values: np.ndarray, d: int) -> float:
     return _finalize(float(per_h.mean()), _tolerance(p, d))
 
 
-def u2_accelerated(values: np.ndarray, field: PrimeField | None = None) -> float:
-    """U_2 = sum_t |phi_hat(t)|^4 with phi_hat(t) = (1/p) sum phi(x) e(-xt/p)."""
-    values = np.asarray(values, dtype=np.complex128)
-    field = field or prime_field(len(values))
-    hat = field.dft(values)
-    power = hat.real * hat.real + hat.imag * hat.imag
-    return _finalize(float((power * power).sum()), _tolerance(field.p, 2))
-
-
 def _orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Outer directions h in F_p^k up to permutation and sign, with orbit sizes.
 
     The representatives are the sorted k-tuples over 0..(p-1)/2; a
     representative's orbit holds k!/prod(mult!) arrangements times
-    2^(nonzero entries) sign choices, so the weights sum to p^k.
+    2^(nonzero entries) sign choices, so the weights sum to p^k.  At k = 0
+    there is one empty representative of weight 1.
     """
-    combos = itertools.combinations_with_replacement(range((p + 1) // 2), k)
-    reps = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64)
-    reps = reps.reshape(-1, k)
+    # itertools copies the pool into a tuple (~25 ms at p ~ 10^6); k = 0 reads none of it.
+    pool = range((p + 1) // 2) if k else ()
+    combos = itertools.combinations_with_replacement(pool, k)
+    reps = np.array(list(combos), dtype=np.int64)  # shape (1, 0) at k = 0
     # k!/prod(mult!) = prod over positions of (i+1) / (1-based place in its run).
     weights = np.ones(len(reps))
     place = np.ones(len(reps))
@@ -195,9 +188,10 @@ def gowers_accelerated(
     d = 1 is :func:`u1`.  Otherwise each row Delta_h phi(x) = prod over
     omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h) goes through the
     batched Fourier base, and the orbit weights from :func:`_orbits`
-    restore the full average.  Refuses any request whose estimated cost
-    rows * p * (2^(d-2) + log2 p), with rows = C((p+1)/2 + d - 3, d - 2),
-    exceeds ``work_cap``: each row is 2^(d-2) corner products and one DFT.
+    restore the full average; at d = 2 the one row is phi itself.
+    Refuses any request whose estimated cost rows * p * (2^(d-2) + log2 p),
+    with rows = C((p+1)/2 + d - 3, d - 2), exceeds ``work_cap``: each row
+    is 2^(d-2) corner products and one DFT.
     """
     values = np.asarray(values, dtype=np.complex128)
     p = len(values)
@@ -213,11 +207,10 @@ def gowers_accelerated(
             f"{est:.3g} exceeds work cap {work_cap}"
         )
     field = field or prime_field(p)
-    if d == 2:
-        return u2_accelerated(values, field)
     k = d - 2
     reps, weights = _orbits(p, k)
-    shifted = [_shifts(values), _shifts(np.conj(values))]  # by the parity of |omega|
+    if k:  # by the parity of |omega|; U_2 (k = 0) reads no shifted rows
+        shifted = [_shifts(values), _shifts(np.conj(values))]
     corners = [np.asarray(omega, dtype=np.int64)
                for omega in itertools.product((0, 1), repeat=k)][1:]
     total = 0.0
@@ -226,11 +219,11 @@ def gowers_accelerated(
     chunk = max(1, (1 << 18) // p)
     for start in range(0, len(reps), chunk):
         h = reps[start : start + chunk]
-        factors = (shifted[omega.sum() % 2][(h @ omega) % p] for omega in corners)
-        rows = next(factors)  # a fresh array, so the other corners multiply in place
-        for factor in factors:
-            rows *= factor
-        rows *= values  # the omega = 0 corner
+        rows = values[None, :]  # the omega = 0 corner
+        for omega in corners:
+            factor = shifted[omega.sum() % 2][(h @ omega) % p]  # fresh, so safe in place
+            factor *= rows
+            rows = factor
         hat = field.dft(rows)
         power = hat.real * hat.real + hat.imag * hat.imag
         total += float(weights[start : start + chunk] @ (power * power).sum(axis=1))

@@ -4,8 +4,10 @@ A function with large U_d norm must correlate with some phase
 e(P(x)/p), deg P <= d - 1.  This module finds such phases analytically:
 ``scan_obstructions`` enumerates all candidate P with zero constant
 term (constant terms only rotate the coefficient and are normalized
-away), reading whole coefficient rows off prime-length DFTs, and
-``decompose`` splits phi = t1 + t2 with t2 the detected phase part.
+away), at every d, reading one row over the linear coefficient off a
+prime-length DFT for each choice of the higher ones, and ``decompose``
+splits phi = t1 + t2 with t2 the detected phase part.  The scan's one
+cost policy is the default work cap on p^(d-2) * p * (d + log2 p).
 
 ``dichotomy_report`` classifies a family table as "phase" (some
 correlation >= 0.99, the analytic proxy for containing that phase
@@ -22,8 +24,8 @@ import numpy as np
 
 from .field import PrimeField
 from . import polys
-from .harness import DEFAULT_CEILING
-from .norms import WorkCapExceeded, gowers_accelerated
+from .harness import DEFAULT_CEILING, _check_positive
+from .norms import DEFAULT_WORK_CAP, WorkCapExceeded, gowers_accelerated
 from .traces import TraceTable
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "DichotomyReport",
     "phase_correlation",
     "scan_obstructions",
-    "correlate_candidates",
     "max_phase_correlation",
     "decompose",
     "dichotomy_report",
@@ -57,13 +58,6 @@ class PhaseComponent:
     def magnitude(self) -> float:
         return abs(self.beta)
 
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -86,25 +80,50 @@ def phase_correlation(values: np.ndarray, coeffs, field: PrimeField) -> complex:
     return complex((values * np.conj(_phase_values(coeffs, field))).mean())
 
 
-def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
-    """Yield (quadratic_coeff, correlations-over-linear-coeff) rows.
+def _top_phases(tops: np.ndarray, powers: list[np.ndarray], p: int) -> np.ndarray:
+    """a_2 x^2 + ... + a_{d-1} x^(d-1) mod p, one row per top (a_2, ...)."""
+    phase = tops[:, :1] * powers[0]
+    for j in range(1, len(powers)):
+        phase += tops[:, j : j + 1] * powers[j]
+    phase %= p
+    return phase
 
-    Degree <= 1 candidates are exactly the DFT of phi; for each
-    quadratic coefficient a, the row is the DFT of phi(x) e(-a x^2/p).
+
+def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
+    """Yield (top, row) for every top = (a_2, ..., a_{d-1}) in F_p^(d-2).
+
+    row[b] is the correlation with P = (0, b, *top): the DFT of phi(x)
+    e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p).  At d = 2 the one top is ().
+    The tops are the base-p digits of a flat index, transformed in chunks.
+    Refuses, before any allocation, when the estimated cost p^(d-2) * p *
+    (d + log2 p) (rows times twist and DFT) exceeds the default work cap.
     """
     p = field.p
-    if d == 2:
-        yield None, field.dft(values)
-        return
-    x2 = (np.arange(p, dtype=np.int64) ** 2) % p
+    n_tops = p ** (d - 2)
+    est = n_tops * p * (d + max(1.0, np.log2(p)))
+    if est > DEFAULT_WORK_CAP:
+        raise WorkCapExceeded(
+            f"probe at d = {d}, p = {p}: estimated cost p^(d-2) * p * (d + log2 p) = "
+            f"{est:.3g} exceeds work cap {DEFAULT_WORK_CAP}"
+        )
+    x = np.arange(p, dtype=np.int64)
+    powers = [x * x % p]  # x^2, ..., x^(d-1)
+    while len(powers) < d - 2:
+        powers.append(powers[-1] * x % p)
+    place = p ** np.arange(d - 2, dtype=np.int64)
     # 2^18 values (4 MB of complex128) per chunk, as in the U_d kernel.
     chunk = max(1, (1 << 18) // p)
-    for start in range(0, p, chunk):
-        a = np.arange(start, min(start + chunk, p), dtype=np.int64)
-        twisted = values[None, :] * np.conj(field.char_table[(a[:, None] * x2[None, :]) % p])
+    for start in range(0, n_tops, chunk):
+        flat = np.arange(start, min(start + chunk, n_tops), dtype=np.int64)
+        tops = flat[:, None] // place % p
+        twisted = values[None, :]
+        if d > 2:  # phi(x) e(-top(x)/p); in place, as fresh temporaries cost ~10% here
+            twisted = field.char_table[_top_phases(tops, powers, p)]
+            np.conjugate(twisted, out=twisted)
+            np.multiply(values, twisted, out=twisted)
         rows = field.dft(twisted)
-        for i, ai in enumerate(a):
-            yield int(ai), rows[i]
+        for top, row in zip(map(tuple, tops.tolist()), rows):
+            yield top, row
 
 
 def scan_obstructions(
@@ -113,18 +132,13 @@ def scan_obstructions(
     """All phases P (zero constant term, deg <= d - 1) with |beta| >= threshold.
 
     Sorted by descending magnitude, then lexicographically on the
-    ascending coefficient tuple.  d = 1 admits only P = 0; d in {2, 3}
-    scan p resp. p^2 candidates by batched DFTs; d >= 4 is refused.
+    ascending coefficient tuple.  d = 1 admits only P = 0; d >= 2 scans
+    p^(d-1) candidates by batched DFTs, under the work cap.
     """
     values = np.asarray(values, dtype=np.complex128)
-    p = field.p
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d >= 4:
-        raise WorkCapExceeded(
-            f"scanning degree <= {d - 1} means p^(d-1) = {p ** (d - 1)} candidates; "
-            "full scans stop at d = 3 (supply explicit candidates instead)"
-        )
+    _check_positive("threshold", threshold)
     peak = float(np.abs(values).max())
     found: list[PhaseComponent] = []
     if d == 1:
@@ -132,32 +146,11 @@ def scan_obstructions(
         if abs(beta) >= threshold:
             found.append(PhaseComponent(coeffs=(0,), beta=beta))
     else:
-        for a, row in _correlation_rows(values, d, field):
-            hits = np.nonzero(np.abs(row) >= threshold)[0]
-            for b in hits:
-                coeffs = (0, int(b)) if a is None else (0, int(b), a)
-                found.append(PhaseComponent(coeffs=coeffs, beta=complex(row[b])))
+        for top, row in _correlation_rows(values, d, field):
+            for b in np.nonzero(np.abs(row) >= threshold)[0]:
+                found.append(PhaseComponent(coeffs=(0, int(b), *top), beta=complex(row[b])))
     for comp in found:
         assert comp.magnitude <= peak + 1e-9, "correlation exceeds the sup norm"
-    found.sort(key=lambda c: (-c.magnitude, c.coeffs))
-    return found
-
-
-def correlate_candidates(
-    values: np.ndarray, candidates, threshold: float, field: PrimeField
-) -> list[PhaseComponent]:
-    """Like :func:`scan_obstructions` but over an explicit list of P.
-
-    This is the route for degrees above 2, where full enumeration is
-    refused; ``candidates`` holds ascending coefficient tuples.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    found = []
-    for coeffs in candidates:
-        coeffs = tuple(int(c) % field.p for c in coeffs)
-        beta = phase_correlation(values, coeffs, field)
-        if abs(beta) >= threshold:
-            found.append(PhaseComponent(coeffs=coeffs, beta=beta))
     found.sort(key=lambda c: (-c.magnitude, c.coeffs))
     return found
 
@@ -167,15 +160,16 @@ def max_phase_correlation(
 ) -> tuple[float, tuple[int, ...]]:
     """Largest |correlation| over all candidate phases, with its P."""
     values = np.asarray(values, dtype=np.complex128)
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if d == 1:
         return abs(complex(values.mean())), (0,)
     best, best_coeffs = -1.0, (0,)
-    for a, row in _correlation_rows(values, d, field):
+    for top, row in _correlation_rows(values, d, field):
         mags = np.abs(row)
         b = int(mags.argmax())
         if mags[b] > best:
-            best = float(mags[b])
-            best_coeffs = (0, b) if a is None else (0, b, a)
+            best, best_coeffs = float(mags[b]), (0, b, *top)
     return best, best_coeffs
 
 
@@ -211,8 +205,7 @@ def dichotomy_report(
     table: TraceTable, d: int, ceiling: float = DEFAULT_CEILING
 ) -> DichotomyReport:
     """Classify a family table as phase / uniform / inconclusive at level d."""
-    if d not in (2, 3):
-        raise ValueError("dichotomy reporting supports d in {2, 3}")
+    _check_positive("ceiling", ceiling)
     field = table.field
     corr, coeffs = max_phase_correlation(table.values, d, field)
     u_d = gowers_accelerated(table.values, d, field)
@@ -249,7 +242,7 @@ def probe_report(
     decomp = decompose(table.values, d, threshold, field)
     residual = decomp.t1
     residual_u = gowers_accelerated(residual, d, field)
-    report = dichotomy_report(table, d, ceiling) if d in (2, 3) else None
+    report = dichotomy_report(table, d, ceiling)
     return {
         "p": field.p,
         "family": table.descriptor.label,
@@ -265,5 +258,5 @@ def probe_report(
         ],
         "residual_u_d": residual_u,
         "residual_u_d_times_p": residual_u * field.p,
-        "branch": report.branch if report else "n/a",
+        "branch": report.branch,
     }

@@ -135,12 +135,8 @@ class MultiplicativeCharacter:
     def order(self) -> int:
         return (self.field.p - 1) // math.gcd(self.index, self.field.p - 1)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.index == 0
-
     def values(self) -> np.ndarray:
-        """chi(x) for all x in F_p, scattered over the powers of g (no dlogs needed).
+        """chi(x) for all x in F_p, scattered over the powers of g.
 
         chi(g^k) = e(k*(m/c)/order) with c = gcd(m, p-1), so only the
         order-th roots of unity are evaluated.
@@ -151,14 +147,6 @@ class MultiplicativeCharacter:
         out = np.zeros(self.field.p, dtype=np.complex128)
         out[self.field._powers()] = roots[np.arange(n, dtype=np.int64) * step % order]
         return out
-
-    def __call__(self, x: int) -> complex:
-        x %= self.field.p
-        if x == 0:
-            return 0j
-        k = int(self.field.dlog_table[x])
-        n = self.field.p - 1
-        return complex(np.exp(2j * np.pi * (self.index * k % n) / n))
 
 
 # -- family generators -----------------------------------------------------

@@ -150,7 +150,7 @@ def test_criterion_5_cross_construction_identities():
 
 
 def test_criterion_6_invariance_suite():
-    with criterion(6, "modulation/affine invariance, trivial bound, monotonicity"):
+    with criterion(6, "modulation and affine invariance, trivial bound, monotonicity"):
         start = time.perf_counter()
         p = 101
         F = prime_field(p)

@@ -1,5 +1,8 @@
 import json
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gowersff import cli
@@ -114,6 +117,26 @@ class TestProbe:
         assert report["residual_u_d_times_p"] < 1e3
 
 
+    def test_planted_cubic_at_d4(self, capsys):
+        code, out, _ = run(
+            capsys, "probe", "--p", "101", "--family", "mixed_ask",
+            "--family-args", "f1=0,4,0,7;f2=1;chi=0", "--d", "4",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert [c["coeffs"] for c in report["components"]] == [[0, 4, 0, 7]]
+        assert report["branch"] == "phase"
+
+    def test_large_p_refused_by_work_cap_before_scanning(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "probe", "--p", "1000003", "--family", "kloosterman", "--d", "3",
+        )
+        assert code == 2
+        assert out == "" and "work cap" in err
+        assert time.perf_counter() - start < 2.0
+
+
 class TestScan:
     def test_prime_range_parsing(self, capsys):
         code, out, _ = run(
@@ -191,7 +214,42 @@ class TestVerifyCommand:
         assert "p > d" in err
 
 
+def _nan_table(spec, p):
+    return SimpleNamespace(p=p, values=np.full(p, np.nan, dtype=np.complex128))
+
+
+REFUSALS = [
+    pytest.param(("norm", "--p", "100", "--family", "kloosterman", "--d", "2"),
+                 "not prime", None, id="bad_prime"),
+    pytest.param(("norm", "--p", "3", "--family", "inverse_phase", "--d", "3"),
+                 "p > d", None, id="p_not_above_d"),
+    pytest.param(("norm", "--p", "11", "--family", "kloosterman", "--d", "2"),
+                 "finite", _nan_table, id="nan_values"),
+    pytest.param(("norm", "--p", "257", "--family", "kloosterman", "--d", "5"),
+                 "work cap", None, id="norm_work_cap"),
+    pytest.param(("probe", "--p", "10007", "--family", "kloosterman", "--d", "4"),
+                 "work cap", None, id="probe_work_cap"),
+    pytest.param(("verify", "--ceiling", "nan"), "ceiling", None, id="nan_ceiling"),
+    pytest.param(("probe", "--p", "101", "--family", "kloosterman", "--d", "2",
+                  "--threshold", "nan"), "threshold", None, id="nan_threshold"),
+    pytest.param(("scan", "--family", "inverse_phase", "--d", "2", "--primes", "101",
+                  "--work-cap", "-1"), "work_cap", None, id="negative_work_cap"),
+    pytest.param(("norm", "--p", "11", "--family", "nope", "--d", "1"),
+                 "unknown family", None, id="unknown_family"),
+]
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message, make_table", REFUSALS)
+    def test_refusal_exits_two(self, capsys, monkeypatch, argv, message, make_table):
+        if make_table is not None:
+            monkeypatch.setattr(cli, "make_table", make_table)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_unknown_family_exits_two(self, capsys):
         code, _, err = run(capsys, "norm", "--p", "11", "--family", "nope", "--d", "1")
         assert code == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gowersff import PrimeField, is_prime, legendre_symbol, prime_field
+from gowersff import PrimeField, is_prime, prime_field
 from conftest import euler_legendre
 
 ODD_PRIMES_TO_400 = [p for p in range(3, 401) if is_prime(p)]
@@ -47,22 +47,13 @@ class TestPrimeField:
             x = x * g % 101
         assert seen == set(range(1, 101))
 
-    def test_dlog_table_consistent(self):
-        F = prime_field(61)
-        g = F.primitive_root
-        for x in range(1, 61):
-            assert pow(g, int(F.dlog_table[x]), 61) == x
-
 
 def _check_power_tables(p: int, xs) -> None:
-    """inverse_values and dlog_table at xs against pow() (no shared code)."""
+    """inverse_values at xs against modular multiplication (no shared code)."""
     F = prime_field(p)
-    g = F.primitive_root
     xs = np.asarray(xs, dtype=np.int64)
-    assert F.inverse_values[0] == 0 and F.dlog_table[0] == -1
+    assert F.inverse_values[0] == 0
     assert np.all(F.inverse_values[xs] * xs % p == 1)
-    for x, k in zip(xs.tolist(), F.dlog_table[xs].tolist()):
-        assert 0 <= k < p - 1 and pow(g, k, p) == x
 
 
 class TestPowerTables:
@@ -94,29 +85,23 @@ class TestModInverse:
 
 class TestLegendreSymbol:
     def test_zero_and_one(self, field101):
-        assert legendre_symbol(0, field101) == 0
-        assert legendre_symbol(1, field101) == 1
+        assert field101.legendre_table[0] == 0
+        assert field101.legendre_table[1] == 1
 
     def test_three_mod_seven_vs_euler(self):
-        F = prime_field(7)
-        assert legendre_symbol(3, F) == euler_legendre(3, 7) == -1
+        assert prime_field(7).legendre_table[3] == euler_legendre(3, 7) == -1
 
     @pytest.mark.parametrize("p", [61, 101, 499])
     def test_agrees_with_euler_criterion(self, p):
-        F = prime_field(p)
+        table = prime_field(p).legendre_table
         for a in range(p):
-            assert legendre_symbol(a, F) == euler_legendre(a, p)
+            assert table[a] == euler_legendre(a, p)
 
     def test_multiplicativity_exhaustive_p61(self):
-        F = prime_field(61)
-        sym = [legendre_symbol(a, F) for a in range(61)]
+        sym = prime_field(61).legendre_table
         for a in range(1, 61):
             for b in range(1, 61):
                 assert sym[a] * sym[b] == sym[a * b % 61]
-
-    def test_table_matches_symbol(self, field101):
-        for a in range(101):
-            assert int(field101.legendre_table[a]) == legendre_symbol(a, field101)
 
 
 class TestAdditiveCharacter:

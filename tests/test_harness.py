@@ -118,6 +118,11 @@ class TestScanPrimes:
         assert [r.p for r in records] == [7]
         assert len(errors) == 1
 
+    @pytest.mark.parametrize("work_cap", [0, -1])
+    def test_work_cap_refused_once_for_the_scan(self, work_cap):
+        with pytest.raises(ValueError, match="work_cap"):
+            scan_primes(parse_family("inverse_phase"), 2, [101], work_cap=work_cap)
+
 
 class TestRandomBaseline:
     def test_determinism(self):
@@ -165,6 +170,14 @@ class TestVerify:
         report = verify(replace(SMALL_CONFIG, ceiling=1e-9))
         assert not report.passed
         assert any("ceiling" in f for f in report.failures)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ceiling", float("nan")), ("ceiling", float("inf")), ("ceiling", 0.0),
+        ("ceiling", -1.0), ("work_cap", 0), ("work_cap", -1),
+    ])
+    def test_non_positive_or_non_finite_settings_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(SMALL_CONFIG, **{field: value})
 
     def test_p_not_exceeding_d_refused(self):
         with pytest.raises(ValueError, match="p > d"):
@@ -270,6 +283,12 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("tolerance = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
+            load_config(str(path))
+
+    def test_nan_ceiling_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("ceiling = nan\n")
+        with pytest.raises(ValueError, match="ceiling"):
             load_config(str(path))
 
     def test_malformed_line_rejected(self, tmp_path):

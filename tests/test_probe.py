@@ -78,7 +78,7 @@ class TestScanObstructions:
         assert abs(comps[0].beta - 1) <= 1e-10
 
     @pytest.mark.parametrize("p", [7, 11, 13])
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_brute_force(self, p, d):
         F = prime_field(p)
         rng = np.random.default_rng(10 * p + d)
@@ -97,21 +97,26 @@ class TestScanObstructions:
         high = {c.coeffs for c in scan_obstructions(v, 3, 0.08, field101)}
         assert high <= low
 
-    def test_degree_cap_refused(self, field101):
-        with pytest.raises(WorkCapExceeded, match="d = 3|candidates"):
-            scan_obstructions(np.ones(101, dtype=np.complex128), 4, 0.5, field101)
+    def test_work_cap_refused(self):
+        # 10007^2 rows * 10007 * (4 + log2 p) ~ 1.7e13 is refused before any row is built.
+        F = prime_field(10007)
+        with pytest.raises(WorkCapExceeded, match="work cap"):
+            scan_obstructions(np.ones(10007, dtype=np.complex128), 4, 0.5, F)
 
-    def test_explicit_candidates_cover_higher_degree(self, field101):
-        # a cubic phase is invisible to the d = 3 scan but found by a
-        # user-supplied candidate list
-        from gowersff import correlate_candidates
+    def test_planted_cubic_recovered_at_d4(self, field101):
+        v = poly_phase((0, 4, 0, 7), 101)
+        assert scan_obstructions(v, 3, 0.5, field101) == []  # invisible to quadratics
+        comps = scan_obstructions(v, 4, 0.5, field101)
+        assert [c.coeffs for c in comps] == [(0, 4, 0, 7)]
+        assert abs(comps[0].magnitude - 1) <= 1e-10
+        chi = MultiplicativeCharacter(field101, 0)
+        table = mixed_ask_trace(((0, 4, 0, 7), (1,)), ((1,), (1,)), chi, field101)
+        assert probe_report(table, 4, 0.5)["branch"] == "phase"
 
-        v = poly_phase((0, 0, 0, 1), 101)
-        assert scan_obstructions(v, 3, 0.5, field101) == []
-        comps = correlate_candidates(v, [(0, 0, 0, 1), (0, 1)], 0.5, field101)
-        assert len(comps) == 1
-        assert comps[0].coeffs == (0, 0, 0, 1)
-        assert abs(comps[0].beta - 1) <= 1e-10
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -0.5])
+    def test_threshold_must_be_finite_and_positive(self, field101, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            scan_obstructions(np.ones(101, dtype=np.complex128), 2, threshold, field101)
 
     def test_planted_phase_recovery_trials(self):
         p = 101
@@ -180,9 +185,20 @@ class TestDichotomy:
         report = dichotomy_report(kloosterman_trace(field101), 2, ceiling=1e-6)
         assert report.branch == "inconclusive"
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_every_d_classified(self, field101, d):
+        report = dichotomy_report(kloosterman_trace(field101), d)
+        assert report.branch == "uniform"
+        assert report.max_correlation < 0.99
+
     def test_d_restriction(self, field101):
         with pytest.raises(ValueError):
-            dichotomy_report(kloosterman_trace(field101), 1)
+            dichotomy_report(kloosterman_trace(field101), 0)
+
+    @pytest.mark.parametrize("ceiling", [np.nan, np.inf, 0.0])
+    def test_ceiling_must_be_finite_and_positive(self, field101, ceiling):
+        with pytest.raises(ValueError, match="ceiling"):
+            dichotomy_report(kloosterman_trace(field101), 2, ceiling)
 
 
 class TestProbeReport:
