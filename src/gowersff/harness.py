@@ -27,6 +27,7 @@ from .field import prime_field
 from .norms import (
     DEFAULT_WORK_CAP,
     NormRequest,
+    WorkCapExceeded,
     evaluate,
     gowers_recursive,
     gowers_accelerated,
@@ -181,7 +182,17 @@ def parse_family(spec: str, args: str | None = None) -> FamilySpec:
 
 
 def make_table(spec: FamilySpec, p: int) -> TraceTable:
-    """Generate the trace table of a parsed family at the prime p."""
+    """Generate the trace table of a parsed family at the prime p.
+
+    Refuses, before the field is built, when the table's cost p * log2 p
+    exceeds the default work cap.
+    """
+    est = p * math.log2(p) if p > 1 else 0.0
+    if est > DEFAULT_WORK_CAP:
+        raise WorkCapExceeded(
+            f"table at p = {p}: estimated cost p * log2 p = {est:.3g} "
+            f"exceeds work cap {DEFAULT_WORK_CAP}"
+        )
     field = prime_field(p)
     if spec.name == "legendre_poly":
         return legendre_poly_trace(spec.coeffs, field)

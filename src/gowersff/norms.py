@@ -78,6 +78,14 @@ def _finalize(value: float, tol: float) -> float:
     return float(value)
 
 
+def _finite_values(values) -> np.ndarray:
+    """values as complex128; NaN or infinite entries are refused."""
+    values = np.asarray(values, dtype=np.complex128)
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    return values
+
+
 def xi(values: np.ndarray, h: int) -> np.ndarray:
     """Multiplicative difference: x -> phi(x+h) * conj(phi(x))."""
     return np.roll(values, -h) * np.conj(values)
@@ -189,11 +197,12 @@ def gowers_accelerated(
     omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h) goes through the
     batched Fourier base, and the orbit weights from :func:`_orbits`
     restore the full average; at d = 2 the one row is phi itself.
-    Refuses any request whose estimated cost rows * p * (2^(d-2) + log2 p),
-    with rows = C((p+1)/2 + d - 3, d - 2), exceeds ``work_cap``: each row
-    is 2^(d-2) corner products and one DFT.
+    Refuses non-finite values (``ValueError``) and any request whose
+    estimated cost rows * p * (2^(d-2) + log2 p), with
+    rows = C((p+1)/2 + d - 3, d - 2), exceeds ``work_cap``: each row is
+    2^(d-2) corner products and one DFT.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = _finite_values(values)
     p = len(values)
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -275,13 +284,11 @@ def evaluate(request: NormRequest) -> NormResult:
     When the request carries a family table with tracked rank, the
     trivial bound U_d <= rank^(2^d) is asserted on the way out.
     """
-    values = np.asarray(request.values, dtype=np.complex128)
+    values = _finite_values(request.values)
     p = len(values)
     d = request.d
     if d < 1:
         raise ValueError("d must be >= 1")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
     start = time.perf_counter()
     if request.engine == "oracle":
         u_d = gowers_oracle(values, d, request.work_cap)

@@ -9,6 +9,14 @@ prime-length DFT for each choice of the higher ones, and ``decompose``
 splits phi = t1 + t2 with t2 the detected phase part.  The scan's one
 cost policy is the default work cap on p^(d-2) * p * (d + log2 p).
 
+The candidates are walked once: the walk keeps each row's peak
+magnitude and where it occurs.  ``max_phase_correlation`` reduces the
+peaks, and ``scan_obstructions`` transforms again only the rows whose
+peak reaches the threshold.  Inside one ``probe_report`` the scan and
+the dichotomy share the walk (a ``contextvars`` scope, reset on exit),
+and the residual's U_d is the table's own when nothing was removed.
+Values must be finite; every entry point refuses NaN and infinities.
+
 ``dichotomy_report`` classifies a family table as "phase" (some
 correlation >= 0.99, the analytic proxy for containing that phase
 exactly), "uniform" (U_d * p under an empirical ceiling), or
@@ -18,6 +26,7 @@ has modest U_d * p at desk-scale p, and it belongs to the first branch.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +34,7 @@ import numpy as np
 from .field import PrimeField
 from . import polys
 from .harness import DEFAULT_CEILING, _check_positive
-from .norms import DEFAULT_WORK_CAP, WorkCapExceeded, gowers_accelerated
+from .norms import DEFAULT_WORK_CAP, WorkCapExceeded, _finite_values, gowers_accelerated
 from .traces import TraceTable
 
 __all__ = [
@@ -76,7 +85,7 @@ def _phase_values(coeffs, field: PrimeField) -> np.ndarray:
 
 def phase_correlation(values: np.ndarray, coeffs, field: PrimeField) -> complex:
     """(1/p) sum_x phi(x) e(-P(x)/p) for P given by ascending coeffs."""
-    values = np.asarray(values, dtype=np.complex128)
+    values = _finite_values(values)
     return complex((values * np.conj(_phase_values(coeffs, field))).mean())
 
 
@@ -89,14 +98,16 @@ def _top_phases(tops: np.ndarray, powers: list[np.ndarray], p: int) -> np.ndarra
     return phase
 
 
-def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
-    """Yield (top, row) for every top = (a_2, ..., a_{d-1}) in F_p^(d-2).
+def _correlation_rows(values: np.ndarray, d: int, field: PrimeField, flat=None):
+    """Yield chunks (tops, rows) over the tops (a_2, ..., a_{d-1}).
 
-    row[b] is the correlation with P = (0, b, *top): the DFT of phi(x)
+    A top is the base-p digits of its flat index, and rows[i, b] is the
+    correlation with P = (0, b, *tops[i]): the DFT of phi(x)
     e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p).  At d = 2 the one top is ().
-    The tops are the base-p digits of a flat index, transformed in chunks.
-    Refuses, before any allocation, when the estimated cost p^(d-2) * p *
-    (d + log2 p) (rows times twist and DFT) exceeds the default work cap.
+    ``flat`` picks an ascending subset of the p^(d-2) flat indices; the
+    default walks them all.  Refuses, before any allocation, when the
+    estimated cost p^(d-2) * p * (d + log2 p) of the full walk (rows times
+    twist and DFT) exceeds the default work cap.
     """
     p = field.p
     n_tops = p ** (d - 2)
@@ -113,17 +124,46 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     place = p ** np.arange(d - 2, dtype=np.int64)
     # 2^18 values (4 MB of complex128) per chunk, as in the U_d kernel.
     chunk = max(1, (1 << 18) // p)
-    for start in range(0, n_tops, chunk):
-        flat = np.arange(start, min(start + chunk, n_tops), dtype=np.int64)
-        tops = flat[:, None] // place % p
+    if flat is None:
+        chunks = (np.arange(s, min(s + chunk, n_tops), dtype=np.int64)
+                  for s in range(0, n_tops, chunk))
+    else:
+        chunks = (flat[s : s + chunk] for s in range(0, len(flat), chunk))
+    for idx in chunks:
+        tops = idx[:, None] // place % p
         twisted = values[None, :]
         if d > 2:  # phi(x) e(-top(x)/p); in place, as fresh temporaries cost ~10% here
             twisted = field.char_table[_top_phases(tops, powers, p)]
             np.conjugate(twisted, out=twisted)
             np.multiply(values, twisted, out=twisted)
-        rows = field.dft(twisted)
-        for top, row in zip(map(tuple, tops.tolist()), rows):
-            yield top, row
+        yield tops, field.dft(twisted)
+
+
+#: Within one probe_report: d -> (values, field, peaks), so its scan and its
+#: dichotomy share one walk.  None outside a probe, where nothing is kept.
+_shared_peaks: ContextVar[dict | None] = ContextVar("_shared_peaks", default=None)
+
+
+def _peaks(values: np.ndarray, d: int, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
+    """(mag, arg) over the flat tops: max_b |row[b]| and the first b attaining it.
+
+    One walk of the p^(d-1) candidates (d >= 2); inside a probe_report the
+    walk for the same values object, field and d is made once.
+    """
+    shared = _shared_peaks.get()
+    if shared is not None and d in shared:
+        seen, seen_field, peaks = shared[d]
+        if seen is values and seen_field is field:
+            return peaks
+    mags, args = [], []
+    for _, rows in _correlation_rows(values, d, field):
+        mag = np.abs(rows)
+        mags.append(mag.max(axis=1))
+        args.append(mag.argmax(axis=1))
+    peaks = np.concatenate(mags), np.concatenate(args)
+    if shared is not None:
+        shared[d] = (values, field, peaks)
+    return peaks
 
 
 def scan_obstructions(
@@ -133,9 +173,10 @@ def scan_obstructions(
 
     Sorted by descending magnitude, then lexicographically on the
     ascending coefficient tuple.  d = 1 admits only P = 0; d >= 2 scans
-    p^(d-1) candidates by batched DFTs, under the work cap.
+    p^(d-1) candidates by batched DFTs, under the work cap, and
+    transforms again only the tops whose peak reaches the threshold.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = _finite_values(values)
     if d < 1:
         raise ValueError("d must be >= 1")
     _check_positive("threshold", threshold)
@@ -146,9 +187,12 @@ def scan_obstructions(
         if abs(beta) >= threshold:
             found.append(PhaseComponent(coeffs=(0,), beta=beta))
     else:
-        for top, row in _correlation_rows(values, d, field):
-            for b in np.nonzero(np.abs(row) >= threshold)[0]:
-                found.append(PhaseComponent(coeffs=(0, int(b), *top), beta=complex(row[b])))
+        hits = np.flatnonzero(_peaks(values, d, field)[0] >= threshold)
+        for tops, rows in _correlation_rows(values, d, field, hits):
+            tops = tops.tolist()
+            for i, b in zip(*np.nonzero(np.abs(rows) >= threshold)):
+                found.append(PhaseComponent(coeffs=(0, int(b), *tops[i]),
+                                            beta=complex(rows[i, b])))
     for comp in found:
         assert comp.magnitude <= peak + 1e-9, "correlation exceeds the sup norm"
     found.sort(key=lambda c: (-c.magnitude, c.coeffs))
@@ -158,19 +202,20 @@ def scan_obstructions(
 def max_phase_correlation(
     values: np.ndarray, d: int, field: PrimeField
 ) -> tuple[float, tuple[int, ...]]:
-    """Largest |correlation| over all candidate phases, with its P."""
-    values = np.asarray(values, dtype=np.complex128)
+    """Largest |correlation| over all candidate phases, with its P.
+
+    Ties go to the first top (a_2, ..., a_{d-1}) in flat order, then to
+    the smallest linear coefficient.
+    """
+    values = _finite_values(values)
     if d < 1:
         raise ValueError("d must be >= 1")
     if d == 1:
         return abs(complex(values.mean())), (0,)
-    best, best_coeffs = -1.0, (0,)
-    for top, row in _correlation_rows(values, d, field):
-        mags = np.abs(row)
-        b = int(mags.argmax())
-        if mags[b] > best:
-            best, best_coeffs = float(mags[b]), (0, b, *top)
-    return best, best_coeffs
+    mag, arg = _peaks(values, d, field)
+    t = int(mag.argmax())
+    top = (t // field.p**j % field.p for j in range(d - 2))
+    return float(mag[t]), (0, int(arg[t]), *top)
 
 
 def decompose(
@@ -237,12 +282,21 @@ def probe_report(
     Returns the JSON-ready report ``{p, family, d, components,
     residual_u_d, residual_u_d_times_p, branch}`` where each component
     is ``{coeffs, beta_re, beta_im}`` with ascending coefficients.
+    The threshold and ceiling are checked before any walk, and the
+    decomposition and the dichotomy share one walk of the candidates.
     """
+    _check_positive("threshold", threshold)
+    _check_positive("ceiling", ceiling)
     field = table.field
-    decomp = decompose(table.values, d, threshold, field)
-    residual = decomp.t1
-    residual_u = gowers_accelerated(residual, d, field)
-    report = dichotomy_report(table, d, ceiling)
+    token = _shared_peaks.set({})
+    try:
+        decomp = decompose(table.values, d, threshold, field)
+        report = dichotomy_report(table, d, ceiling)
+    finally:
+        _shared_peaks.reset(token)
+    # With no components t1 is the table itself, whose U_d the report holds.
+    residual_u = (gowers_accelerated(decomp.t1, d, field) if decomp.components
+                  else report.u_d)
     return {
         "p": field.p,
         "family": table.descriptor.label,

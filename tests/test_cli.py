@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gowersff import cli
+from gowersff import cli, field
 from gowersff.cli import main
 from gowersff.harness import SCAN_COLUMNS
 
@@ -264,6 +264,19 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Unable to allocate" in err
+        assert "Traceback" not in err
+
+    def test_table_work_cap_refused_before_the_field(self, capsys, monkeypatch):
+        # p log2 p ~ 6.7e10 is over the default cap; the field must never be built.
+        def no_field(p):
+            raise AssertionError(f"PrimeField({p}) was built")
+
+        monkeypatch.setattr(field, "PrimeField", no_field)
+        code, out, err = run(capsys, "norm", "--p", "2147483647", "--family", "kloosterman",
+                             "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "work cap" in err
         assert "Traceback" not in err
 
     def test_missing_subcommand_exits_two(self):

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from gowersff import probe
+from gowersff.field import PrimeField
 from gowersff import (
     WorkCapExceeded,
     decompose,
@@ -11,6 +14,7 @@ from gowersff import (
     inverse_phase_trace,
     kloosterman_trace,
     legendre_curve_trace,
+    max_phase_correlation,
     mixed_ask_trace,
     phase_correlation,
     prime_field,
@@ -224,3 +228,132 @@ class TestProbeReport:
         comp = report["components"][0]
         assert comp["coeffs"] == [0, 3]
         assert comp["beta_re"] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestMaxPhaseCorrelation:
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_brute_force_argmax(self, p, d):
+        F = prime_field(p)
+        v = np.exp(2j * np.pi * np.random.default_rng(10 * p + d).random(p))
+        brute = {(0,) + tail: abs(phase_correlation(v, (0,) + tail, F))
+                 for tail in itertools.product(range(p), repeat=d - 1)}
+        best, coeffs = max_phase_correlation(v, d, F)
+        assert best == pytest.approx(max(brute.values()), abs=1e-12)
+        assert brute[coeffs] == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ties_go_to_the_first_top_then_the_first_b(self, d):
+        F = prime_field(11)
+        assert max_phase_correlation(np.zeros(11), d, F) == (0.0, (0,) * d)
+
+    def test_d1_is_the_mean(self, field101):
+        v = poly_phase((0, 3), 101) + 0.25
+        best, coeffs = max_phase_correlation(v, 1, field101)
+        assert coeffs == (0,)
+        assert best == pytest.approx(0.25, abs=1e-12)
+
+
+def _composed(table, d, threshold):
+    """probe_report built from its parts: decompose, dichotomy, U_d of t1."""
+    decomp = decompose(table.values, d, threshold, table.field)
+    report = dichotomy_report(table, d)
+    residual_u = gowers_accelerated(decomp.t1, d, table.field)
+    return {
+        "p": table.p, "family": table.descriptor.label, "d": d, "threshold": threshold,
+        "components": [{"coeffs": list(c.coeffs), "beta_re": c.beta.real,
+                        "beta_im": c.beta.imag} for c in decomp.components],
+        "residual_u_d": residual_u,
+        "residual_u_d_times_p": residual_u * table.p,
+        "branch": report.branch,
+    }
+
+
+def _planted(field, coeffs):
+    chi = MultiplicativeCharacter(field, 0)
+    return mixed_ask_trace((coeffs, (1,)), ((1,), (1,)), chi, field)
+
+
+class TestSharedWalk:
+    @pytest.mark.parametrize("case", ["planted", "kloosterman", "just_below_threshold"])
+    def test_probe_report_equals_its_composition(self, field101, case):
+        threshold = 0.5
+        if case == "planted":
+            table = _planted(field101, (0, 5, 7))
+        elif case == "kloosterman":
+            table = kloosterman_trace(field101)
+        else:  # a phase of magnitude 0.992: over PHASE_PROXY, under the threshold
+            table = _planted(field101, (0, 5, 7))
+            table = dataclasses.replace(table, values=0.992 * table.values)
+            threshold = 0.995
+        report = probe_report(table, 3, threshold)
+        assert report == _composed(table, 3, threshold)
+        if case == "just_below_threshold":
+            assert report["branch"] == "phase"
+            assert report["components"] == []
+
+    @pytest.mark.parametrize("case, rows", [("kloosterman", 152), ("planted", 204)])
+    def test_rows_transformed(self, field101, monkeypatch, case, rows):
+        # One walk of 101 tops, plus the one hit top again when a phase is planted;
+        # U_3 (51 orbit rows) once for the table, once more for a residual.
+        table = kloosterman_trace(field101) if case == "kloosterman" else _planted(
+            field101, (0, 5, 7))
+        dft = PrimeField.dft
+        seen = []
+
+        def spy(self, v):
+            seen.append(np.shape(v)[0] if np.ndim(v) == 2 else 1)
+            return dft(self, v)
+
+        monkeypatch.setattr(PrimeField, "dft", spy)
+        probe_report(table, 3, 0.5)
+        assert sum(seen) == rows
+
+    def test_refusal_comes_before_any_walk(self, field101, monkeypatch):
+        def walked(*args, **kwargs):
+            raise RuntimeError("walked")
+
+        monkeypatch.setattr(probe, "_correlation_rows", walked)
+        table = kloosterman_trace(field101)
+        with pytest.raises(ValueError, match="ceiling"):
+            probe_report(table, 3, 0.5, ceiling=np.nan)
+        with pytest.raises(ValueError, match="threshold"):
+            probe_report(table, 3, np.nan)
+        # Nothing is left shared from the refused calls: a standalone call walks.
+        with pytest.raises(RuntimeError, match="walked"):
+            max_phase_correlation(table.values, 3, field101)
+
+    def test_nothing_is_shared_outside_a_probe(self, field101, monkeypatch):
+        table = kloosterman_trace(field101)
+        probe_report(table, 3, 0.5)
+        walks = []
+        rows = probe._correlation_rows
+
+        def counted(*args, **kwargs):
+            walks.append(1)
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(probe, "_correlation_rows", counted)
+        max_phase_correlation(table.values, 3, field101)
+        max_phase_correlation(table.values, 3, field101)
+        assert len(walks) == 2
+
+
+def _one_nan(field):
+    v = kloosterman_trace(field).values.copy()
+    v[17] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, F: scan_obstructions(v, 3, 0.5, F),
+    lambda v, F: gowers_accelerated(v, 2, F),
+    lambda v, F: max_phase_correlation(v, 3, F),
+], ids=["scan_obstructions", "gowers_accelerated", "max_phase_correlation"])
+def test_non_finite_values_refused(field101, monkeypatch, call):
+    def walked(*args, **kwargs):
+        raise RuntimeError("walked")
+
+    monkeypatch.setattr(probe, "_correlation_rows", walked)
+    with pytest.raises(ValueError, match="finite"):
+        call(_one_nan(field101), field101)
