@@ -1,14 +1,16 @@
 """Walk through the four explicit trace-function families at p = 101.
 
 Generates each family, prints a few values and descriptor metadata, and
-computes U_d by all three engines to show they agree.
+computes U_d by the production route and by the two slow oracles to
+show they agree.
 """
 
 import numpy as np
 
 from gowersff import (
-    NormRequest,
     evaluate,
+    gowers_oracle,
+    gowers_recursive,
     inverse_phase_trace,
     kloosterman_trace,
     legendre_curve_trace,
@@ -33,16 +35,11 @@ for table in tables:
     print("  first values:", np.round(table.values[:4], 4))
     print("  max |value| :", round(float(np.abs(table.values).max()), 4))
     for deg in (1, 2, 3):
-        engines = ["recursive", "accelerated"] if deg > 1 else ["recursive"]
-        if p ** (deg + 1) <= 10**9:
-            engines.append("oracle")
-        results = {
-            e: evaluate(NormRequest.from_table(table, deg, e)).u_d for e in engines
-        }
-        spread = max(results.values()) - min(results.values())
-        u = results[engines[0]]
+        u = evaluate(table, deg).u_d
+        results = [u, gowers_recursive(table.values, deg), gowers_oracle(table.values, deg)]
+        spread = max(results) - min(results)
         print(f"  U_{deg} = {u:.3e}   U_{deg}*p = {u * p:8.4f}   "
-              f"engine spread = {spread:.1e}")
+              f"oracle spread = {spread:.1e}")
 
-print("\nAll engines agree to ~1e-15; every U_d * p is a small constant,")
+print("\nAll three routes agree to ~1e-15; every U_d * p is a small constant,")
 print("which is the 1/p decay these families are built to exhibit.")

@@ -3,9 +3,10 @@
 The package generates the classical trace-function families (Legendre
 symbol of a polynomial, inverse additive phase, normalized Kloosterman
 sums, Legendre-curve point counts, mixed multiplicative/additive
-characters), computes their Gowers pnorms U_d by three independent
-engines, scans for polynomial-phase obstructions, and sweeps primes to
-exhibit the U_d ~ 1/p scaling against explicit proven bounds.
+characters), computes their Gowers pnorms U_d by one accelerated route
+checked against two slow oracles, scans for polynomial-phase
+obstructions, and sweeps primes to exhibit the U_d ~ 1/p scaling
+against explicit proven bounds.
 """
 
 from .field import PrimeField, is_prime, prime_field
@@ -18,15 +19,16 @@ from .traces import (
     exceptional_set,
     fourier_trace,
     inverse_phase_trace,
+    kloosterman_direct,
     kloosterman_trace,
     legendre_curve_integers,
+    legendre_curve_point_count,
     legendre_curve_trace,
     legendre_poly_trace,
     mixed_ask_trace,
 )
 from .norms import (
     DEFAULT_WORK_CAP,
-    NormRequest,
     NormResult,
     WorkCapExceeded,
     evaluate,

@@ -73,8 +73,7 @@ def _cmd_gen(args) -> int:
 def _cmd_norm(args) -> int:
     spec = parse_family(args.family, args.family_args)
     table = make_table(spec, args.p)
-    engine = "accelerated" if args.engine == "auto" else args.engine
-    record = _make_record(spec, table, args.d, engine, args.work_cap)
+    record = _make_record(spec, table, args.d, args.work_cap)
     _emit_records([record], args.format, args.output)
     return 0
 
@@ -95,9 +94,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_scan(args) -> int:
     spec = parse_family(args.family, args.family_args)
-    records, errors = scan_primes(
-        spec, args.d, _parse_primes(args.primes), args.engine, args.work_cap
-    )
+    records, errors = scan_primes(spec, args.d, _parse_primes(args.primes), args.work_cap)
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
     _emit_records(records, args.format, args.output)
@@ -162,8 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("--p", type=int, required=True)
     add_family(n)
     n.add_argument("--d", type=int, required=True)
-    n.add_argument("--engine", choices=("oracle", "recursive", "accelerated", "auto"),
-                   default="auto")
     n.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     add_output(n)
     n.set_defaults(func=_cmd_norm)
@@ -182,8 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--primes", required=True,
                    help="comma list (101,499) or range (101..199, primes only)")
-    s.add_argument("--engine", choices=("oracle", "recursive", "accelerated"),
-                   default="accelerated")
     s.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     add_output(s)
     s.set_defaults(func=_cmd_scan)

@@ -26,8 +26,7 @@ import numpy as np
 from .field import prime_field
 from .norms import (
     DEFAULT_WORK_CAP,
-    NormRequest,
-    WorkCapExceeded,
+    _refuse_over_cap,
     evaluate,
     gowers_recursive,
     gowers_accelerated,
@@ -36,8 +35,10 @@ from .traces import (
     MultiplicativeCharacter,
     TraceTable,
     inverse_phase_trace,
+    kloosterman_direct,
     kloosterman_trace,
     legendre_curve_integers,
+    legendre_curve_point_count,
     legendre_curve_trace,
     legendre_poly_trace,
     mixed_ask_trace,
@@ -79,6 +80,17 @@ def _check_positive(name: str, value: float) -> None:
     """Refuse a ceiling, threshold or work cap that is not finite and positive."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_p_above_d(p: int, d: int) -> None:
+    if p <= d:
+        raise ValueError(f"p = {p} violates the precondition p > d = {d}")
+
+
+def _check_table_cost(p: int) -> None:
+    """Refuse, before any field is built, a table costing p * log2 p over the cap."""
+    est = p * math.log2(p) if p > 1 else 0.0
+    _refuse_over_cap(f"table at p = {p}", "p * log2 p", est, DEFAULT_WORK_CAP)
 
 
 def _power(base: float, exponent: int) -> float:
@@ -187,12 +199,7 @@ def make_table(spec: FamilySpec, p: int) -> TraceTable:
     Refuses, before the field is built, when the table's cost p * log2 p
     exceeds the default work cap.
     """
-    est = p * math.log2(p) if p > 1 else 0.0
-    if est > DEFAULT_WORK_CAP:
-        raise WorkCapExceeded(
-            f"table at p = {p}: estimated cost p * log2 p = {est:.3g} "
-            f"exceeds work cap {DEFAULT_WORK_CAP}"
-        )
+    _check_table_cost(p)
     field = prime_field(p)
     if spec.name == "legendre_poly":
         return legendre_poly_trace(spec.coeffs, field)
@@ -227,14 +234,18 @@ SCAN_COLUMNS = (
 BASELINE_COLUMNS = ("p", "d", "trials", "seed", "mean_u_d", "mean_u_d_times_p")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScanRecord:
-    """One (p, family, d) measurement against the proven bound."""
+    """One (p, family, d) measurement against the proven bound.
+
+    ``engine`` names the route that computed u_d; every record the
+    package builds reads ``accelerated``.
+    """
 
     p: int
     family: str
     d: int
-    engine: str
+    engine: str = "accelerated"
     u_d: float
     u_d_times_p: float
     bound_constant: float
@@ -255,18 +266,15 @@ class BaselineRecord:
     mean_u_d_times_p: float
 
 
-def _make_record(spec: FamilySpec, table: TraceTable, d: int, engine: str,
-                 work_cap: int) -> ScanRecord:
-    if table.p <= d:
-        raise ValueError(f"p = {table.p} violates the precondition p > d = {d}")
-    result = evaluate(NormRequest.from_table(table, d, engine, work_cap))
+def _make_record(spec: FamilySpec, table: TraceTable, d: int, work_cap: int) -> ScanRecord:
+    _check_p_above_d(table.p, d)
+    result = evaluate(table, d, work_cap)
     constant = _spec_bound_constant(spec, table, d)
     bound = constant / table.p
     return ScanRecord(
         p=table.p,
         family=table.descriptor.label,
         d=d,
-        engine=engine,
         u_d=result.u_d,
         u_d_times_p=result.u_d_times_p,
         bound_constant=constant,
@@ -280,7 +288,6 @@ def scan_primes(
     spec: FamilySpec,
     d: int,
     primes,
-    engine: str = "accelerated",
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> tuple[list[ScanRecord], list[dict]]:
     """One record per prime; per-item failures are collected, not fatal.
@@ -294,27 +301,30 @@ def scan_primes(
     for p in primes:
         try:
             p = int(p)
-            records.append(_make_record(spec, make_table(spec, p), d, engine, work_cap))
+            records.append(_make_record(spec, make_table(spec, p), d, work_cap))
         except Exception as exc:  # per-item error record, scan continues
             errors.append({"p": p, "family": spec.name, "d": d, "error": str(exc)})
     return records, errors
 
 
-def random_baseline(p: int, d: int, trials: int, seed: int,
-                    engine: str = "accelerated") -> BaselineRecord:
+def random_baseline(p: int, d: int, trials: int, seed: int) -> BaselineRecord:
     """Average U_d over seeded uniform +-1 functions (PCG64 stream).
 
     The draw procedure is fixed: one Generator over PCG64(seed), and per
     trial the vector ``integers(0, 2, p) * 2 - 1``.  Identical seeds
-    reproduce identical records bit for bit.
+    reproduce identical records bit for bit.  p must be an odd prime
+    above d, as for a scan record.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_p_above_d(p, d)
+    _check_table_cost(p)
+    field = prime_field(p)
     rng = np.random.Generator(np.random.PCG64(seed))
     totals = np.empty(trials)
     for t in range(trials):
         v = (rng.integers(0, 2, p) * 2 - 1).astype(np.complex128)
-        totals[t] = evaluate(NormRequest(values=v, d=d, engine=engine)).u_d
+        totals[t] = gowers_accelerated(v, d, field)
     mean = float(totals.mean())
     return BaselineRecord(
         p=p, d=d, trials=trials, seed=seed,
@@ -330,7 +340,6 @@ class VerifyConfig:
     families: tuple[str, ...] = DEFAULT_FAMILIES
     d_values: tuple[int, ...] = (1, 2, 3)
     primes: tuple[int, ...] = DEFAULT_PRIMES
-    engine: str = "accelerated"
     ceiling: float = DEFAULT_CEILING
     baseline_p: int = 101
     baseline_d: int = 2
@@ -344,8 +353,14 @@ class VerifyConfig:
         _check_positive("work_cap", self.work_cap)
 
 
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def load_config(path: str) -> VerifyConfig:
-    """Read a flat ``key = value`` config file (# starts a comment)."""
+    """Read a flat ``key = value`` config file (# starts a comment).
+
+    ``stable_output`` takes 1/0, true/false or yes/no in any case.
+    """
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -362,10 +377,13 @@ def load_config(path: str) -> VerifyConfig:
                 values[key] = tuple(int(t) for t in value.replace(",", " ").split())
             elif key in ("ceiling",):
                 values[key] = float(value)
-            elif key in ("engine",):
-                values[key] = value
-            elif key in ("stable_output",):
-                values[key] = value.lower() in ("1", "true", "yes")
+            elif key == "stable_output":
+                if value.lower() not in _FLAGS:
+                    raise ValueError(
+                        f"{path}:{lineno}: stable_output must be one of "
+                        f"{'/'.join(_FLAGS)}, got {value!r}"
+                    )
+                values[key] = _FLAGS[value.lower()]
             elif key in ("baseline_p", "baseline_d", "baseline_trials", "seed", "work_cap"):
                 values[key] = int(value)
             else:
@@ -388,16 +406,20 @@ class VerifyReport:
 
 
 def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
-    """Run the full sweep and check bounds, ceilings, and engine agreement.
+    """Run the full sweep and check bounds, ceilings, and oracle agreement.
 
     PASS requires: (a) every proven bound holds, (b) every U_d * p is at
-    most the empirical ceiling, (c) engines and generation methods agree
-    at the smallest prime of the sweep.  Every p must exceed every d.
+    most the empirical ceiling, (c) the production routes agree with their
+    oracles at the smallest prime p0.  Before any table is built, every p
+    must exceed every d, and p0^(d+1) at the largest d must fit the work cap.
     """
     max_d = max(config.d_values)
     bad = [p for p in config.primes if p <= max_d]
     if bad:
         raise ValueError(f"primes {bad} violate the precondition p > d = {max_d}")
+    p0 = min(config.primes)
+    _refuse_over_cap(f"verify agreement check U_{max_d} at p = {p0}", "p^(d+1)",
+                     p0 ** (max_d + 1), config.work_cap)
 
     specs = [parse_family(s) for s in config.families]
     records: list[ScanRecord] = []
@@ -419,7 +441,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                 if table is None:
                     continue
                 try:
-                    rec = _make_record(spec, table, d, config.engine, config.work_cap)
+                    rec = _make_record(spec, table, d, config.work_cap)
                 except Exception as exc:
                     errors.append({"p": p, "family": spec.name, "d": d, "error": str(exc)})
                     continue
@@ -437,9 +459,8 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
 
     records.sort(key=lambda r: (r.family, r.d, r.p))
 
-    # Cross-engine and cross-method agreement at the smallest prime.
+    # The production routes against their oracles at the smallest prime.
     agreements: list[dict] = []
-    p0 = min(config.primes)
     field0 = prime_field(p0)
     for spec, fam in zip(specs, config.families):
         table = tables.get((fam, p0))
@@ -458,16 +479,16 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                 failures.append(
                     f"engine disagreement: {fam} d={d} p={p0}: |accel-rec|={delta:.3g}"
                 )
-    direct = kloosterman_trace(field0, method="direct").values
-    transform = kloosterman_trace(field0, method="transform").values
+    direct = kloosterman_direct(field0)
+    transform = kloosterman_trace(field0).values
     delta = float(np.abs(direct - transform).max())
     ok = delta <= KLOOSTERMAN_METHOD_TOL
     agreements.append({"check": "kloosterman_methods", "p": p0, "delta": delta, "ok": ok})
     if not ok:
         failures.append(f"kloosterman direct vs transform: {delta:.3g}")
     if p0 >= 5:
-        counted = legendre_curve_integers(field0, "point_count")
-        transform = legendre_curve_integers(field0, "transform")
+        counted = legendre_curve_point_count(field0)
+        transform = legendre_curve_integers(field0)
         ok = bool(np.array_equal(counted, transform))
         agreements.append({
             "check": "legendre_curve_methods", "p": p0,

@@ -1,19 +1,14 @@
-"""Three independent engines for the Gowers uniformity pnorm U_d.
+"""The Gowers uniformity pnorm U_d: one production route and two oracles.
 
 ``U_d(phi)`` denotes the 2^d-th power of the d-th Gowers norm of
-phi : F_p -> C (the "pnorm"), so all engines return
+phi : F_p -> C (the "pnorm"), so every route returns
 
     U_d(phi) = (1/p^(d+1)) * sum over x, h_1, ..., h_d of
                prod over omega in {0,1}^d of C^|omega| phi(x + omega.h),
 
-where C is complex conjugation.  The three routes are:
+where C is complex conjugation.  The routes are:
 
-* ``gowers_oracle``      -- the unrolled cube sum above, the ground
-  truth; cost p^(d+1), refused beyond a work cap.
-* ``gowers_recursive``   -- the inductive definition
-  U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
-  xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost O(p^d * p).
-* ``gowers_accelerated`` -- the entry point for every d >= 1: U_1 is
+* ``gowers_accelerated`` -- the production route for every d >= 1: U_1 is
   |mean|^2, and for d >= 2, U_d = (1/p^k) sum over h in F_p^k of
   U_2(Delta_h phi), k = d - 2, with the Fourier base
   U_2 = sum_t |phi_hat(t)|^4.  U_2(Delta_h phi) is unchanged by permuting
@@ -22,10 +17,15 @@ where C is complex conjugation.  The three routes are:
   product of 2^k shifted tables and then a prime-length DFT (U_2 itself
   is k = 0: one row, phi, with weight 1).  Its one
   cost policy is the work cap on rows * p * (2^k + log2 p).
+* ``gowers_oracle``      -- test oracle: the unrolled cube sum above, the
+  ground truth; cost p^(d+1), refused beyond a work cap.
+* ``gowers_recursive``   -- test oracle: the inductive definition
+  U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
+  xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost O(p^d * p), uncapped.
 
-Values are real up to rounding; engines check the imaginary part where
-one exists (relative to the real part) and clamp tiny negative results
-to zero.
+NaN or infinite values are refused.  Values are real up to rounding; the
+routes check the imaginary part where one exists (relative to the real
+part) and clamp tiny negative results to zero.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "gowers_recursive",
     "gowers_accelerated",
     "gowers_norm",
-    "NormRequest",
     "NormResult",
     "evaluate",
 ]
@@ -76,6 +75,14 @@ def _finalize(value: float, tol: float) -> float:
             raise ArithmeticError(f"engine produced negative pnorm {value}")
         return 0.0
     return float(value)
+
+
+def _refuse_over_cap(what: str, formula: str, est: float, cap: int) -> None:
+    """Refuse ``what`` (named with its d and p) when its estimate ``est`` exceeds ``cap``."""
+    if est > cap:
+        raise WorkCapExceeded(
+            f"{what}: estimated cost {formula} = {est:.3g} exceeds work cap {cap}"
+        )
 
 
 def _finite_values(values) -> np.ndarray:
@@ -104,16 +111,11 @@ def _shifts(values: np.ndarray) -> np.ndarray:
 
 def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) -> float:
     """Ground-truth U_d by the unrolled cube sum over (x, h_1, ..., h_d)."""
-    values = np.asarray(values, dtype=np.complex128)
+    values = _finite_values(values)
     p = len(values)
     if d < 1:
         raise ValueError("d must be >= 1")
-    terms = p ** (d + 1)
-    if terms > work_cap:
-        raise WorkCapExceeded(
-            f"oracle requires p^(d+1) = {terms} elementary terms, "
-            f"over the work cap {work_cap}"
-        )
+    _refuse_over_cap(f"oracle U_{d} at p = {p}", "p^(d+1)", p ** (d + 1), work_cap)
     shifted = _shifts(values)
     corners = list(itertools.product((0, 1), repeat=d))
     powers = p ** np.arange(d, dtype=np.int64)
@@ -142,7 +144,7 @@ def _u1_rows(matrix: np.ndarray) -> np.ndarray:
 
 def gowers_recursive(values: np.ndarray, d: int) -> float:
     """U_d by the inductive definition, recursing on d down to U_1."""
-    values = np.asarray(values, dtype=np.complex128)
+    values = _finite_values(values)
     p = len(values)
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -210,11 +212,7 @@ def gowers_accelerated(
         return u1(values)
     n_orbits = math.comb((p + 1) // 2 + d - 3, d - 2)  # rows transformed, see _orbits
     est = n_orbits * p * (2 ** (d - 2) + max(1.0, np.log2(p)))
-    if est > work_cap:
-        raise WorkCapExceeded(
-            f"U_{d} at p = {p}: estimated cost rows * p * (2^(d-2) + log2 p) = "
-            f"{est:.3g} exceeds work cap {work_cap}"
-        )
+    _refuse_over_cap(f"U_{d} at p = {p}", "rows * p * (2^(d-2) + log2 p)", est, work_cap)
     field = field or prime_field(p)
     k = d - 2
     reps, weights = _orbits(p, k)
@@ -244,63 +242,36 @@ def gowers_norm(values: np.ndarray, d: int, field: PrimeField | None = None) -> 
     return float(gowers_accelerated(values, d, field) ** (1.0 / 2**d))
 
 
-# -- request/result contract -------------------------------------------------
-
-ENGINES = ("oracle", "recursive", "accelerated")
-
-
-@dataclass(frozen=True)
-class NormRequest:
-    """One norm computation: a table (or raw values) and the engine choice."""
-
-    values: np.ndarray
-    d: int
-    engine: str = "accelerated"
-    work_cap: int = DEFAULT_WORK_CAP
-    table: TraceTable | None = None
-
-    @classmethod
-    def from_table(cls, table: TraceTable, d: int, engine: str = "accelerated",
-                   work_cap: int = DEFAULT_WORK_CAP) -> "NormRequest":
-        return cls(values=table.values, d=d, engine=engine, work_cap=work_cap, table=table)
+# -- result ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NormResult:
-    """U_d plus derived quantities and timing for one engine run."""
+    """U_d plus derived quantities and timing for one run."""
 
     p: int
     d: int
-    engine: str
     u_d: float
     norm: float
     u_d_times_p: float
     elapsed: float
 
 
-def evaluate(request: NormRequest) -> NormResult:
-    """Run the requested engine and package the result.
+def evaluate(table: TraceTable, d: int, work_cap: int = DEFAULT_WORK_CAP) -> NormResult:
+    """U_d of a trace table by :func:`gowers_accelerated`, packaged and timed.
 
-    When the request carries a family table with tracked rank, the
-    trivial bound U_d <= rank^(2^d) is asserted on the way out.
+    Non-finite values are refused before anything runs.  When the family
+    tracks its rank, the trivial bound U_d <= rank^(2^d) is asserted on
+    the way out.
     """
-    values = _finite_values(request.values)
+    values = _finite_values(table.values)
     p = len(values)
-    d = request.d
-    if d < 1:
-        raise ValueError("d must be >= 1")
     start = time.perf_counter()
-    if request.engine == "oracle":
-        u_d = gowers_oracle(values, d, request.work_cap)
-    elif request.engine == "recursive":
-        u_d = gowers_recursive(values, d)
-    elif request.engine == "accelerated":
-        u_d = gowers_accelerated(values, d, work_cap=request.work_cap)
-    else:
-        raise ValueError(f"unknown engine {request.engine!r}; choose from {ENGINES}")
+    u_d = gowers_accelerated(values, d, table.field, work_cap)
     elapsed = time.perf_counter() - start
-    if request.table is not None and request.table.descriptor.rank >= 1:
-        ceiling = request.table.descriptor.rank ** (2**d) + 1e-6
+    rank = table.descriptor.rank
+    if rank >= 1:
+        ceiling = rank ** (2**d) + 1e-6
         if u_d > ceiling:
             raise ArithmeticError(
                 f"trivial bound violated: U_{d} = {u_d} > rank^(2^d) = {ceiling}"
@@ -308,7 +279,6 @@ def evaluate(request: NormRequest) -> NormResult:
     return NormResult(
         p=p,
         d=d,
-        engine=request.engine,
         u_d=u_d,
         norm=float(u_d ** (1.0 / 2**d)),
         u_d_times_p=u_d * p,

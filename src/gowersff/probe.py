@@ -34,7 +34,7 @@ import numpy as np
 from .field import PrimeField
 from . import polys
 from .harness import DEFAULT_CEILING, _check_positive
-from .norms import DEFAULT_WORK_CAP, WorkCapExceeded, _finite_values, gowers_accelerated
+from .norms import DEFAULT_WORK_CAP, _finite_values, _refuse_over_cap, gowers_accelerated
 from .traces import TraceTable
 
 __all__ = [
@@ -112,11 +112,8 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField, flat=None):
     p = field.p
     n_tops = p ** (d - 2)
     est = n_tops * p * (d + max(1.0, np.log2(p)))
-    if est > DEFAULT_WORK_CAP:
-        raise WorkCapExceeded(
-            f"probe at d = {d}, p = {p}: estimated cost p^(d-2) * p * (d + log2 p) = "
-            f"{est:.3g} exceeds work cap {DEFAULT_WORK_CAP}"
-        )
+    _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
+                     est, DEFAULT_WORK_CAP)
     x = np.arange(p, dtype=np.int64)
     powers = [x * x % p]  # x^2, ..., x^(d-1)
     while len(powers) < d - 2:

@@ -23,6 +23,9 @@ Families:
 * ``mixed_ask_trace``      -- x -> e(f1(x)/p) * chi(f2(x)) on its domain.
 * ``fourier_trace``        -- the normalized finite-field Fourier
   transform t -> -(1/sqrt(p)) sum_x v(x) e(tx/p).
+
+The O(p^2) test oracles ``kloosterman_direct`` and
+``legendre_curve_point_count`` return bare arrays.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ __all__ = [
     "legendre_poly_trace",
     "inverse_phase_trace",
     "kloosterman_trace",
+    "kloosterman_direct",
     "legendre_curve_trace",
     "legendre_curve_integers",
+    "legendre_curve_point_count",
     "mixed_ask_trace",
     "fourier_trace",
     "exceptional_set",
@@ -196,31 +201,18 @@ def inverse_phase_trace(field: PrimeField) -> TraceTable:
     return TraceTable(field, values, desc)
 
 
-def kloosterman_trace(field: PrimeField, method: str = "transform") -> TraceTable:
+def kloosterman_trace(field: PrimeField) -> TraceTable:
     """x -> S(x,1;p)/sqrt(p) with S(x,1;p) = sum_{y!=0} e((xy + inv(y))/p).
 
-    ``direct`` evaluates the double sum in O(p^2); ``transform`` obtains
-    all p values from one DFT of y -> e(inv(y)/p) in O(p log p).  The
-    value at x = 0 is -1/sqrt(p) (which the complete sum also gives).
+    All p values come from one DFT of y -> e(inv(y)/p) in O(p log p).
+    The value at x = 0 is -1/sqrt(p) (which the complete sum also gives).
     """
     p = field.p
     sqrt_p = np.sqrt(p)
-    if method == "transform":
-        w = inverse_phase_trace(field).values
-        # S(x,1;p) = sum_y w(y) e(+xy/p) = p * dft(w)[-x mod p]
-        hat = field.dft(w)
-        values = (p * hat)[(-np.arange(p)) % p] / sqrt_p
-    elif method == "direct":
-        values = np.empty(p, dtype=np.complex128)
-        y = np.arange(1, p, dtype=np.int64)
-        inv_y = field.inverse_values[1:]
-        chunk = max(1, (1 << 21) // p)
-        for start in range(0, p, chunk):
-            x = np.arange(start, min(start + chunk, p), dtype=np.int64)
-            exponents = (x[:, None] * y[None, :] + inv_y[None, :]) % p
-            values[start : start + len(x)] = field.char_table[exponents].sum(axis=1) / sqrt_p
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'direct' or 'transform'")
+    w = inverse_phase_trace(field).values
+    # S(x,1;p) = sum_y w(y) e(+xy/p) = p * dft(w)[-x mod p]
+    hat = field.dft(w)
+    values = (p * hat)[(-np.arange(p)) % p] / sqrt_p
     values[0] = -1.0 / sqrt_p
     desc = FamilyDescriptor(
         family="kloosterman",
@@ -231,30 +223,45 @@ def kloosterman_trace(field: PrimeField, method: str = "transform") -> TraceTabl
     return TraceTable(field, values, desc)
 
 
-def legendre_curve_integers(field: PrimeField, method: str = "point_count") -> np.ndarray:
+def kloosterman_direct(field: PrimeField) -> np.ndarray:
+    """Test oracle for :func:`kloosterman_trace`: the double sum in O(p^2), x = 0 included."""
+    p = field.p
+    values = np.empty(p, dtype=np.complex128)
+    y = np.arange(1, p, dtype=np.int64)
+    inv_y = field.inverse_values[1:]
+    chunk = max(1, (1 << 21) // p)
+    for start in range(0, p, chunk):
+        x = np.arange(start, min(start + chunk, p), dtype=np.int64)
+        exponents = (x[:, None] * y[None, :] + inv_y[None, :]) % p
+        values[start : start + len(x)] = field.char_table[exponents].sum(axis=1)
+    return values / np.sqrt(p)
+
+
+def legendre_curve_integers(field: PrimeField) -> np.ndarray:
     """The integers p - N(x), N(x) = |{(u,v): v^2 = u(u-1)(u-x)}|, for all x.
 
-    Both methods return the same integer array (entries at x in {0, 1}
-    use the same formulas even though the trace table overrides them).
-    ``transform`` evaluates p - N(x) = -sum_u ((u(u-1))/p) ((u-x)/p) as
-    one cyclic correlation, p * idft(dft(a) * conj(dft(chi))), in
-    O(p log p), and rounds it; ``point_count`` counts affine solutions
-    through 1 + (c/p) fiber sizes in O(p^2) and is the test oracle.
+    Evaluates p - N(x) = -sum_u ((u(u-1))/p) ((u-x)/p) as one cyclic
+    correlation, p * idft(dft(a) * conj(dft(chi))), in O(p log p), and
+    rounds it.  Entries at x in {0, 1} use the same formula even though
+    the trace table overrides them.
     """
     p = field.p
     leg = field.legendre_table
-    if method == "transform":
-        u = np.arange(p, dtype=np.int64)
-        a = leg[u * ((u - 1) % p) % p]
-        corr = -p * field.idft(field.dft(a) * np.conj(field.dft(leg)))
-        counts = np.rint(corr.real)
-        # Rounding to the nearest integer is exact only if the transform
-        # error stays far below 1/2 (it measures ~5e-12 at p ~ 10^6).
-        if not np.abs(corr - counts).max() <= _INTEGER_SLACK:
-            raise ArithmeticError(f"legendre_curve correlation is not integral at p = {p}")
-        return counts.astype(np.int64)
-    if method != "point_count":
-        raise ValueError(f"unknown method {method!r}; use 'transform' or 'point_count'")
+    u = np.arange(p, dtype=np.int64)
+    a = leg[u * ((u - 1) % p) % p]
+    corr = -p * field.idft(field.dft(a) * np.conj(field.dft(leg)))
+    counts = np.rint(corr.real)
+    # Rounding to the nearest integer is exact only if the transform
+    # error stays far below 1/2 (it measures ~5e-12 at p ~ 10^6).
+    if not np.abs(corr - counts).max() <= _INTEGER_SLACK:
+        raise ArithmeticError(f"legendre_curve correlation is not integral at p = {p}")
+    return counts.astype(np.int64)
+
+
+def legendre_curve_point_count(field: PrimeField) -> np.ndarray:
+    """Test oracle for :func:`legendre_curve_integers`: 1 + (c/p) fiber sizes in O(p^2)."""
+    p = field.p
+    leg = field.legendre_table
     x = np.arange(p, dtype=np.int64)
     counts = np.zeros(p, dtype=np.int64)
     chunk = max(1, (1 << 21) // p)
@@ -266,12 +273,12 @@ def legendre_curve_integers(field: PrimeField, method: str = "point_count") -> n
     return p - counts
 
 
-def legendre_curve_trace(field: PrimeField, method: str = "transform") -> TraceTable:
+def legendre_curve_trace(field: PrimeField) -> TraceTable:
     """x -> (p - N(x))/sqrt(p) off {0, 1}; both cells there are 1/sqrt(p)."""
     p = field.p
     if p < 5:
         raise ValueError("legendre_curve requires p >= 5")
-    integers = legendre_curve_integers(field, method)
+    integers = legendre_curve_integers(field)
     values = integers.astype(np.complex128) / np.sqrt(p)
     values[0] = values[1] = 1.0 / np.sqrt(p)
     desc = FamilyDescriptor(

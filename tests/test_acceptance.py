@@ -19,8 +19,10 @@ from gowersff import (
     gowers_oracle,
     gowers_recursive,
     inverse_phase_trace,
+    kloosterman_direct,
     kloosterman_trace,
     legendre_curve_integers,
+    legendre_curve_point_count,
     legendre_curve_trace,
     legendre_poly_trace,
     parse_family,
@@ -67,7 +69,7 @@ def grid_records():
     for family in GRID_FAMILIES:
         spec = parse_family(family)
         for d in (1, 2, 3):
-            recs, errors = scan_primes(spec, d, GRID_PRIMES, engine="accelerated")
+            recs, errors = scan_primes(spec, d, GRID_PRIMES)
             assert not errors, errors
             for rec in recs:
                 records[(family, d, rec.p)] = rec
@@ -140,12 +142,12 @@ def test_criterion_5_cross_construction_identities():
             rhs = -kloosterman_trace(F).values
             assert np.abs(lhs - rhs).max() <= 1e-9
         F101 = prime_field(101)
-        a = legendre_curve_integers(F101, "point_count")
-        b = legendre_curve_integers(F101, "transform")
+        a = legendre_curve_point_count(F101)
+        b = legendre_curve_integers(F101)
         assert np.array_equal(a, b)
         F499 = prime_field(499)
-        direct = kloosterman_trace(F499, method="direct").values
-        transform = kloosterman_trace(F499, method="transform").values
+        direct = kloosterman_direct(F499)
+        transform = kloosterman_trace(F499).values
         assert np.abs(direct - transform).max() <= 1e-8
 
 

@@ -61,13 +61,15 @@ class TestNorm:
         assert payload["family"] == "kloosterman"
         assert payload["bound_satisfied"] is True
 
-    def test_oracle_engine_work_cap_refusal_is_usage_error(self, capsys):
-        code, _, err = run(
-            capsys, "norm", "--p", "997", "--family", "kloosterman",
-            "--d", "3", "--engine", "oracle",
-        )
-        assert code == 2
-        assert "work cap" in err
+    @pytest.mark.parametrize("argv", [
+        ("norm", "--p", "101", "--family", "kloosterman", "--d", "2"),
+        ("scan", "--primes", "101", "--family", "kloosterman", "--d", "2"),
+    ], ids=["norm", "scan"])
+    def test_engine_option_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--engine", "oracle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine oracle" in capsys.readouterr().err
 
     def test_accelerated_work_cap_refusal_is_usage_error(self, capsys):
         code, out, err = run(
@@ -88,7 +90,7 @@ class TestNorm:
         assert "p > d" in err
 
     def test_row_matches_scan_except_timing(self, capsys):
-        # d = 1 included: --engine auto means accelerated at every d, as in scan.
+        # d = 1 included: norm and scan run the same route at every d.
         for d in ("1", "3"):
             argv = ("--family", "kloosterman", "--d", d)
             code_n, out_n, _ = run(capsys, "norm", "--p", "101", *argv)
@@ -236,6 +238,11 @@ REFUSALS = [
                   "--work-cap", "-1"), "work_cap", None, id="negative_work_cap"),
     pytest.param(("norm", "--p", "11", "--family", "nope", "--d", "1"),
                  "unknown family", None, id="unknown_family"),
+    pytest.param(("baseline", "--p", "4", "--d", "1"), "not prime", None,
+                 id="baseline_composite_p"),
+    pytest.param(("baseline", "--p", "0", "--d", "1"), "p > d", None, id="baseline_zero_p"),
+    pytest.param(("baseline", "--p", "3", "--d", "5"), "p > d", None,
+                 id="baseline_p_not_above_d"),
 ]
 
 

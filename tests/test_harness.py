@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from gowersff import (
     VerifyConfig,
+    WorkCapExceeded,
     bound_constant,
     emit,
     generic_bound_constant,
@@ -141,8 +143,9 @@ class TestRandomBaseline:
 
     def test_engine_cross_check_p31_d3(self):
         fast = random_baseline(31, 3, 20, seed=1)
-        slow = random_baseline(31, 3, 20, seed=1, engine="oracle")
-        ratio = fast.mean_u_d / slow.mean_u_d
+        rng = np.random.Generator(np.random.PCG64(1))  # the baseline's own draws
+        slow = np.mean([gowers_oracle(rng.integers(0, 2, 31) * 2 - 1, 3) for _ in range(20)])
+        ratio = fast.mean_u_d / slow
         assert 1 / 3 < ratio < 3
 
     def test_trials_validated(self):
@@ -185,15 +188,19 @@ class TestVerify:
 
     def test_legendre_curve_transform_checked_against_point_count(self, monkeypatch):
         real = harness.legendre_curve_integers
-
-        def skewed(field, method):
-            ints = real(field, method)
-            return ints + 1 if method == "transform" else ints
-
-        monkeypatch.setattr(harness, "legendre_curve_integers", skewed)
+        monkeypatch.setattr(harness, "legendre_curve_integers", lambda field: real(field) + 1)
         report = verify(SMALL_CONFIG)
         assert not report.passed
         assert "legendre_curve point_count vs transform differ" in report.failures
+
+    def test_agreement_check_over_work_cap_refused_before_any_table(self, monkeypatch):
+        def no_table(spec, p):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        # p0^(d+1) = 11^3 = 1331 for the recursive check at p0 = 11, d = 2.
+        with pytest.raises(WorkCapExceeded, match=r"U_2 at p = 11.*p\^\(d\+1\).*work cap"):
+            verify(replace(SMALL_CONFIG, work_cap=1000))
 
     def test_summary_mentions_result(self):
         report = verify(SMALL_CONFIG)
@@ -283,6 +290,27 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("tolerance = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
+            load_config(str(path))
+
+    def test_engine_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("engine = oracle\n")
+        with pytest.raises(ValueError, match="unknown key 'engine'"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("text, flag", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),
+    ])
+    def test_stable_output_flags(self, tmp_path, text, flag):
+        path = tmp_path / "verify.cfg"
+        path.write_text(f"stable_output = {text}\n")
+        assert load_config(str(path)).stable_output is flag
+
+    @pytest.mark.parametrize("text", ["ture", "on", "2", ""])
+    def test_unrecognized_stable_output_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"seed = 3\nstable_output = {text}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: stable_output")):
             load_config(str(path))
 
     def test_nan_ceiling_rejected(self, tmp_path):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gowersff import (
-    NormRequest,
+    FamilyDescriptor,
     PrimeField,
+    TraceTable,
     WorkCapExceeded,
     evaluate,
     gowers_accelerated,
@@ -319,10 +320,9 @@ class TestNormProperties:
 class TestEvaluate:
     def test_engine_dispatch_and_fields(self, field101):
         table = kloosterman_trace(field101)
-        for engine in ("oracle", "recursive", "accelerated"):
-            d = 1 if engine == "oracle" else 2
-            res = evaluate(NormRequest.from_table(table, d, engine))
-            assert res.engine == engine
+        for oracle, d in ((gowers_oracle, 1), (gowers_recursive, 2)):
+            res = evaluate(table, d)
+            assert res.u_d == pytest.approx(oracle(table.values, d), abs=1e-12)
             assert res.p == 101 and res.d == d
             assert res.u_d_times_p == pytest.approx(res.u_d * 101)
             assert res.norm == pytest.approx(res.u_d ** (1 / 2**d))
@@ -333,22 +333,19 @@ class TestEvaluate:
         # the internal assertion raising on violation.
         for table in (kloosterman_trace(field101), legendre_curve_trace(field101)):
             for d in (1, 2, 3):
-                res = evaluate(NormRequest.from_table(table, d))
+                res = evaluate(table, d)
                 assert res.u_d <= table.descriptor.rank ** (2**d) + 1e-6
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            evaluate(NormRequest(values=np.ones(11, dtype=np.complex128), d=1, engine="fft"))
-
-    @pytest.mark.parametrize("engine", ["oracle", "recursive", "accelerated"])
-    def test_non_finite_values_rejected(self, engine):
+    @pytest.mark.parametrize("route", [gowers_oracle, gowers_recursive, gowers_accelerated],
+                             ids=["oracle", "recursive", "accelerated"])
+    def test_non_finite_values_rejected(self, route):
         for bad in (np.nan, np.inf):
             v = np.ones(11, dtype=np.complex128)
             v[3] = bad
             with pytest.raises(ValueError, match="finite"):
-                evaluate(NormRequest(values=v, d=2, engine=engine))
+                route(v, 2)
 
-    def test_accelerated_request_at_d1_uses_mean_formula(self):
-        v = np.ones(31, dtype=np.complex128)
-        res = evaluate(NormRequest(values=v, d=1, engine="accelerated"))
+    def test_accelerated_request_at_d1_uses_mean_formula(self, field101):
+        ones = FamilyDescriptor(family="const", label="const", rank=1, swan={})
+        res = evaluate(TraceTable(field101, np.ones(101), ones), 1)
         assert res.u_d == pytest.approx(1.0)

@@ -16,8 +16,10 @@ from gowersff import (
     fourier_trace,
     inverse_phase_trace,
     is_prime,
+    kloosterman_direct,
     kloosterman_trace,
     legendre_curve_integers,
+    legendre_curve_point_count,
     legendre_curve_trace,
     legendre_poly_trace,
     mixed_ask_trace,
@@ -117,8 +119,8 @@ class TestKloosterman:
         assert abs(table.values.sum()) <= 1e-9
 
     def test_direct_vs_transform_p499(self, field499):
-        direct = kloosterman_trace(field499, method="direct").values
-        transform = kloosterman_trace(field499, method="transform").values
+        direct = kloosterman_direct(field499)
+        transform = kloosterman_trace(field499).values
         assert np.abs(direct - transform).max() <= 1e-8
 
     def test_transform_matches_small_oracle(self):
@@ -136,10 +138,6 @@ class TestKloosterman:
     def test_weil_bound(self, p):
         v = kloosterman_trace(prime_field(p)).values
         assert np.abs(v[1:]).max() <= 2 + 1e-9
-
-    def test_unknown_method_rejected(self, field101):
-        with pytest.raises(ValueError):
-            kloosterman_trace(field101, method="magic")
 
     def test_descriptor(self, field101):
         d = kloosterman_trace(field101).descriptor
@@ -161,8 +159,8 @@ class TestLegendreCurve:
     @pytest.mark.parametrize("p", [7, 101])
     def test_methods_agree_exactly_as_integers(self, p):
         F = prime_field(p)
-        a = legendre_curve_integers(F, "point_count")
-        b = legendre_curve_integers(F, "transform")
+        a = legendre_curve_point_count(F)
+        b = legendre_curve_integers(F)
         assert a.dtype.kind == b.dtype.kind == "i"
         assert np.array_equal(a, b)
 
@@ -173,8 +171,8 @@ class TestLegendreCurve:
     @settings(max_examples=25, deadline=None)
     def test_transform_equals_point_count(self, p):
         F = prime_field(p)
-        counted = legendre_curve_integers(F, "point_count")
-        transform = legendre_curve_integers(F, "transform")
+        counted = legendre_curve_point_count(F)
+        transform = legendre_curve_integers(F)
         assert transform.dtype.kind == "i"
         assert np.array_equal(transform, counted)
 
@@ -189,16 +187,12 @@ class TestLegendreCurve:
         # Every correlation entry 0.4 from an integer, past the 0.25 guard.
         monkeypatch.setattr(PrimeField, "idft", lambda self, v: idft(self, v) + 0.4 / self.p)
         with pytest.raises(ArithmeticError, match="not integral"):
-            legendre_curve_integers(F, "transform")
-
-    def test_unknown_method_rejected(self, field101):
-        with pytest.raises(ValueError, match="unknown method"):
-            legendre_curve_integers(field101, "magic")
+            legendre_curve_integers(F)
 
     def test_point_count_against_naive_enumeration(self):
         # Independent oracle: literally enumerate (u, v) pairs at p = 11.
         p = 11
-        ints = legendre_curve_integers(prime_field(p), "point_count")
+        ints = legendre_curve_point_count(prime_field(p))
         for x in range(p):
             n = sum(
                 1
