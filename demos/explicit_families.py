@@ -1,8 +1,10 @@
 """Walk through the four explicit trace-function families at p = 101.
 
 Generates each family, prints a few values and descriptor metadata, and
-computes U_d by the production route and by the two slow oracles to
-show they agree.
+computes U_d by the production route and by the slow oracles to show
+they agree: ``gowers_recursive`` at every d, and the unrolled cube sum
+``gowers_oracle`` for d <= 2 (at d = 3 it sums p^4 terms per corner and
+would take seconds per family).
 """
 
 import numpy as np
@@ -36,10 +38,13 @@ for table in tables:
     print("  max |value| :", round(float(np.abs(table.values).max()), 4))
     for deg in (1, 2, 3):
         u = evaluate(table, deg).u_d
-        results = [u, gowers_recursive(table.values, deg), gowers_oracle(table.values, deg)]
+        results = [u, gowers_recursive(table.values, deg)]
+        if deg <= 2:
+            results.append(gowers_oracle(table.values, deg))
         spread = max(results) - min(results)
         print(f"  U_{deg} = {u:.3e}   U_{deg}*p = {u * p:8.4f}   "
               f"oracle spread = {spread:.1e}")
 
-print("\nAll three routes agree to ~1e-15; every U_d * p is a small constant,")
-print("which is the 1/p decay these families are built to exhibit.")
+print("\nThe production route agrees with gowers_recursive at every d and with")
+print("the cube-sum oracle at d <= 2, to ~1e-15; every U_d * p is a small")
+print("constant, which is the 1/p decay these families are built to exhibit.")

@@ -411,15 +411,16 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     PASS requires: (a) every proven bound holds, (b) every U_d * p is at
     most the empirical ceiling, (c) the production routes agree with their
     oracles at the smallest prime p0.  Before any table is built, every p
-    must exceed every d, and p0^(d+1) at the largest d must fit the work cap.
+    must exceed every d, and p0^d at the largest d (the cost of
+    ``gowers_recursive``) must fit the work cap.
     """
     max_d = max(config.d_values)
     bad = [p for p in config.primes if p <= max_d]
     if bad:
         raise ValueError(f"primes {bad} violate the precondition p > d = {max_d}")
     p0 = min(config.primes)
-    _refuse_over_cap(f"verify agreement check U_{max_d} at p = {p0}", "p^(d+1)",
-                     p0 ** (max_d + 1), config.work_cap)
+    _refuse_over_cap(f"verify agreement check U_{max_d} at p = {p0}", "p^d",
+                     p0**max_d, config.work_cap)
 
     specs = [parse_family(s) for s in config.families]
     records: list[ScanRecord] = []

@@ -15,13 +15,16 @@ where C is complex conjugation.  The routes are:
   the h_i and by flipping their signs, so one row is transformed per
   orbit: C((p+1)/2 + k - 1, k) rows, about p^k / (2^k k!), each the
   product of 2^k shifted tables and then a prime-length DFT (U_2 itself
-  is k = 0: one row, phi, with weight 1).  Its one
-  cost policy is the work cap on rows * p * (2^k + log2 p).
+  is k = 0: one row, phi, with weight 1).  When phi is exactly real and
+  k >= 1 the rows are real, and two of them share one complex DFT, of
+  r + i s, whose spectrum splits into the spectra of r and s: half the
+  rows are transformed.  Its one cost policy is the work cap on
+  rows * p * (2^k + log2 p).
 * ``gowers_oracle``      -- test oracle: the unrolled cube sum above, the
   ground truth; cost p^(d+1), refused beyond a work cap.
 * ``gowers_recursive``   -- test oracle: the inductive definition
   U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
-  xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost O(p^d * p), uncapped.
+  xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost about p^d, uncapped.
 
 NaN or infinite values are refused.  Values are real up to rounding; the
 routes check the imaginary part where one exists (relative to the real
@@ -187,6 +190,38 @@ def _orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.rint(weights)
 
 
+def _u2_sums(hat: np.ndarray) -> np.ndarray:
+    """sum_t |hat(t)|^4 for each row of a batch of spectra."""
+    power = hat.real * hat.real + hat.imag * hat.imag
+    return (power * power).sum(axis=1)
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Real rows r_0, r_1, ... as complex rows r_0 + i r_1, ...; an odd last row has 0 for Im."""
+    n, p = rows.shape
+    packed = np.empty(((n + 1) // 2, p), dtype=np.complex128)
+    packed.real = rows[0::2]
+    packed.imag[: n // 2] = rows[1::2]
+    packed.imag[n // 2 :] = 0.0
+    return packed
+
+
+def _paired_u2_sums(hat: np.ndarray) -> np.ndarray:
+    """U_2 of both real rows behind each spectrum Z of r + i s, interleaved.
+
+    2 r_hat(t) = Z(t) + conj Z(-t) and 2i s_hat(t) = Z(t) - conj Z(-t).  A
+    real row's spectrum has |r_hat(t)| = |r_hat(-t)|, so
+    U_2(r) = r_hat(0)^4 + 2 sum over 0 < t < p/2 of |r_hat(t)|^4.
+    """
+    half = (hat.shape[1] + 1) // 2
+    sums = np.empty(2 * len(hat))
+    zt, zm = hat[:, 1:half], hat[:, : half - 1 : -1].conj()  # Z(t), conj Z(p - t)
+    # 2 |r_hat(t)|^4 = |Z(t) + conj Z(p - t)|^4 / 8, and likewise for s.
+    sums[0::2] = hat[:, 0].real ** 4 + _u2_sums(zt + zm) / 8
+    sums[1::2] = hat[:, 0].imag ** 4 + _u2_sums(np.subtract(zt, zm, out=zm)) / 8
+    return sums
+
+
 def gowers_accelerated(
     values: np.ndarray,
     d: int,
@@ -198,7 +233,12 @@ def gowers_accelerated(
     d = 1 is :func:`u1`.  Otherwise each row Delta_h phi(x) = prod over
     omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h) goes through the
     batched Fourier base, and the orbit weights from :func:`_orbits`
-    restore the full average; at d = 2 the one row is phi itself.
+    restore the full average; at d = 2 the one row is phi itself.  When
+    d >= 3 and phi is exactly real, the rows are real: they are built in
+    float64, packed two to a complex DFT row by :func:`_packed` (an odd
+    last row of a chunk has one to itself), and split again by
+    :func:`_paired_u2_sums`.  Complex tables and U_2 take one row per
+    DFT row.
     Refuses non-finite values (``ValueError``) and any request whose
     estimated cost rows * p * (2^(d-2) + log2 p), with
     rows = C((p+1)/2 + d - 3, d - 2), exceeds ``work_cap``: each row is
@@ -216,14 +256,19 @@ def gowers_accelerated(
     field = field or prime_field(p)
     k = d - 2
     reps, weights = _orbits(p, k)
+    real = k >= 1 and not values.imag.any()
+    if real:
+        values = values.real
     if k:  # by the parity of |omega|; U_2 (k = 0) reads no shifted rows
         shifted = [_shifts(values), _shifts(np.conj(values))]
     corners = [np.asarray(omega, dtype=np.int64)
                for omega in itertools.product((0, 1), repeat=k)][1:]
     total = 0.0
     # 2^18 values (4 MB of complex128) per chunk: larger chunks run no
-    # faster and only raise peak memory.
+    # faster and only raise peak memory.  Real rows pair up within a chunk.
     chunk = max(1, (1 << 18) // p)
+    if real:
+        chunk += chunk % 2
     for start in range(0, len(reps), chunk):
         h = reps[start : start + chunk]
         rows = values[None, :]  # the omega = 0 corner
@@ -231,9 +276,12 @@ def gowers_accelerated(
             factor = shifted[omega.sum() % 2][(h @ omega) % p]  # fresh, so safe in place
             factor *= rows
             rows = factor
-        hat = field.dft(rows)
-        power = hat.real * hat.real + hat.imag * hat.imag
-        total += float(weights[start : start + chunk] @ (power * power).sum(axis=1))
+        # hat stays bound until the next chunk's replaces it: a block freed
+        # before the next one is allocated goes back to the OS and is faulted
+        # in again (U_3 at p = 2017 and 8009 ran about 30% slower).
+        hat = field.dft(_packed(rows) if real else rows)
+        sums = _paired_u2_sums(hat)[: len(h)] if real else _u2_sums(hat)
+        total += float(weights[start : start + chunk] @ sums)
     return _finalize(total / p**k, _tolerance(p, d))
 
 

@@ -213,6 +213,8 @@ def kloosterman_trace(field: PrimeField) -> TraceTable:
     # S(x,1;p) = sum_y w(y) e(+xy/p) = p * dft(w)[-x mod p]
     hat = field.dft(w)
     values = (p * hat)[(-np.arange(p)) % p] / sqrt_p
+    # y -> -y conjugates S(x,1;p), so it is real: drop the transform's rounding.
+    values.imag = 0.0
     values[0] = -1.0 / sqrt_p
     desc = FamilyDescriptor(
         family="kloosterman",

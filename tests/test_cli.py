@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gowersff import cli, field
+from gowersff import cli, field, harness
 from gowersff.cli import main
 from gowersff.harness import SCAN_COLUMNS
 
@@ -207,6 +207,26 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert text1 == text2
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_agreement_check_through_d4_fits_default_cap(self, capsys, tmp_path):
+        # gowers_recursive's cost at p0 = 101, d = 4 is 101^4 ~ 1.04e8.
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("families = kloosterman\nd_values = 1 2 3 4\nprimes = 101\n"
+                       "baseline_trials = 5\n")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert code == 0
+        assert "RESULT: PASS" in out
+
+    def test_agreement_check_at_d5_refused_before_any_table(self, capsys, tmp_path, monkeypatch):
+        def no_table(spec, p):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("d_values = 1 2 3 4 5\nprimes = 101\n")
+        code, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert "U_5 at p = 101" in err and "work cap" in err
 
     def test_refused_config_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "v.cfg"

@@ -198,9 +198,9 @@ class TestVerify:
             raise AssertionError("a table was built")
 
         monkeypatch.setattr(harness, "make_table", no_table)
-        # p0^(d+1) = 11^3 = 1331 for the recursive check at p0 = 11, d = 2.
-        with pytest.raises(WorkCapExceeded, match=r"U_2 at p = 11.*p\^\(d\+1\).*work cap"):
-            verify(replace(SMALL_CONFIG, work_cap=1000))
+        # p0^d = 11^2 = 121 for the recursive check at p0 = 11, d = 2.
+        with pytest.raises(WorkCapExceeded, match=r"U_2 at p = 11.*p\^d.*work cap"):
+            verify(replace(SMALL_CONFIG, work_cap=100))
 
     def test_summary_mentions_result(self):
         report = verify(SMALL_CONFIG)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -34,6 +35,27 @@ REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.
 # (p, d) pairs the oracle finishes quickly: odd primes with p^(d+1) <= 2e6.
 ORACLE_CASES = [(p, d) for d in (3, 4, 5) for p in range(3, 40)
                 if is_prime(p) and p ** (d + 1) <= 2 * 10**6]
+
+
+def one_row_formula(values: np.ndarray, d: int) -> float:
+    """U_d, d >= 3, with one DFT row per orbit, all rows in one batch.
+
+    This is the kernel's complex-table arithmetic step for step, so a table
+    whose orbit rows fit in one chunk must give the same float.
+    """
+    p, k = len(values), d - 2
+    reps, weights = _orbits(p, k)
+    window = np.arange(p)
+    doubled = np.concatenate([values, values])
+    rows = values[None, :]
+    for omega in list(itertools.product((0, 1), repeat=k))[1:]:
+        factor = doubled[((reps @ np.array(omega)) % p)[:, None] + window]
+        if sum(omega) % 2:
+            factor = np.conj(factor)
+        rows = factor * rows
+    hat = np.fft.fft(rows, axis=-1, norm="forward")
+    power = hat.real * hat.real + hat.imag * hat.imag
+    return float(weights @ (power * power).sum(axis=1)) / p**k
 
 
 class TestXi:
@@ -188,14 +210,40 @@ class TestAccelerated:
 
 
 class TestOrbitKernel:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(ORACLE_CASES), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_oracle(self, case, seed, real):
+        # A real table takes the paired path, a complex one a DFT row per orbit.
+        p, d = case
+        rng = np.random.default_rng(seed)
+        if real:
+            v = rng.uniform(-1, 1, p)
+        else:
+            v = rng.random(p) * np.exp(2j * np.pi * rng.random(p))
+        accelerated = gowers_accelerated(v, d)
+        assert abs(accelerated - gowers_oracle(v, d)) <= 1e-9
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from([(101, 3), (211, 4)]), st.integers(0, 2**32 - 1),
+           st.floats(0.1, 6.2))
+    def test_real_rows_pair_across_chunks(self, case, seed, angle):
+        # (101, 3) has 51 orbit rows, so one is left unpaired; (211, 4) has
+        # 5671, over five chunks, the last one odd.  A unit rotation keeps
+        # U_d (d >= 2) but sends the table through the one-row path.
+        p, d = case
+        v = np.random.default_rng(seed).uniform(-1, 1, p)
+        packed = gowers_accelerated(v, d)
+        assert packed == pytest.approx(gowers_accelerated(np.exp(1j * angle) * v, d), rel=1e-12)
+        if d == 3:
+            assert abs(packed - gowers_recursive(v, d)) <= 1e-9
+
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(ORACLE_CASES), st.integers(0, 2**32 - 1))
-    def test_matches_oracle(self, case, seed):
+    def test_complex_tables_keep_one_row_formula(self, case, seed):
         p, d = case
         rng = np.random.default_rng(seed)
         v = rng.random(p) * np.exp(2j * np.pi * rng.random(p))
-        accelerated = gowers_accelerated(v, d)
-        assert abs(accelerated - gowers_oracle(v, d)) <= 1e-9
+        assert gowers_accelerated(v, d) == one_row_formula(v, d)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -207,7 +255,11 @@ class TestOrbitKernel:
 
     @pytest.mark.parametrize("d, rows", [(2, 1), (3, 51), (4, 1326)])
     def test_one_dft_row_per_orbit(self, monkeypatch, field101, d, rows):
-        values = kloosterman_trace(field101).values
+        # rows is the orbit count.  A complex table (inverse_phase) transforms
+        # one row per orbit; from d = 3 on a real one (Kloosterman) packs two
+        # orbit rows into each complex DFT row (an odd last row has one alone).
+        complex_table = inverse_phase_trace(field101).values
+        real_table = kloosterman_trace(field101).values
         seen = []
         dft = PrimeField.dft
 
@@ -216,8 +268,11 @@ class TestOrbitKernel:
             return dft(self, v)
 
         monkeypatch.setattr(PrimeField, "dft", spy)
-        gowers_accelerated(values, d, field101)
+        gowers_accelerated(complex_table, d, field101)
         assert sum(seen) == rows
+        seen.clear()
+        gowers_accelerated(real_table, d, field101)
+        assert sum(seen) == {1: 1, 51: 26, 1326: 663}[rows]
 
     @pytest.mark.parametrize("d, p", [(3, 1009), (4, 101), (4, 211)])
     def test_matches_benchmark_references(self, d, p):

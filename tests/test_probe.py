@@ -292,10 +292,11 @@ class TestSharedWalk:
             assert report["branch"] == "phase"
             assert report["components"] == []
 
-    @pytest.mark.parametrize("case, rows", [("kloosterman", 152), ("planted", 204)])
+    @pytest.mark.parametrize("case, rows", [("kloosterman", 127), ("planted", 204)])
     def test_rows_transformed(self, field101, monkeypatch, case, rows):
         # One walk of 101 tops, plus the one hit top again when a phase is planted;
-        # U_3 (51 orbit rows) once for the table, once more for a residual.
+        # U_3 once for the table, once more for a residual.  U_3 transforms the
+        # 51 orbit rows of a complex table, and 26 for the real Kloosterman table.
         table = kloosterman_trace(field101) if case == "kloosterman" else _planted(
             field101, (0, 5, 7))
         dft = PrimeField.dft

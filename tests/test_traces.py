@@ -25,6 +25,7 @@ from gowersff import (
     mixed_ask_trace,
     prime_field,
 )
+from gowersff.harness import KLOOSTERMAN_METHOD_TOL
 from conftest import euler_legendre
 
 
@@ -129,10 +130,16 @@ class TestKloosterman:
         for a in range(1, p):
             assert abs(table.values[a] - kloosterman_direct_oracle(a, p) / math.sqrt(p)) <= 1e-10
 
-    @pytest.mark.parametrize("p", [101, 499, 997])
+    @pytest.mark.parametrize("p", [101, 499, 997, 1009, 1000003])
     def test_real_valued(self, p):
-        v = kloosterman_trace(prime_field(p)).values
-        assert np.abs(v.imag).max() <= 1e-9
+        # y -> -y conjugates S(x,1;p); the table keeps no rounding in Im.
+        assert not kloosterman_trace(prime_field(p)).values.imag.any()
+
+    @pytest.mark.parametrize("p", [101, 1009])
+    def test_real_table_matches_direct_sum(self, p):
+        field = prime_field(p)
+        delta = np.abs(kloosterman_trace(field).values - kloosterman_direct(field)).max()
+        assert delta <= KLOOSTERMAN_METHOD_TOL
 
     @pytest.mark.parametrize("p", [101, 499, 997])
     def test_weil_bound(self, p):
