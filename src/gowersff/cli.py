@@ -72,7 +72,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_norm(args) -> int:
     spec = parse_family(args.family, args.family_args)
-    table = make_table(spec, args.p)
+    table = make_table(spec, args.p, args.work_cap)
     record = _make_record(spec, table, args.d, args.work_cap)
     _emit_records([record], args.format, args.output)
     return 0

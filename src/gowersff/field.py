@@ -181,12 +181,14 @@ class PrimeField:
             raise ValueError(f"vector length {v.shape[-1]} != p = {self.p}")
         return v
 
-    def dft(self, v: np.ndarray) -> np.ndarray:
+    def dft(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Normalized DFT along the last axis: (1/p) sum_x v[x] e(-xt/p).
 
         O(p log p) for any p; accepts batched input of shape (..., p).
+        ``out``, a complex128 array of the same shape, receives the
+        transform and is returned; by default a new array is.
         """
-        return np.fft.fft(self._vectors(v), axis=-1, norm="forward")
+        return np.fft.fft(self._vectors(v), axis=-1, norm="forward", out=out)
 
     def idft(self, v: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`dft`: sum_t v[t] e(+xt/p) (normalization p)."""

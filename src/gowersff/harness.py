@@ -87,10 +87,10 @@ def _check_p_above_d(p: int, d: int) -> None:
         raise ValueError(f"p = {p} violates the precondition p > d = {d}")
 
 
-def _check_table_cost(p: int) -> None:
+def _check_table_cost(p: int, work_cap: int) -> None:
     """Refuse, before any field is built, a table costing p * log2 p over the cap."""
     est = p * math.log2(p) if p > 1 else 0.0
-    _refuse_over_cap(f"table at p = {p}", "p * log2 p", est, DEFAULT_WORK_CAP)
+    _refuse_over_cap(f"table at p = {p}", "p * log2 p", est, work_cap)
 
 
 def _power(base: float, exponent: int) -> float:
@@ -193,13 +193,13 @@ def parse_family(spec: str, args: str | None = None) -> FamilySpec:
     raise ValueError(f"unknown family {name!r}")
 
 
-def make_table(spec: FamilySpec, p: int) -> TraceTable:
+def make_table(spec: FamilySpec, p: int, work_cap: int = DEFAULT_WORK_CAP) -> TraceTable:
     """Generate the trace table of a parsed family at the prime p.
 
     Refuses, before the field is built, when the table's cost p * log2 p
-    exceeds the default work cap.
+    exceeds ``work_cap`` (the caller's, so ``--work-cap`` moves it too).
     """
-    _check_table_cost(p)
+    _check_table_cost(p, work_cap)
     field = prime_field(p)
     if spec.name == "legendre_poly":
         return legendre_poly_trace(spec.coeffs, field)
@@ -301,7 +301,7 @@ def scan_primes(
     for p in primes:
         try:
             p = int(p)
-            records.append(_make_record(spec, make_table(spec, p), d, work_cap))
+            records.append(_make_record(spec, make_table(spec, p, work_cap), d, work_cap))
         except Exception as exc:  # per-item error record, scan continues
             errors.append({"p": p, "family": spec.name, "d": d, "error": str(exc)})
     return records, errors
@@ -318,7 +318,7 @@ def random_baseline(p: int, d: int, trials: int, seed: int) -> BaselineRecord:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_p_above_d(p, d)
-    _check_table_cost(p)
+    _check_table_cost(p, DEFAULT_WORK_CAP)
     field = prime_field(p)
     rng = np.random.Generator(np.random.PCG64(seed))
     totals = np.empty(trials)
@@ -431,7 +431,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     for spec, fam in zip(specs, config.families):
         for p in config.primes:
             try:
-                tables[(fam, p)] = make_table(spec, p)
+                tables[(fam, p)] = make_table(spec, p, config.work_cap)
             except Exception as exc:
                 errors.append({"p": p, "family": spec.name, "error": str(exc)})
 

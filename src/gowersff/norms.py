@@ -19,12 +19,27 @@ where C is complex conjugation.  The routes are:
   k >= 1 the rows are real, and two of them share one complex DFT, of
   r + i s, whose spectrum splits into the spectra of r and s: half the
   rows are transformed.  Its one cost policy is the work cap on
-  rows * p * (2^k + log2 p).
+  rows * p * 2^k + dft_rows * p * log2 p.
 * ``gowers_oracle``      -- test oracle: the unrolled cube sum above, the
   ground truth; cost p^(d+1), refused beyond a work cap.
 * ``gowers_recursive``   -- test oracle: the inductive definition
   U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
   xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost about p^d, uncapped.
+
+The orbit kernel and the probe's walk of its candidates (``probe._peaks``)
+run their chunks of rows through one runner, :func:`_in_chunks`.  numpy's
+FFT releases the GIL, so with two usable cores the chunks are dealt in
+turn to the calling thread and one helper thread.  Each worker's chunk is
+2^17 values, so at most 2^18 values are in flight, and each worker
+allocates its buffers once and reuses them for every chunk: the kernel
+gathers and multiplies a chunk's rows in them, the DFT overwrites the
+rows with their spectra, and the U_2 sums are taken in place.  A large
+array freed per chunk would go back to the OS and be faulted in again.
+Partial sums are kept by chunk index and added in chunk order: U_d does
+not depend on the number of workers or on thread timing.  A call with
+one chunk runs on the calling thread alone and allocates only what that
+chunk needs (U_2 at p ~ 10^6 transforms ``values[None, :]`` itself,
+with no copy).
 
 NaN or infinite values are refused.  Values are real up to rounding; the
 routes check the imaginary part where one exists (relative to the real
@@ -35,6 +50,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -64,6 +81,21 @@ _TOL_TIGHT = 1e-9
 _TOL_RELAXED = 1e-8
 
 
+#: Values per chunk of rows.  Each worker holds one chunk's rows and
+#: spectra: larger chunks run no faster and only raise peak memory.
+_CHUNK_VALUES = 1 << 17
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: The calling thread and at most one helper.
+_WORKERS = min(_usable_cores(), 2)
+
+
 class WorkCapExceeded(RuntimeError):
     """A requested computation exceeds the configured work cap."""
 
@@ -86,6 +118,50 @@ def _refuse_over_cap(what: str, formula: str, est: float, cap: int) -> None:
         raise WorkCapExceeded(
             f"{what}: estimated cost {formula} = {est:.3g} exceeds work cap {cap}"
         )
+
+
+def _in_chunks(n_chunks: int, work, buffers) -> list:
+    """[work(i, *bufs) for i in range(n_chunks)], the chunks shared between workers.
+
+    Chunk i goes to worker i % workers, with at most ``_WORKERS`` workers:
+    the calling thread is worker 0 and the others are helper threads (one,
+    when two cores are usable).  The calling thread makes each worker's
+    arrays with ``buffers()`` before any helper starts, so they come from
+    its own heap and are returned with it, and a worker passes the same
+    arrays to every chunk it runs.  Results are stored by chunk index, so
+    whatever the caller reduces them to does not depend on thread timing.
+    A single chunk runs as ``work(0)`` on the calling thread, with no
+    helper and no buffers kept: work allocates what that one chunk needs.
+    An exception in any worker stops the others after their current chunk
+    and is raised here.
+    """
+    if n_chunks <= 1:
+        return [work(i) for i in range(n_chunks)]
+    workers = min(_WORKERS, n_chunks)
+    bufs = [buffers() for _ in range(workers)]
+    results: list = [None] * n_chunks
+    failed: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, n_chunks, workers):
+                if failed:
+                    return
+                results[i] = work(i, *bufs[first])
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[0]
+    return results
 
 
 def _finite_values(values) -> np.ndarray:
@@ -191,34 +267,37 @@ def _orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _u2_sums(hat: np.ndarray) -> np.ndarray:
-    """sum_t |hat(t)|^4 for each row of a batch of spectra."""
-    power = hat.real * hat.real + hat.imag * hat.imag
-    return (power * power).sum(axis=1)
+    """sum_t |hat(t)|^4 for each row of a batch of spectra, computed in hat's memory.
+
+    hat's last axis must be contiguous; its values are overwritten.
+    """
+    parts = hat.view(np.float64)  # re, im interleaved
+    np.square(parts, out=parts)
+    power = parts[:, 0::2]
+    np.add(power, parts[:, 1::2], out=power)
+    np.square(power, out=power)
+    return power.sum(axis=1)
 
 
-def _packed(rows: np.ndarray) -> np.ndarray:
-    """Real rows r_0, r_1, ... as complex rows r_0 + i r_1, ...; an odd last row has 0 for Im."""
-    n, p = rows.shape
-    packed = np.empty(((n + 1) // 2, p), dtype=np.complex128)
-    packed.real = rows[0::2]
-    packed.imag[: n // 2] = rows[1::2]
-    packed.imag[n // 2 :] = 0.0
-    return packed
-
-
-def _paired_u2_sums(hat: np.ndarray) -> np.ndarray:
+def _paired_u2_sums(hat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """U_2 of both real rows behind each spectrum Z of r + i s, interleaved.
 
     2 r_hat(t) = Z(t) + conj Z(-t) and 2i s_hat(t) = Z(t) - conj Z(-t).  A
     real row's spectrum has |r_hat(t)| = |r_hat(-t)|, so
-    U_2(r) = r_hat(0)^4 + 2 sum over 0 < t < p/2 of |r_hat(t)|^4.
+    U_2(r) = r_hat(0)^4 + 2 sum over 0 < t < p/2 of |r_hat(t)|^4.  hat is
+    overwritten; ``scratch`` is complex with hat's rows and at least
+    (p - 1) / 2 columns.
     """
     half = (hat.shape[1] + 1) // 2
     sums = np.empty(2 * len(hat))
-    zt, zm = hat[:, 1:half], hat[:, : half - 1 : -1].conj()  # Z(t), conj Z(p - t)
+    sums[0::2] = hat[:, 0].real ** 4
+    sums[1::2] = hat[:, 0].imag ** 4
+    zt, zm = hat[:, 1:half], hat[:, : half - 1 : -1]  # Z(t), Z(p - t)
+    np.conjugate(zm, out=zm)
+    diff = np.subtract(zt, zm, out=scratch[:, : half - 1])
     # 2 |r_hat(t)|^4 = |Z(t) + conj Z(p - t)|^4 / 8, and likewise for s.
-    sums[0::2] = hat[:, 0].real ** 4 + _u2_sums(zt + zm) / 8
-    sums[1::2] = hat[:, 0].imag ** 4 + _u2_sums(np.subtract(zt, zm, out=zm)) / 8
+    sums[0::2] += _u2_sums(np.add(zt, zm, out=zt)) / 8
+    sums[1::2] += _u2_sums(diff) / 8
     return sums
 
 
@@ -234,15 +313,16 @@ def gowers_accelerated(
     omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h) goes through the
     batched Fourier base, and the orbit weights from :func:`_orbits`
     restore the full average; at d = 2 the one row is phi itself.  When
-    d >= 3 and phi is exactly real, the rows are real: they are built in
-    float64, packed two to a complex DFT row by :func:`_packed` (an odd
-    last row of a chunk has one to itself), and split again by
-    :func:`_paired_u2_sums`.  Complex tables and U_2 take one row per
-    DFT row.
+    d >= 3 and phi is exactly real, the rows are real: rows 2j and 2j + 1
+    are built as the real and imaginary parts of one complex DFT row (an
+    odd last row of a chunk has one to itself) and split again by
+    :func:`_paired_u2_sums`.  Complex tables and U_2 take one row per DFT
+    row.  The chunks of rows run through :func:`_in_chunks`.
     Refuses non-finite values (``ValueError``) and any request whose
-    estimated cost rows * p * (2^(d-2) + log2 p), with
-    rows = C((p+1)/2 + d - 3, d - 2), exceeds ``work_cap``: each row is
-    2^(d-2) corner products and one DFT.
+    estimated cost rows * p * 2^(d-2) + dft_rows * p * log2 p exceeds
+    ``work_cap``: each of the rows = C((p+1)/2 + d - 3, d - 2) rows is
+    2^(d-2) corner products, and each of the dft_rows rows transformed
+    (ceil(rows / 2) for a real table at d >= 3, else rows) one DFT.
     """
     values = _finite_values(values)
     p = len(values)
@@ -250,39 +330,65 @@ def gowers_accelerated(
         raise ValueError("d must be >= 1")
     if d == 1:
         return u1(values)
-    n_orbits = math.comb((p + 1) // 2 + d - 3, d - 2)  # rows transformed, see _orbits
-    est = n_orbits * p * (2 ** (d - 2) + max(1.0, np.log2(p)))
-    _refuse_over_cap(f"U_{d} at p = {p}", "rows * p * (2^(d-2) + log2 p)", est, work_cap)
-    field = field or prime_field(p)
     k = d - 2
-    reps, weights = _orbits(p, k)
     real = k >= 1 and not values.imag.any()
+    n_orbits = math.comb((p + 1) // 2 + k - 1, k)  # rows, see _orbits
+    dft_rows = (n_orbits + 1) // 2 if real else n_orbits
+    est = n_orbits * p * 2**k + dft_rows * p * max(1.0, np.log2(p))
+    _refuse_over_cap(f"U_{d} at p = {p}", "rows * p * 2^(d-2) + dft_rows * p * log2 p",
+                     est, work_cap)
+    field = field or prime_field(p)
+    reps, weights = _orbits(p, k)
     if real:
         values = values.real
-    if k:  # by the parity of |omega|; U_2 (k = 0) reads no shifted rows
-        shifted = [_shifts(values), _shifts(np.conj(values))]
+    if k:  # U_2 (k = 0) reads no shifted rows
+        # By the parity of |omega|: phi or conj phi, doubled so that row s
+        # of a corner's factor is doubled[s : s + p].
+        doubled = [np.concatenate([v, v[:-1]]) for v in (values, np.conj(values))]
+        window = np.arange(p)
     corners = [np.asarray(omega, dtype=np.int64)
                for omega in itertools.product((0, 1), repeat=k)][1:]
-    total = 0.0
-    # 2^18 values (4 MB of complex128) per chunk: larger chunks run no
-    # faster and only raise peak memory.  Real rows pair up within a chunk.
-    chunk = max(1, (1 << 18) // p)
-    if real:
+    chunk = max(1, _CHUNK_VALUES // p)
+    if real:  # real rows pair up within a chunk
         chunk += chunk % 2
-    for start in range(0, len(reps), chunk):
+
+    def buffers(n=chunk):
+        # Gather indices, one corner's factor, the DFT rows (which collect
+        # the corner products and then hold their spectra), and the paired
+        # sums' scratch.
+        m = (n + 1) // 2 if real else n
+        return (np.empty((n, p), np.int64), np.empty((n, p), values.dtype),
+                np.empty((m, p), np.complex128),
+                np.empty((m, p // 2), np.complex128) if real else None)
+
+    def chunk_sum(i, *bufs):
+        start = i * chunk
         h = reps[start : start + chunk]
-        rows = values[None, :]  # the omega = 0 corner
-        for omega in corners:
-            factor = shifted[omega.sum() % 2][(h @ omega) % p]  # fresh, so safe in place
-            factor *= rows
-            rows = factor
-        # hat stays bound until the next chunk's replaces it: a block freed
-        # before the next one is allocated goes back to the OS and is faulted
-        # in again (U_3 at p = 2017 and 8009 ran about 30% slower).
-        hat = field.dft(_packed(rows) if real else rows)
-        sums = _paired_u2_sums(hat)[: len(h)] if real else _u2_sums(hat)
-        total += float(weights[start : start + chunk] @ sums)
-    return _finalize(total / p**k, _tolerance(p, d))
+        n = len(h)
+        if not corners:  # U_2: the one row is phi itself, with weight 1
+            return float(_u2_sums(field.dft(values[None, :]))[0])
+        index, factor, hat, scratch = bufs or buffers(n)
+        index, factor = index[:n], factor[:n]
+        hat = hat[: (n + 1) // 2 if real else n]
+        # Rows 2j and 2j + 1 of a real table are the real and imaginary
+        # parts of DFT row j (an odd last row has 0 for Im); a complex
+        # table's rows are the DFT rows.
+        if real:
+            parts = [(slice(0, None, 2), hat.real), (slice(1, None, 2), hat.imag[: n // 2])]
+            hat.imag[n // 2 :] = 0.0
+        else:
+            parts = [(slice(None), hat)]
+        for j, omega in enumerate(corners):
+            np.add(((h @ omega) % p)[:, None], window, out=index)
+            np.take(doubled[omega.sum() % 2], index, out=factor, mode="clip")
+            for rows, dest in parts:  # the first factor times phi (omega = 0)
+                np.multiply(factor[rows], dest if j else values, out=dest)
+        field.dft(hat, out=hat)
+        sums = _paired_u2_sums(hat, scratch[: len(hat)])[:n] if real else _u2_sums(hat)
+        return float(weights[start : start + chunk] @ sums)
+
+    partial = _in_chunks(-(-len(reps) // chunk), chunk_sum, buffers)
+    return _finalize(sum(partial) / p**k, _tolerance(p, d))
 
 
 def gowers_norm(values: np.ndarray, d: int, field: PrimeField | None = None) -> float:

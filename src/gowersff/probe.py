@@ -12,9 +12,14 @@ cost policy is the default work cap on p^(d-2) * p * (d + log2 p).
 The candidates are walked once: the walk keeps each row's peak
 magnitude and where it occurs.  ``max_phase_correlation`` reduces the
 peaks, and ``scan_obstructions`` transforms again only the rows whose
-peak reaches the threshold.  Inside one ``probe_report`` the scan and
-the dichotomy share the walk (a ``contextvars`` scope, reset on exit),
-and the residual's U_d is the table's own when nothing was removed.
+peak reaches the threshold.  The walk's chunks of 2^17 values run
+through the orbit kernel's runner, :func:`gowersff.norms._in_chunks`:
+with two usable cores a helper thread takes every other chunk, each
+worker twists and transforms its chunks in one reused buffer, and the
+peaks are kept in chunk order, so they do not depend on the workers.
+Inside one ``probe_report`` the scan and the dichotomy share the walk (a
+``contextvars`` scope, reset on exit), and the residual's U_d is the
+table's own when nothing was removed.
 Values must be finite; every entry point refuses NaN and infinities.
 
 ``dichotomy_report`` classifies a family table as "phase" (some
@@ -34,7 +39,14 @@ import numpy as np
 from .field import PrimeField
 from . import polys
 from .harness import DEFAULT_CEILING, _check_positive
-from .norms import DEFAULT_WORK_CAP, _finite_values, _refuse_over_cap, gowers_accelerated
+from .norms import (
+    _CHUNK_VALUES,
+    DEFAULT_WORK_CAP,
+    _finite_values,
+    _in_chunks,
+    _refuse_over_cap,
+    gowers_accelerated,
+)
 from .traces import TraceTable
 
 __all__ = [
@@ -89,9 +101,9 @@ def phase_correlation(values: np.ndarray, coeffs, field: PrimeField) -> complex:
     return complex((values * np.conj(_phase_values(coeffs, field))).mean())
 
 
-def _top_phases(tops: np.ndarray, powers: list[np.ndarray], p: int) -> np.ndarray:
+def _top_phases(tops: np.ndarray, powers: list[np.ndarray], p: int, out=None) -> np.ndarray:
     """a_2 x^2 + ... + a_{d-1} x^(d-1) mod p, one row per top (a_2, ...)."""
-    phase = tops[:, :1] * powers[0]
+    phase = np.multiply(tops[:, :1], powers[0], out=out)
     for j in range(1, len(powers)):
         phase += tops[:, j : j + 1] * powers[j]
     phase %= p
@@ -99,15 +111,18 @@ def _top_phases(tops: np.ndarray, powers: list[np.ndarray], p: int) -> np.ndarra
 
 
 def _correlation_rows(values: np.ndarray, d: int, field: PrimeField, flat=None):
-    """Yield chunks (tops, rows) over the tops (a_2, ..., a_{d-1}).
+    """The walk over the tops (a_2, ..., a_{d-1}) in chunks: (n_chunks, chunk, rows).
 
-    A top is the base-p digits of its flat index, and rows[i, b] is the
-    correlation with P = (0, b, *tops[i]): the DFT of phi(x)
+    A top is the base-p digits of its flat index.  ``rows(i)`` gives chunk
+    i, of at most ``chunk`` tops, as (tops, rows), where rows[j, b] is the
+    correlation with P = (0, b, *tops[j]): the DFT of phi(x)
     e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p).  At d = 2 the one top is ().
-    ``flat`` picks an ascending subset of the p^(d-2) flat indices; the
-    default walks them all.  Refuses, before any allocation, when the
-    estimated cost p^(d-2) * p * (d + log2 p) of the full walk (rows times
-    twist and DFT) exceeds the default work cap.
+    ``rows(i, phases, twisted)`` works in a worker's (chunk, p) int64 and
+    complex buffers: the twisted table, then its DFT over it, go into the
+    second.  ``flat`` picks an ascending subset of the p^(d-2) flat
+    indices; the default walks them all.  Refuses, before any allocation, when the estimated
+    cost p^(d-2) * p * (d + log2 p) of the full walk (rows times twist
+    and DFT) exceeds the default work cap.
     """
     p = field.p
     n_tops = p ** (d - 2)
@@ -119,21 +134,26 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField, flat=None):
     while len(powers) < d - 2:
         powers.append(powers[-1] * x % p)
     place = p ** np.arange(d - 2, dtype=np.int64)
-    # 2^18 values (4 MB of complex128) per chunk, as in the U_d kernel.
-    chunk = max(1, (1 << 18) // p)
-    if flat is None:
-        chunks = (np.arange(s, min(s + chunk, n_tops), dtype=np.int64)
-                  for s in range(0, n_tops, chunk))
-    else:
-        chunks = (flat[s : s + chunk] for s in range(0, len(flat), chunk))
-    for idx in chunks:
+    chunk = max(1, _CHUNK_VALUES // p)
+    n = n_tops if flat is None else len(flat)
+
+    def rows(i, phase_buf=None, twisted_buf=None):
+        s = i * chunk
+        idx = (np.arange(s, min(s + chunk, n), dtype=np.int64) if flat is None
+               else flat[s : s + chunk])
         tops = idx[:, None] // place % p
-        twisted = values[None, :]
-        if d > 2:  # phi(x) e(-top(x)/p); in place, as fresh temporaries cost ~10% here
-            twisted = field.char_table[_top_phases(tops, powers, p)]
-            np.conjugate(twisted, out=twisted)
-            np.multiply(values, twisted, out=twisted)
-        yield tops, field.dft(twisted)
+        if d == 2:
+            return tops, field.dft(values[None, :])
+        if phase_buf is not None:
+            phase_buf, twisted_buf = phase_buf[: len(idx)], twisted_buf[: len(idx)]
+        # phi(x) e(-top(x)/p), then its DFT, all in one array.
+        phases = _top_phases(tops, powers, p, out=phase_buf)
+        twisted = np.take(field.char_table, phases, out=twisted_buf, mode="clip")
+        np.conjugate(twisted, out=twisted)
+        np.multiply(values, twisted, out=twisted)
+        return tops, field.dft(twisted, out=twisted)
+
+    return -(-n // chunk), chunk, rows
 
 
 #: Within one probe_report: d -> (values, field, peaks), so its scan and its
@@ -144,19 +164,27 @@ _shared_peaks: ContextVar[dict | None] = ContextVar("_shared_peaks", default=Non
 def _peaks(values: np.ndarray, d: int, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     """(mag, arg) over the flat tops: max_b |row[b]| and the first b attaining it.
 
-    One walk of the p^(d-1) candidates (d >= 2); inside a probe_report the
-    walk for the same values object, field and d is made once.
+    One walk of the p^(d-1) candidates (d >= 2), its chunks run by
+    :func:`gowersff.norms._in_chunks`; inside a probe_report the walk for
+    the same values object, field and d is made once.
     """
     shared = _shared_peaks.get()
     if shared is not None and d in shared:
         seen, seen_field, peaks = shared[d]
         if seen is values and seen_field is field:
             return peaks
-    mags, args = [], []
-    for _, rows in _correlation_rows(values, d, field):
-        mag = np.abs(rows)
-        mags.append(mag.max(axis=1))
-        args.append(mag.argmax(axis=1))
+    n_chunks, chunk, rows = _correlation_rows(values, d, field)
+
+    def buffers():
+        shape = (chunk, field.p)
+        return np.empty(shape, np.int64), np.empty(shape, np.complex128), np.empty(shape)
+
+    def peak(i, phase_buf=None, twisted_buf=None, mag_buf=None):
+        hat = rows(i, phase_buf, twisted_buf)[1]
+        mag = np.abs(hat, out=None if mag_buf is None else mag_buf[: len(hat)])
+        return mag.max(axis=1), mag.argmax(axis=1)
+
+    mags, args = zip(*_in_chunks(n_chunks, peak, buffers))
     peaks = np.concatenate(mags), np.concatenate(args)
     if shared is not None:
         shared[d] = (values, field, peaks)
@@ -185,7 +213,8 @@ def scan_obstructions(
             found.append(PhaseComponent(coeffs=(0,), beta=beta))
     else:
         hits = np.flatnonzero(_peaks(values, d, field)[0] >= threshold)
-        for tops, rows in _correlation_rows(values, d, field, hits):
+        n_chunks, _, rows_of = _correlation_rows(values, d, field, hits)
+        for tops, rows in map(rows_of, range(n_chunks)):
             tops = tops.tolist()
             for i, b in zip(*np.nonzero(np.abs(rows) >= threshold)):
                 found.append(PhaseComponent(coeffs=(0, int(b), *tops[i]),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gowersff import cli
+from gowersff import cli, norms
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -78,3 +78,19 @@ def test_traced_probe_and_scan_restore_every_binding(spans, capsys):
     for span in ("probe.scan_obstructions_s", "probe.max_phase_correlation_s",
                  "harness.scan_primes_s", "norms.u3_s", "field.dft_s"):
         assert times[span] > 0, span
+
+
+def test_counts_stay_exact_with_two_workers(spans, capsys, monkeypatch):
+    # U_3 at p = 4001 runs 2001 orbit rows in 63 chunks, shared with a
+    # helper thread whose DFTs go through the same wrapped PrimeField.dft:
+    # 1001 packed rows, plus the one row of the Kloosterman table itself.
+    monkeypatch.setattr(norms, "_WORKERS", 2)
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        assert cli.main(["scan", "--family", "kloosterman", "--d", "3",
+                         "--primes", "4001"]) == 0
+    capsys.readouterr()
+    counts = tracer.counts[0]
+    assert counts["field.dft_rows"] == 1002
+    assert counts["field.dft_points"] == 1002 * 4001
+    assert counts["harness.records"] == 1 and counts["harness.errors"] == 0

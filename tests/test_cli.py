@@ -236,7 +236,7 @@ class TestVerifyCommand:
         assert "p > d" in err
 
 
-def _nan_table(spec, p):
+def _nan_table(spec, p, work_cap=None):
     return SimpleNamespace(p=p, values=np.full(p, np.nan, dtype=np.complex128))
 
 
@@ -283,7 +283,7 @@ class TestUsageErrors:
         assert "unknown family" in err
 
     def test_out_of_memory_exits_two(self, capsys, monkeypatch):
-        def too_large(spec, p):
+        def too_large(spec, p, work_cap=None):
             raise MemoryError("Unable to allocate 32.0 GiB for an array")
 
         monkeypatch.setattr(cli, "make_table", too_large)
@@ -292,6 +292,19 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and "Unable to allocate" in err
         assert "Traceback" not in err
+
+    def test_table_cap_follows_the_work_cap(self, capsys):
+        # p log2 p ~ 672 at p = 101; U_1 itself has no cost to refuse.
+        code, out, err = run(capsys, "norm", "--family", "kloosterman", "--p", "101",
+                             "--d", "1", "--work-cap", "500")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "table at p = 101" in err and "500" in err
+        code, out, err = run(capsys, "scan", "--family", "kloosterman", "--primes", "101",
+                             "--d", "1", "--work-cap", "500")
+        assert code == 0
+        assert out.splitlines() == [",".join(SCAN_COLUMNS)]
+        assert err.startswith("error: ") and "table at p = 101" in err
 
     def test_table_work_cap_refused_before_the_field(self, capsys, monkeypatch):
         # p log2 p ~ 6.7e10 is over the default cap; the field must never be built.

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from gowersff import (
     u1,
     xi,
 )
+from gowersff import norms
 from gowersff.norms import _finalize, _orbits
 from conftest import poly_phase, random_unit_vector
 
@@ -203,10 +206,21 @@ class TestAccelerated:
             gowers_accelerated(v, 12, work_cap=10**6)
 
     def test_work_cap_estimate_counts_orbit_rows(self, field101):
-        # 51 rows * 101 * (2 + log2(101)) ~ 4.5e4 fits; p^2 log2 p ~ 6.8e4 would not.
+        # 51 rows * 101 * 2 + 26 DFT rows * 101 * log2(101) ~ 2.8e4 fits;
+        # p^2 log2 p ~ 6.8e4 would not.
         v = kloosterman_trace(field101).values
         u3 = gowers_accelerated(v, 3, field101, work_cap=50_000)
         assert abs(u3 - gowers_recursive(v, 3)) <= 1e-9
+
+    def test_work_cap_estimate_counts_dft_rows_of_real_tables(self):
+        # 5685 rows at p = 11369: a complex table transforms all of them,
+        # 5685 * 11369 * (2 + log2 p) ~ 1.00005e9, over the cap; the real
+        # Kloosterman table packs them into 2843 DFT rows, ~5.6e8.
+        field = prime_field(11369)
+        with pytest.raises(WorkCapExceeded, match="work cap"):
+            gowers_accelerated(inverse_phase_trace(field).values, 3, field)
+        u3 = gowers_accelerated(kloosterman_trace(field).values, 3, field)
+        assert 0 < u3 * 11369 < 6
 
 
 class TestOrbitKernel:
@@ -263,9 +277,9 @@ class TestOrbitKernel:
         seen = []
         dft = PrimeField.dft
 
-        def spy(self, v):
+        def spy(self, v, out=None):
             seen.append(math.prod(np.shape(v)[:-1]))
-            return dft(self, v)
+            return dft(self, v, out)
 
         monkeypatch.setattr(PrimeField, "dft", spy)
         gowers_accelerated(complex_table, d, field101)
@@ -280,6 +294,84 @@ class TestOrbitKernel:
         field = prime_field(p)
         u_d = gowers_accelerated(kloosterman_trace(field).values, d, field)
         assert u_d == pytest.approx(expected, rel=1e-9)
+
+
+class TestChunkRunner:
+    """The orbit kernel's chunks, shared between the calling thread and a helper."""
+
+    @pytest.mark.parametrize("family", [kloosterman_trace, inverse_phase_trace],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("p, d", [(2017, 3), (211, 4)])
+    def test_worker_count_does_not_change_u_d(self, monkeypatch, family, p, d):
+        # Both cases span several chunks of 2^17 values: 1009 rows of 2017
+        # and 5671 rows of 211.
+        field = prime_field(p)
+        values = family(field).values
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(norms, "_WORKERS", workers)
+            results.append(gowers_accelerated(values, d, field))
+        assert results[0] == results[1]
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, field101):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(norms, "_WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        values = kloosterman_trace(field101).values
+        gowers_accelerated(values, 2, field101)  # one row
+        gowers_accelerated(values, 3, field101)  # 51 rows, one chunk
+        field = prime_field(2017)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            gowers_accelerated(kloosterman_trace(field).values, 3, field)
+
+    def test_helper_error_is_raised_by_the_caller(self, monkeypatch):
+        monkeypatch.setattr(norms, "_WORKERS", 2)
+        ran = []
+
+        def work(i, buf):
+            ran.append(i)
+            if i == 1:
+                raise MemoryError("chunk 1")
+            return i
+
+        with pytest.raises(MemoryError, match="chunk 1"):
+            norms._in_chunks(4, work, lambda: (None,))
+        assert 1 in ran and 3 not in ran
+
+    def test_results_keep_chunk_order_under_thread_switching(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond: each
+        # chunk's result lands at its own index, and each worker accumulates
+        # only its own chunks (i, i + 4, ...) in its own buffer.
+        monkeypatch.setattr(norms, "_WORKERS", 4)
+        owners = []
+
+        def buffers():  # all made by the calling thread, before any helper starts
+            owners.append(threading.get_ident())
+            return (np.zeros(1000),)
+
+        def work(i, buf):
+            buf += i
+            return i, float(buf.sum())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = norms._in_chunks(400, work, buffers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert owners == [threading.get_ident()] * 4
+        assert results == [(i, 1000.0 * sum(range(i % 4, i + 1, 4))) for i in range(400)]
+
+    def test_dft_writes_into_out(self):
+        field = prime_field(211)
+        v = np.random.default_rng(3).normal(size=(5, 211)) + 0j
+        buf = np.empty((5, 211), dtype=np.complex128)
+        assert field.dft(v, out=buf) is buf
+        assert np.array_equal(buf, field.dft(v))
+        assert field.dft(buf, out=buf) is buf  # in place, as the workers use it
+        assert np.array_equal(buf, field.dft(field.dft(v)))
 
 
 class TestEngineEquivalence:

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import threading
 
 import numpy as np
 import pytest
 
-from gowersff import probe
+from gowersff import norms, probe
 from gowersff.field import PrimeField
 from gowersff import (
     WorkCapExceeded,
@@ -302,9 +303,9 @@ class TestSharedWalk:
         dft = PrimeField.dft
         seen = []
 
-        def spy(self, v):
+        def spy(self, v, out=None):
             seen.append(np.shape(v)[0] if np.ndim(v) == 2 else 1)
-            return dft(self, v)
+            return dft(self, v, out)
 
         monkeypatch.setattr(PrimeField, "dft", spy)
         probe_report(table, 3, 0.5)
@@ -338,6 +339,37 @@ class TestSharedWalk:
         max_phase_correlation(table.values, 3, field101)
         max_phase_correlation(table.values, 3, field101)
         assert len(walks) == 2
+
+
+class TestChunkedWalk:
+    @pytest.mark.parametrize("p, d", [(1009, 3), (101, 4)])
+    def test_worker_count_does_not_change_the_walk(self, monkeypatch, p, d):
+        # 1009 tops of 1009 values and 10201 tops of 101 values: several
+        # chunks of 2^17 values each.  A planted phase over Kloosterman noise
+        # gives the scan one hit to transform again.
+        field = prime_field(p)
+        coeffs = (0, 5, 7) if d == 3 else (0, 5, 0, 7)
+        values = 0.6 * _planted(field, coeffs).values + 0.1 * kloosterman_trace(field).values
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(norms, "_WORKERS", workers)
+            results.append((max_phase_correlation(values, d, field),
+                            scan_obstructions(values, d, 0.5, field)))
+        assert results[0] == results[1]
+        (corr, argmax), found = results[0]
+        assert argmax == coeffs and [c.coeffs for c in found] == [coeffs]
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, field101):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(norms, "_WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        values = kloosterman_trace(field101).values
+        max_phase_correlation(values, 2, field101)  # one top
+        max_phase_correlation(values, 3, field101)  # 101 tops, one chunk
+        with pytest.raises(AssertionError, match="a thread was started"):
+            max_phase_correlation(values, 4, field101)
 
 
 def _one_nan(field):
