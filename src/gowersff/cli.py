@@ -18,6 +18,7 @@ from .harness import (
     DEFAULT_CEILING,
     VerifyConfig,
     _make_record,
+    _writing,
     emit,
     load_config,
     make_table,
@@ -40,33 +41,19 @@ def _parse_primes(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _emit_records(records, fmt: str, path: str | None) -> None:
-    fh, own = _open_out(path)
-    try:
-        emit(records, fmt, fh)
-    finally:
-        if own:
-            fh.close()
+def _out(args):
+    """Where --output points: stdout for none or "-", else the path."""
+    return sys.stdout if args.output in (None, "-") else args.output
 
 
 def _cmd_gen(args) -> int:
     spec = parse_family(args.family, args.family_args)
     table = make_table(spec, args.p)
-    fh, own = _open_out(args.output)
-    try:
+    with _writing(_out(args)) as fh:
         d = table.descriptor
         fh.write(f"# family={d.label} p={table.p} rank={d.rank} conductor={d.conductor}\n")
         for x, v in enumerate(table.values):
             fh.write(f"{x},{v.real:.17g},{v.imag:.17g}\n")
-    finally:
-        if own:
-            fh.close()
     return 0
 
 
@@ -74,7 +61,7 @@ def _cmd_norm(args) -> int:
     spec = parse_family(args.family, args.family_args)
     table = make_table(spec, args.p, args.work_cap)
     record = _make_record(spec, table, args.d, args.work_cap)
-    _emit_records([record], args.format, args.output)
+    emit([record], args.format, _out(args))
     return 0
 
 
@@ -82,13 +69,9 @@ def _cmd_probe(args) -> int:
     spec = parse_family(args.family, args.family_args)
     table = make_table(spec, args.p)
     report = probe_report(table, args.d, args.threshold, args.ceiling)
-    fh, own = _open_out(args.output)
-    try:
+    with _writing(_out(args)) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    finally:
-        if own:
-            fh.close()
     return 0
 
 
@@ -97,7 +80,7 @@ def _cmd_scan(args) -> int:
     records, errors = scan_primes(spec, args.d, _parse_primes(args.primes), args.work_cap)
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
-    _emit_records(records, args.format, args.output)
+    emit(records, args.format, _out(args))
     return 0
 
 
@@ -120,13 +103,13 @@ def _cmd_verify(args) -> int:
     sys.stdout.write(summary_table(report))
     if args.output:
         records = stable_records(report.records) if config.stable_output else report.records
-        _emit_records(records, args.format, args.output)
+        emit(records, args.format, _out(args))
     return 0 if report.passed else 1
 
 
 def _cmd_baseline(args) -> int:
     record = random_baseline(args.p, args.d, args.trials, args.seed)
-    _emit_records([record], args.format, args.output)
+    emit([record], args.format, _out(args))
     return 0
 
 

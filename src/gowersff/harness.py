@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,6 +106,10 @@ def generic_bound_constant(conductor: int, d: int) -> float:
     return _power(5 * conductor, (d + 1) * 2**d)
 
 
+#: Base constants C of the named families (legendre_poly's is 5m+10, a generic one's 5c).
+_BOUND_BASES = {"inverse_phase": 15, "kloosterman": 20, "legendre_curve": 25}
+
+
 def bound_constant(family: str, d: int, m: int | None = None,
                    conductor: int | None = None) -> float:
     """The proven bound constant for a named family (or generic conductor).
@@ -112,17 +117,12 @@ def bound_constant(family: str, d: int, m: int | None = None,
     Overflow yields +inf: the bound is then trivially satisfied and
     should be reported as vacuous.
     """
-    exponent = (d + 1) * 2**d
     if family == "legendre_poly":
         if m is None:
             raise ValueError("legendre_poly bound needs the degree m")
-        return _power(5 * m + 10, exponent)
-    if family == "inverse_phase":
-        return _power(15, exponent)
-    if family == "kloosterman":
-        return _power(20, exponent)
-    if family == "legendre_curve":
-        return _power(25, exponent)
+        return _power(5 * m + 10, (d + 1) * 2**d)
+    if family in _BOUND_BASES:
+        return _power(_BOUND_BASES[family], (d + 1) * 2**d)
     if conductor is not None:
         return generic_bound_constant(conductor, d)
     raise ValueError(f"no bound constant for family {family!r} without a conductor")
@@ -216,14 +216,6 @@ def make_table(spec: FamilySpec, p: int, work_cap: int = DEFAULT_WORK_CAP) -> Tr
     raise ValueError(f"unknown family {spec.name!r}")
 
 
-def _spec_bound_constant(spec: FamilySpec, table: TraceTable, d: int) -> float:
-    if spec.name == "legendre_poly":
-        return bound_constant(spec.name, d, m=len(spec.coeffs) - 1)
-    if spec.name in ("inverse_phase", "kloosterman", "legendre_curve"):
-        return bound_constant(spec.name, d)
-    return generic_bound_constant(table.descriptor.conductor, d)
-
-
 # -- records -----------------------------------------------------------------
 
 SCAN_COLUMNS = (
@@ -269,7 +261,8 @@ class BaselineRecord:
 def _make_record(spec: FamilySpec, table: TraceTable, d: int, work_cap: int) -> ScanRecord:
     _check_p_above_d(table.p, d)
     result = evaluate(table, d, work_cap)
-    constant = _spec_bound_constant(spec, table, d)
+    constant = bound_constant(spec.name, d, m=len(spec.coeffs) - 1,
+                              conductor=table.descriptor.conductor)
     bound = constant / table.p
     return ScanRecord(
         p=table.p,
@@ -462,6 +455,13 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
 
     # The production routes against their oracles at the smallest prime.
     agreements: list[dict] = []
+
+    def agree(check: str, delta: float, tol: float, failure: str, **where) -> None:
+        ok = delta <= tol  # a NaN delta fails
+        agreements.append({"check": check, **where, "p": p0, "delta": delta, "ok": ok})
+        if not ok:
+            failures.append(failure)
+
     field0 = prime_field(p0)
     for spec, fam in zip(specs, config.families):
         table = tables.get((fam, p0))
@@ -469,34 +469,18 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
             continue
         for d in config.d_values:
             primary = gowers_accelerated(table.values, d, field0, work_cap=config.work_cap)
-            reference = gowers_recursive(table.values, d)
-            delta = abs(primary - reference)
-            ok = delta <= ENGINE_AGREEMENT_TOL
-            agreements.append({
-                "check": "engine", "family": table.descriptor.label, "d": d,
-                "p": p0, "delta": delta, "ok": ok,
-            })
-            if not ok:
-                failures.append(
-                    f"engine disagreement: {fam} d={d} p={p0}: |accel-rec|={delta:.3g}"
-                )
-    direct = kloosterman_direct(field0)
-    transform = kloosterman_trace(field0).values
-    delta = float(np.abs(direct - transform).max())
-    ok = delta <= KLOOSTERMAN_METHOD_TOL
-    agreements.append({"check": "kloosterman_methods", "p": p0, "delta": delta, "ok": ok})
-    if not ok:
-        failures.append(f"kloosterman direct vs transform: {delta:.3g}")
+            delta = abs(primary - gowers_recursive(table.values, d))
+            agree("engine", delta, ENGINE_AGREEMENT_TOL,
+                  f"engine disagreement: {fam} d={d} p={p0}: |accel-rec|={delta:.3g}",
+                  family=table.descriptor.label, d=d)
+    delta = float(np.abs(kloosterman_direct(field0) - kloosterman_trace(field0).values).max())
+    agree("kloosterman_methods", delta, KLOOSTERMAN_METHOD_TOL,
+          f"kloosterman direct vs transform: {delta:.3g}")
     if p0 >= 5:
         counted = legendre_curve_point_count(field0)
-        transform = legendre_curve_integers(field0)
-        ok = bool(np.array_equal(counted, transform))
-        agreements.append({
-            "check": "legendre_curve_methods", "p": p0,
-            "delta": 0.0 if ok else float(np.abs(counted - transform).max()), "ok": ok,
-        })
-        if not ok:
-            failures.append("legendre_curve point_count vs transform differ")
+        delta = float(np.abs(counted - legendre_curve_integers(field0)).max())
+        agree("legendre_curve_methods", delta, 0.0,
+              "legendre_curve point_count vs transform differ")
 
     baseline = random_baseline(
         config.baseline_p, config.baseline_d, config.baseline_trials, config.seed
@@ -569,12 +553,20 @@ def _record_fields(record) -> tuple:
     raise TypeError(f"cannot emit {type(record).__name__}")
 
 
+@contextmanager
+def _writing(target):
+    """A file object as given, or the path ``target`` opened for writing and closed on exit."""
+    if not isinstance(target, (str, bytes)):
+        yield target
+        return
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
 def emit(records, fmt: str, path_or_file) -> None:
     """Write records as CSV (exact column set, 17-significant-digit
     floats) or JSON (same field names, native types)."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", encoding="utf-8", newline="") if own else path_or_file
-    try:
+    with _writing(path_or_file) as fh:
         records = list(records)
         if fmt == "csv":
             columns = _record_fields(records[0]) if records else SCAN_COLUMNS
@@ -590,9 +582,6 @@ def emit(records, fmt: str, path_or_file) -> None:
             fh.write("\n")
         else:
             raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")
-    finally:
-        if own:
-            fh.close()
 
 
 def stable_records(records) -> list:

@@ -26,7 +26,7 @@ where C is complex conjugation.  The routes are:
   U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
   xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost about p^d, uncapped.
 
-The orbit kernel and the probe's walk of its candidates (``probe._peaks``)
+The orbit kernel and the probe's walk of its candidates (``probe._walk``)
 run their chunks of rows through one runner, :func:`_in_chunks`.  numpy's
 FFT releases the GIL, so with two usable cores the chunks are dealt in
 turn to the calling thread and one helper thread.  Each worker's chunk is
@@ -164,9 +164,11 @@ def _in_chunks(n_chunks: int, work, buffers) -> list:
     return results
 
 
-def _finite_values(values) -> np.ndarray:
-    """values as complex128; NaN or infinite entries are refused."""
+def _finite_values(values, p: int | None = None) -> np.ndarray:
+    """values as complex128; NaN or infinite entries, or a shape other than (p,), are refused."""
     values = np.asarray(values, dtype=np.complex128)
+    if p is not None and values.shape != (p,):
+        raise ValueError(f"values must have shape (p,) = ({p},), got {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     return values
@@ -324,7 +326,7 @@ def gowers_accelerated(
     2^(d-2) corner products, and each of the dft_rows rows transformed
     (ceil(rows / 2) for a real table at d >= 3, else rows) one DFT.
     """
-    values = _finite_values(values)
+    values = _finite_values(values, None if field is None else field.p)
     p = len(values)
     if d < 1:
         raise ValueError("d must be >= 1")

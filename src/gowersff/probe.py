@@ -10,13 +10,13 @@ splits phi = t1 + t2 with t2 the detected phase part.  The scan's one
 cost policy is the default work cap on p^(d-2) * p * (d + log2 p).
 
 The candidates are walked once: the walk keeps each row's peak
-magnitude and where it occurs.  ``max_phase_correlation`` reduces the
-peaks, and ``scan_obstructions`` transforms again only the rows whose
-peak reaches the threshold.  The walk's chunks of 2^17 values run
-through the orbit kernel's runner, :func:`gowersff.norms._in_chunks`:
+magnitude and where it occurs, and every entry reaching the scan's
+threshold.  ``max_phase_correlation`` reduces the peaks, and
+``scan_obstructions`` reads the hits.  The walk's chunks of 2^17 values
+run through the orbit kernel's runner, :func:`gowersff.norms._in_chunks`:
 with two usable cores a helper thread takes every other chunk, each
-worker twists and transforms its chunks in one reused buffer, and the
-peaks are kept in chunk order, so they do not depend on the workers.
+worker twists and transforms its chunks in one reused buffer, and peaks
+and hits are kept in chunk order, so they do not depend on the workers.
 Inside one ``probe_report`` the scan and the dichotomy share the walk (a
 ``contextvars`` scope, reset on exit), and the residual's U_d is the
 table's own when nothing was removed.
@@ -97,32 +97,27 @@ def _phase_values(coeffs, field: PrimeField) -> np.ndarray:
 
 def phase_correlation(values: np.ndarray, coeffs, field: PrimeField) -> complex:
     """(1/p) sum_x phi(x) e(-P(x)/p) for P given by ascending coeffs."""
-    values = _finite_values(values)
+    values = _finite_values(values, field.p)
     return complex((values * np.conj(_phase_values(coeffs, field))).mean())
 
 
-def _top_phases(tops: np.ndarray, powers: list[np.ndarray], p: int, out=None) -> np.ndarray:
-    """a_2 x^2 + ... + a_{d-1} x^(d-1) mod p, one row per top (a_2, ...)."""
-    phase = np.multiply(tops[:, :1], powers[0], out=out)
-    for j in range(1, len(powers)):
-        phase += tops[:, j : j + 1] * powers[j]
-    phase %= p
-    return phase
+def _tops(flat, d: int, p: int) -> np.ndarray:
+    """The tops (a_2, ..., a_{d-1}) at the given flat indices: their base-p digits."""
+    place = p ** np.arange(d - 2, dtype=np.int64)
+    return np.asarray(flat, dtype=np.int64)[..., None] // place % p
 
 
-def _correlation_rows(values: np.ndarray, d: int, field: PrimeField, flat=None):
+def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     """The walk over the tops (a_2, ..., a_{d-1}) in chunks: (n_chunks, chunk, rows).
 
-    A top is the base-p digits of its flat index.  ``rows(i)`` gives chunk
-    i, of at most ``chunk`` tops, as (tops, rows), where rows[j, b] is the
-    correlation with P = (0, b, *tops[j]): the DFT of phi(x)
-    e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p).  At d = 2 the one top is ().
-    ``rows(i, phases, twisted)`` works in a worker's (chunk, p) int64 and
-    complex buffers: the twisted table, then its DFT over it, go into the
-    second.  ``flat`` picks an ascending subset of the p^(d-2) flat
-    indices; the default walks them all.  Refuses, before any allocation, when the estimated
-    cost p^(d-2) * p * (d + log2 p) of the full walk (rows times twist
-    and DFT) exceeds the default work cap.
+    ``rows(i)`` gives the rows of the flat tops i * chunk on, at most
+    ``chunk`` of them: row j at b is the correlation with P = (0, b, *top),
+    the DFT of phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p).  At d = 2
+    the one top is ().  ``rows(i, phases, twisted)`` works in a worker's
+    (chunk, p) int64 and complex buffers: the twisted table, then its DFT
+    over it, go into the second.  Refuses, before any allocation, when the
+    estimated cost p^(d-2) * p * (d + log2 p) of the walk (rows times
+    twist and DFT) exceeds the default work cap.
     """
     p = field.p
     n_tops = p ** (d - 2)
@@ -133,62 +128,66 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField, flat=None):
     powers = [x * x % p]  # x^2, ..., x^(d-1)
     while len(powers) < d - 2:
         powers.append(powers[-1] * x % p)
-    place = p ** np.arange(d - 2, dtype=np.int64)
     chunk = max(1, _CHUNK_VALUES // p)
-    n = n_tops if flat is None else len(flat)
 
     def rows(i, phase_buf=None, twisted_buf=None):
-        s = i * chunk
-        idx = (np.arange(s, min(s + chunk, n), dtype=np.int64) if flat is None
-               else flat[s : s + chunk])
-        tops = idx[:, None] // place % p
         if d == 2:
-            return tops, field.dft(values[None, :])
+            return field.dft(values[None, :])
+        tops = _tops(np.arange(i * chunk, min((i + 1) * chunk, n_tops)), d, p)
         if phase_buf is not None:
-            phase_buf, twisted_buf = phase_buf[: len(idx)], twisted_buf[: len(idx)]
-        # phi(x) e(-top(x)/p), then its DFT, all in one array.
-        phases = _top_phases(tops, powers, p, out=phase_buf)
+            phase_buf, twisted_buf = phase_buf[: len(tops)], twisted_buf[: len(tops)]
+        # a_2 x^2 + ... + a_{d-1} x^(d-1) mod p; phi(x) e(-that/p), then
+        # its DFT, all in one array.
+        phases = np.multiply(tops[:, :1], powers[0], out=phase_buf)
+        for j in range(1, d - 2):
+            phases += tops[:, j : j + 1] * powers[j]
+        phases %= p
         twisted = np.take(field.char_table, phases, out=twisted_buf, mode="clip")
         np.conjugate(twisted, out=twisted)
         np.multiply(values, twisted, out=twisted)
-        return tops, field.dft(twisted, out=twisted)
+        return field.dft(twisted, out=twisted)
 
-    return -(-n // chunk), chunk, rows
-
-
-#: Within one probe_report: d -> (values, field, peaks), so its scan and its
-#: dichotomy share one walk.  None outside a probe, where nothing is kept.
-_shared_peaks: ContextVar[dict | None] = ContextVar("_shared_peaks", default=None)
+    return -(-n_tops // chunk), chunk, rows
 
 
-def _peaks(values: np.ndarray, d: int, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
-    """(mag, arg) over the flat tops: max_b |row[b]| and the first b attaining it.
+#: Within one probe_report: () or its last (values, d, field, threshold, walk),
+#: which its scan and its dichotomy share.  None outside a probe.
+_shared_walk: ContextVar[tuple | None] = ContextVar("_shared_walk", default=None)
 
-    One walk of the p^(d-1) candidates (d >= 2), its chunks run by
-    :func:`gowersff.norms._in_chunks`; inside a probe_report the walk for
-    the same values object, field and d is made once.
+
+def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.inf):
+    """(mag, arg, flat, b, beta): one walk of the p^(d-1) candidates (d >= 2).
+
+    mag and arg run over the flat tops: max_b |row[b]| and the first b
+    attaining it.  (flat, b, beta) are the entries with |beta| >= threshold
+    in flat-top order, then by b, searched for only in the tops whose peak
+    reaches it.  The chunks run through :func:`gowersff.norms._in_chunks`.
+    Inside a probe_report a walk of the same values object, d and field at
+    threshold t serves every call whose threshold is at least t.
     """
-    shared = _shared_peaks.get()
-    if shared is not None and d in shared:
-        seen, seen_field, peaks = shared[d]
-        if seen is values and seen_field is field:
-            return peaks
+    shared = _shared_walk.get()
+    if shared:
+        seen, seen_d, seen_field, seen_t, walk = shared
+        if seen is values and seen_d == d and seen_field is field and seen_t <= threshold:
+            return walk
     n_chunks, chunk, rows = _correlation_rows(values, d, field)
 
     def buffers():
         shape = (chunk, field.p)
         return np.empty(shape, np.int64), np.empty(shape, np.complex128), np.empty(shape)
 
-    def peak(i, phase_buf=None, twisted_buf=None, mag_buf=None):
-        hat = rows(i, phase_buf, twisted_buf)[1]
+    def walk_chunk(i, phase_buf=None, twisted_buf=None, mag_buf=None):
+        hat = rows(i, phase_buf, twisted_buf)
         mag = np.abs(hat, out=None if mag_buf is None else mag_buf[: len(hat)])
-        return mag.max(axis=1), mag.argmax(axis=1)
+        peak = mag.max(axis=1)
+        tops = np.flatnonzero(peak >= threshold)
+        j, b = np.nonzero(mag[tops] >= threshold)
+        return peak, mag.argmax(axis=1), i * chunk + tops[j], b, hat[tops[j], b]
 
-    mags, args = zip(*_in_chunks(n_chunks, peak, buffers))
-    peaks = np.concatenate(mags), np.concatenate(args)
+    walk = tuple(map(np.concatenate, zip(*_in_chunks(n_chunks, walk_chunk, buffers))))
     if shared is not None:
-        shared[d] = (values, field, peaks)
-    return peaks
+        _shared_walk.set((values, d, field, threshold, walk))
+    return walk
 
 
 def scan_obstructions(
@@ -198,10 +197,10 @@ def scan_obstructions(
 
     Sorted by descending magnitude, then lexicographically on the
     ascending coefficient tuple.  d = 1 admits only P = 0; d >= 2 scans
-    p^(d-1) candidates by batched DFTs, under the work cap, and
-    transforms again only the tops whose peak reaches the threshold.
+    p^(d-1) candidates by batched DFTs, under the work cap, in one walk
+    that keeps its hits.
     """
-    values = _finite_values(values)
+    values = _finite_values(values, field.p)
     if d < 1:
         raise ValueError("d must be >= 1")
     _check_positive("threshold", threshold)
@@ -212,13 +211,11 @@ def scan_obstructions(
         if abs(beta) >= threshold:
             found.append(PhaseComponent(coeffs=(0,), beta=beta))
     else:
-        hits = np.flatnonzero(_peaks(values, d, field)[0] >= threshold)
-        n_chunks, _, rows_of = _correlation_rows(values, d, field, hits)
-        for tops, rows in map(rows_of, range(n_chunks)):
-            tops = tops.tolist()
-            for i, b in zip(*np.nonzero(np.abs(rows) >= threshold)):
-                found.append(PhaseComponent(coeffs=(0, int(b), *tops[i]),
-                                            beta=complex(rows[i, b])))
+        *_, flat, b, beta = _walk(values, d, field, threshold)
+        hit = np.abs(beta) >= threshold  # a shared walk may have a lower threshold
+        for top, b_, beta_ in zip(_tops(flat[hit], d, field.p).tolist(), b[hit].tolist(),
+                                  beta[hit].tolist()):
+            found.append(PhaseComponent(coeffs=(0, b_, *top), beta=beta_))
     for comp in found:
         assert comp.magnitude <= peak + 1e-9, "correlation exceeds the sup norm"
     found.sort(key=lambda c: (-c.magnitude, c.coeffs))
@@ -233,15 +230,14 @@ def max_phase_correlation(
     Ties go to the first top (a_2, ..., a_{d-1}) in flat order, then to
     the smallest linear coefficient.
     """
-    values = _finite_values(values)
+    values = _finite_values(values, field.p)
     if d < 1:
         raise ValueError("d must be >= 1")
     if d == 1:
         return abs(complex(values.mean())), (0,)
-    mag, arg = _peaks(values, d, field)
+    mag, arg = _walk(values, d, field)[:2]
     t = int(mag.argmax())
-    top = (t // field.p**j % field.p for j in range(d - 2))
-    return float(mag[t]), (0, int(arg[t]), *top)
+    return float(mag[t]), (0, int(arg[t]), *_tops(t, d, field.p).tolist())
 
 
 def decompose(
@@ -314,12 +310,12 @@ def probe_report(
     _check_positive("threshold", threshold)
     _check_positive("ceiling", ceiling)
     field = table.field
-    token = _shared_peaks.set({})
+    token = _shared_walk.set(())
     try:
         decomp = decompose(table.values, d, threshold, field)
         report = dichotomy_report(table, d, ceiling)
     finally:
-        _shared_peaks.reset(token)
+        _shared_walk.reset(token)
     # With no components t1 is the table itself, whose U_d the report holds.
     residual_u = (gowers_accelerated(decomp.t1, d, field) if decomp.components
                   else report.u_d)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gowersff import cli, field, harness
+from gowersff import cli, field, harness, norms
 from gowersff.cli import main
 from gowersff.harness import SCAN_COLUMNS
 
@@ -35,6 +35,24 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "--p", "11", "--family", "kloosterman")
         assert code == 0
         assert out.startswith("# family=kloosterman p=11 rank=2 conductor=4\n")
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--p", "31", "--family", "kloosterman"),
+        ("norm", "--p", "31", "--family", "kloosterman", "--d", "3", "--format", "json"),
+        ("probe", "--p", "31", "--family", "kloosterman", "--d", "3"),
+    ], ids=["gen", "norm", "probe"])
+    def test_dash_is_stdout_and_a_file_gets_the_same_bytes(self, capsys, tmp_path,
+                                                           monkeypatch, argv):
+        # A frozen clock: norm's elapsed_ms would otherwise differ between runs.
+        monkeypatch.setattr(norms, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        path = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--output", "-")
+        assert (code, err) == (0, "") and out
+        assert run(capsys, *argv) == (0, out, "")
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
 
 
 class TestNorm:

@@ -22,6 +22,7 @@ from gowersff import (
     verify,
 )
 from gowersff import harness
+from gowersff.cli import main
 from gowersff.harness import (
     BASELINE_COLUMNS,
     SCAN_COLUMNS,
@@ -192,6 +193,31 @@ class TestVerify:
         report = verify(SMALL_CONFIG)
         assert not report.passed
         assert "legendre_curve point_count vs transform differ" in report.failures
+
+    @pytest.mark.parametrize("name, perturbed, agreements, fails", [
+        ("gowers_recursive", lambda real: lambda v, d: real(v, d) + 1e-6,
+         ["agreement[engine] p=11 d=1: delta=1e-06 ok=false",
+          "agreement[engine] p=11 d=2: delta=1e-06 ok=false"],
+         ["FAIL: engine disagreement: kloosterman d=1 p=11: |accel-rec|=1e-06",
+          "FAIL: engine disagreement: kloosterman d=2 p=11: |accel-rec|=1e-06"]),
+        ("kloosterman_direct", lambda real: lambda field: real(field) + 1e-6,
+         ["agreement[kloosterman_methods] p=11: delta=1e-06 ok=false"],
+         ["FAIL: kloosterman direct vs transform: 1e-06"]),
+        ("legendre_curve_point_count", lambda real: lambda field: real(field) + 1,
+         ["agreement[legendre_curve_methods] p=11: delta=1 ok=false"],
+         ["FAIL: legendre_curve point_count vs transform differ"]),
+    ], ids=["engine", "kloosterman_methods", "legendre_curve_methods"])
+    def test_every_agreement_check_can_fail(self, capsys, tmp_path, monkeypatch,
+                                            name, perturbed, agreements, fails):
+        monkeypatch.setattr(harness, name, perturbed(getattr(harness, name)))
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("families = kloosterman\nd_values = 1 2\nprimes = 11 13\n"
+                       "baseline_p = 11\nbaseline_trials = 5\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.endswith("ok=false")] == agreements
+        assert [ln for ln in lines if ln.startswith("FAIL:")] == fails
+        assert lines[-1] == "RESULT: FAIL"
 
     def test_agreement_check_over_work_cap_refused_before_any_table(self, monkeypatch):
         def no_table(spec, p):

@@ -23,7 +23,7 @@ from gowersff import (
     scan_obstructions,
 )
 from gowersff.traces import MultiplicativeCharacter
-from conftest import poly_phase
+from conftest import poly_phase, random_unit_vector
 
 
 def brute_force_components(values, d, threshold, field):
@@ -293,10 +293,10 @@ class TestSharedWalk:
             assert report["branch"] == "phase"
             assert report["components"] == []
 
-    @pytest.mark.parametrize("case, rows", [("kloosterman", 127), ("planted", 204)])
+    @pytest.mark.parametrize("case, rows", [("kloosterman", 127), ("planted", 203)])
     def test_rows_transformed(self, field101, monkeypatch, case, rows):
-        # One walk of 101 tops, plus the one hit top again when a phase is planted;
-        # U_3 once for the table, once more for a residual.  U_3 transforms the
+        # One walk of 101 tops, which keeps its hits; U_3 once for the table,
+        # once more for the residual when a phase is planted.  U_3 transforms the
         # 51 orbit rows of a complex table, and 26 for the real Kloosterman table.
         table = kloosterman_trace(field101) if case == "kloosterman" else _planted(
             field101, (0, 5, 7))
@@ -359,6 +359,23 @@ class TestChunkedWalk:
         (corr, argmax), found = results[0]
         assert argmax == coeffs and [c.coeffs for c in found] == [coeffs]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hits_across_chunks_match_direct_dfts(self, monkeypatch, workers):
+        # Flat top a_2 + p a_3: 2809 tops of 53 values, two chunks of 2^17 values.
+        p, d, threshold = 53, 4, 0.15
+        F = prime_field(p)
+        v = random_unit_vector(p, np.random.default_rng(53))
+        assert probe._correlation_rows(v, d, F)[0] == 2
+        tops = [(a2, a3) for a3 in range(p) for a2 in range(p)]
+        beta = F.dft_direct([v * np.conj(poly_phase((0, 0, *top), p)) for top in tops])
+        expected = sorted((((0, int(b), *tops[t]), beta[t, b])
+                           for t, b in zip(*np.nonzero(np.abs(beta) >= threshold))),
+                          key=lambda e: (-abs(e[1]), e[0]))
+        monkeypatch.setattr(norms, "_WORKERS", workers)
+        found = scan_obstructions(v, d, threshold, F)
+        assert [c.coeffs for c in found] == [coeffs for coeffs, _ in expected]
+        assert max(abs(c.beta - b) for c, (_, b) in zip(found, expected)) <= 1e-12
+
     def test_one_chunk_starts_no_thread(self, monkeypatch, field101):
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
@@ -390,3 +407,23 @@ def test_non_finite_values_refused(field101, monkeypatch, call):
     monkeypatch.setattr(probe, "_correlation_rows", walked)
     with pytest.raises(ValueError, match="finite"):
         call(_one_nan(field101), field101)
+
+
+@pytest.mark.parametrize("shape", [(100,), (101, 1), (103,)])
+@pytest.mark.parametrize("call", [
+    lambda v, F: phase_correlation(v, (0, 1), F),
+    lambda v, F: scan_obstructions(v, 1, 0.5, F),
+    lambda v, F: scan_obstructions(v, 2, 0.5, F),
+    lambda v, F: scan_obstructions(v, 3, 0.5, F),
+    lambda v, F: max_phase_correlation(v, 3, F),
+    lambda v, F: decompose(v, 3, 0.5, F),
+    lambda v, F: gowers_accelerated(v, 3, F),
+], ids=["phase_correlation", "scan_d1", "scan_d2", "scan_d3", "max_phase_correlation",
+        "decompose", "gowers_accelerated"])
+def test_values_of_another_shape_refused(field101, monkeypatch, call, shape):
+    def walked(*args, **kwargs):
+        raise RuntimeError("walked")
+
+    monkeypatch.setattr(probe, "_correlation_rows", walked)
+    with pytest.raises(ValueError, match=r"values must have shape \(p,\)"):
+        call(np.ones(shape, dtype=np.complex128), field101)
