@@ -8,8 +8,8 @@ not fit in memory).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 
 from .field import is_prime
 from .norms import DEFAULT_WORK_CAP, WorkCapExceeded
@@ -18,6 +18,7 @@ from .harness import (
     DEFAULT_CEILING,
     VerifyConfig,
     _make_record,
+    _write_json,
     _writing,
     emit,
     load_config,
@@ -68,10 +69,7 @@ def _cmd_norm(args) -> int:
 def _cmd_probe(args) -> int:
     spec = parse_family(args.family, args.family_args)
     table = make_table(spec, args.p)
-    report = probe_report(table, args.d, args.threshold, args.ceiling)
-    with _writing(_out(args)) as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(probe_report(table, args.d, args.threshold, args.ceiling), _out(args))
     return 0
 
 
@@ -86,19 +84,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.config) if args.config else VerifyConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.ceiling is not None:
-        overrides["ceiling"] = args.ceiling
-    if args.work_cap is not None:
-        overrides["work_cap"] = args.work_cap
-    if args.stable_output:
-        overrides["stable_output"] = True
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
+    keys = ("seed", "ceiling", "work_cap", "stable_output")  # given on the command line: they win
+    config = replace(config, **{k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     report = verify(config)
     sys.stdout.write(summary_table(report))
     if args.output:
@@ -169,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--ceiling", type=float, default=None)
     v.add_argument("--work-cap", type=int, default=None)
-    v.add_argument("--stable-output", action="store_true",
+    v.add_argument("--stable-output", action="store_true", default=None,
                    help="zero timing columns so repeated runs are byte-identical")
     add_output(v)
     v.set_defaults(func=_cmd_verify)

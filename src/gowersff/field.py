@@ -18,7 +18,8 @@ The DFT convention used throughout is
 so a pure phase e(c*x/p) transforms to the indicator of t = c.  It is
 numpy's FFT, which takes any length, with ``norm="forward"`` (see
 :meth:`PrimeField.dft`); a direct O(p^2) reference transform is kept for
-testing.
+testing.  :meth:`PrimeField.autocorrelation`, the base of U_2, pads its
+FFTs to a power of two instead.
 """
 
 from __future__ import annotations
@@ -193,6 +194,30 @@ class PrimeField:
     def idft(self, v: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`dft`: sum_t v[t] e(+xt/p) (normalization p)."""
         return np.fft.ifft(self._vectors(v), axis=-1, norm="forward")
+
+    def autocorrelation(self, v: np.ndarray) -> np.ndarray:
+        """c(h) = sum_x v[x + h] conj(v[x]) for 0 <= h < p; real for a real v.
+
+        FFTs zero-padded to a power of two n >= 2p - 1, which numpy runs
+        without Bluestein, give the linear lags r(h), |h| < p, and
+        c(h) = r(h) + conj r(p - h): irfft of a real v's power spectrum is
+        r, and rfft of a complex v's is n conj r.  The spectrum is squared
+        in place and freed before the second transform.
+        """
+        p = self.p
+        if np.shape(v) != (p,):
+            raise ValueError(f"vector shape {np.shape(v)} != (p,) = ({p},)")
+        n = 1 << (2 * p - 2).bit_length()
+        real = np.isrealobj(v)
+        parts = (np.fft.rfft(v, n) if real else np.fft.fft(v, n)).view(np.float64)
+        np.square(parts, out=parts)  # re^2, im^2 interleaved
+        power = parts[0::2] + parts[1::2]
+        del parts  # drop the spectrum before the second transform
+        if real:
+            r = np.fft.irfft(power, n)
+            return r[:p] + r[p:0:-1]
+        r = np.fft.rfft(power, norm="forward")
+        return np.conj(r[:p]) + r[p:0:-1]
 
     def dft_direct(self, v: np.ndarray) -> np.ndarray:
         """O(p^2) reference DFT from the character table (testing only)."""

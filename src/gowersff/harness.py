@@ -563,6 +563,13 @@ def _writing(target):
         yield fh
 
 
+def _write_json(obj, target) -> None:
+    """obj as JSON (indent 2, trailing newline) to a path or file object."""
+    with _writing(target) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def emit(records, fmt: str, path_or_file) -> None:
     """Write records as CSV (exact column set, 17-significant-digit
     floats) or JSON (same field names, native types)."""
@@ -575,11 +582,7 @@ def emit(records, fmt: str, path_or_file) -> None:
             for r in records:
                 writer.writerow([_fmt(getattr(r, c)) for c in columns])
         elif fmt == "json":
-            payload = [
-                {c: getattr(r, c) for c in _record_fields(r)} for r in records
-            ]
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            _write_json([{c: getattr(r, c) for c in _record_fields(r)} for r in records], fh)
         else:
             raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")
 

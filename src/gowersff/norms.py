@@ -9,17 +9,17 @@ phi : F_p -> C (the "pnorm"), so every route returns
 where C is complex conjugation.  The routes are:
 
 * ``gowers_accelerated`` -- the production route for every d >= 1: U_1 is
-  |mean|^2, and for d >= 2, U_d = (1/p^k) sum over h in F_p^k of
-  U_2(Delta_h phi), k = d - 2, with the Fourier base
-  U_2 = sum_t |phi_hat(t)|^4.  U_2(Delta_h phi) is unchanged by permuting
-  the h_i and by flipping their signs, so one row is transformed per
-  orbit: C((p+1)/2 + k - 1, k) rows, about p^k / (2^k k!), each the
-  product of 2^k shifted tables and then a prime-length DFT (U_2 itself
-  is k = 0: one row, phi, with weight 1).  When phi is exactly real and
-  k >= 1 the rows are real, and two of them share one complex DFT, of
-  r + i s, whose spectrum splits into the spectra of r and s: half the
-  rows are transformed.  Its one cost policy is the work cap on
-  rows * p * 2^k + dft_rows * p * log2 p.
+  |mean|^2, U_2 is p^-3 sum_h |c(h)|^2 for the cyclic autocorrelation c
+  of phi (:meth:`PrimeField.autocorrelation`, no prime-length DFT), and
+  for d >= 3, U_d = (1/p^k) sum over h in F_p^k of U_2(Delta_h phi),
+  k = d - 2, with the Fourier base U_2 = sum_t |hat(t)|^4.  U_2(Delta_h phi)
+  is unchanged by permuting the h_i and by flipping their signs, so one
+  row is transformed per orbit: C((p+1)/2 + k - 1, k) rows, about
+  p^k / (2^k k!), each the product of 2^k shifted tables and then a
+  prime-length DFT.  When phi is exactly real the rows are real, and two
+  of them share one complex DFT, of r + i s, whose spectrum splits into
+  the spectra of r and s: half the rows are transformed.  Its one cost
+  policy is the work cap on rows * p * 2^k + dft_rows * p * log2 p.
 * ``gowers_oracle``      -- test oracle: the unrolled cube sum above, the
   ground truth; cost p^(d+1), refused beyond a work cap.
 * ``gowers_recursive``   -- test oracle: the inductive definition
@@ -38,8 +38,7 @@ array freed per chunk would go back to the OS and be faulted in again.
 Partial sums are kept by chunk index and added in chunk order: U_d does
 not depend on the number of workers or on thread timing.  A call with
 one chunk runs on the calling thread alone and allocates only what that
-chunk needs (U_2 at p ~ 10^6 transforms ``values[None, :]`` itself,
-with no copy).
+chunk needs.
 
 NaN or infinite values are refused.  Values are real up to rounding; the
 routes check the imaginary part where one exists (relative to the real
@@ -164,13 +163,16 @@ def _in_chunks(n_chunks: int, work, buffers) -> list:
     return results
 
 
-def _finite_values(values, p: int | None = None) -> np.ndarray:
-    """values as complex128; NaN or infinite entries, or a shape other than (p,), are refused."""
+def _finite_values(values, p: int | None = None, d: int = 1) -> np.ndarray:
+    """values as complex128: one-dimensional, of length p if p is given, and finite; d >= 1."""
     values = np.asarray(values, dtype=np.complex128)
-    if p is not None and values.shape != (p,):
-        raise ValueError(f"values must have shape (p,) = ({p},), got {values.shape}")
+    if values.ndim != 1 or p not in (None, len(values)):
+        want = "(p,)" if p is None else f"(p,) = ({p},)"
+        raise ValueError(f"values must have shape {want}, got {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     return values
 
 
@@ -192,10 +194,8 @@ def _shifts(values: np.ndarray) -> np.ndarray:
 
 def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) -> float:
     """Ground-truth U_d by the unrolled cube sum over (x, h_1, ..., h_d)."""
-    values = _finite_values(values)
+    values = _finite_values(values, d=d)
     p = len(values)
-    if d < 1:
-        raise ValueError("d must be >= 1")
     _refuse_over_cap(f"oracle U_{d} at p = {p}", "p^(d+1)", p ** (d + 1), work_cap)
     shifted = _shifts(values)
     corners = list(itertools.product((0, 1), repeat=d))
@@ -225,10 +225,8 @@ def _u1_rows(matrix: np.ndarray) -> np.ndarray:
 
 def gowers_recursive(values: np.ndarray, d: int) -> float:
     """U_d by the inductive definition, recursing on d down to U_1."""
-    values = _finite_values(values)
+    values = _finite_values(values, d=d)
     p = len(values)
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if d == 1:
         return _finalize(u1(values), _tolerance(p, d))
     if d == 2:
@@ -253,9 +251,7 @@ def _orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     2^(nonzero entries) sign choices, so the weights sum to p^k.  At k = 0
     there is one empty representative of weight 1.
     """
-    # itertools copies the pool into a tuple (~25 ms at p ~ 10^6); k = 0 reads none of it.
-    pool = range((p + 1) // 2) if k else ()
-    combos = itertools.combinations_with_replacement(pool, k)
+    combos = itertools.combinations_with_replacement(range((p + 1) // 2), k)
     reps = np.array(list(combos), dtype=np.int64)  # shape (1, 0) at k = 0
     # k!/prod(mult!) = prod over positions of (i+1) / (1-based place in its run).
     weights = np.ones(len(reps))
@@ -309,45 +305,45 @@ def gowers_accelerated(
     field: PrimeField | None = None,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> float:
-    """U_d for any d >= 1; from d = 2 on, one U_2 row per orbit of (h_1..h_{d-2}).
+    """U_d for any d >= 1; from d = 3 on, one U_2 row per orbit of (h_1..h_{d-2}).
 
-    d = 1 is :func:`u1`.  Otherwise each row Delta_h phi(x) = prod over
-    omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h) goes through the
-    batched Fourier base, and the orbit weights from :func:`_orbits`
-    restore the full average; at d = 2 the one row is phi itself.  When
-    d >= 3 and phi is exactly real, the rows are real: rows 2j and 2j + 1
-    are built as the real and imaginary parts of one complex DFT row (an
-    odd last row of a chunk has one to itself) and split again by
-    :func:`_paired_u2_sums`.  Complex tables and U_2 take one row per DFT
-    row.  The chunks of rows run through :func:`_in_chunks`.
-    Refuses non-finite values (``ValueError``) and any request whose
-    estimated cost rows * p * 2^(d-2) + dft_rows * p * log2 p exceeds
-    ``work_cap``: each of the rows = C((p+1)/2 + d - 3, d - 2) rows is
-    2^(d-2) corner products, and each of the dft_rows rows transformed
-    (ceil(rows / 2) for a real table at d >= 3, else rows) one DFT.
+    d = 1 is :func:`u1`, and d = 2 is p^-3 sum_h |c(h)|^2 for c the
+    :meth:`PrimeField.autocorrelation` of phi.  From d = 3 on each row
+    Delta_h phi(x) = prod over omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h)
+    goes through the batched Fourier base, and the orbit weights from
+    :func:`_orbits` restore the full average.  When phi is exactly real,
+    the rows are real: rows 2j and 2j + 1 are built as the real and
+    imaginary parts of one complex DFT row (an odd last row of a chunk has
+    one to itself) and split again by :func:`_paired_u2_sums`.  The chunks
+    of rows run through :func:`_in_chunks`.  Refuses non-finite values
+    (``ValueError``) and any request whose estimated cost
+    rows * p * 2^(d-2) + dft_rows * p * log2 p exceeds ``work_cap``: each
+    of the rows = C((p+1)/2 + d - 3, d - 2) rows is 2^(d-2) corner
+    products, and each of the dft_rows = ceil(rows / 2) rows of a real
+    table (rows of a complex one) one DFT.
     """
-    values = _finite_values(values, None if field is None else field.p)
+    values = _finite_values(values, None if field is None else field.p, d)
     p = len(values)
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if d == 1:
         return u1(values)
     k = d - 2
-    real = k >= 1 and not values.imag.any()
+    real = not values.imag.any()
     n_orbits = math.comb((p + 1) // 2 + k - 1, k)  # rows, see _orbits
     dft_rows = (n_orbits + 1) // 2 if real else n_orbits
     est = n_orbits * p * 2**k + dft_rows * p * max(1.0, np.log2(p))
     _refuse_over_cap(f"U_{d} at p = {p}", "rows * p * 2^(d-2) + dft_rows * p * log2 p",
                      est, work_cap)
     field = field or prime_field(p)
-    reps, weights = _orbits(p, k)
     if real:
         values = values.real
-    if k:  # U_2 (k = 0) reads no shifted rows
-        # By the parity of |omega|: phi or conj phi, doubled so that row s
-        # of a corner's factor is doubled[s : s + p].
-        doubled = [np.concatenate([v, v[:-1]]) for v in (values, np.conj(values))]
-        window = np.arange(p)
+    if not k:
+        c = field.autocorrelation(values)
+        return _finalize(float(np.vdot(c, c).real) / p**3, _tolerance(p, d))
+    reps, weights = _orbits(p, k)
+    # By the parity of |omega|: phi or conj phi, doubled so that row s of a
+    # corner's factor is doubled[s : s + p].
+    doubled = [np.concatenate([v, v[:-1]]) for v in (values, np.conj(values))]
+    window = np.arange(p)
     corners = [np.asarray(omega, dtype=np.int64)
                for omega in itertools.product((0, 1), repeat=k)][1:]
     chunk = max(1, _CHUNK_VALUES // p)
@@ -367,8 +363,6 @@ def gowers_accelerated(
         start = i * chunk
         h = reps[start : start + chunk]
         n = len(h)
-        if not corners:  # U_2: the one row is phi itself, with weight 1
-            return float(_u2_sums(field.dft(values[None, :]))[0])
         index, factor, hat, scratch = bufs or buffers(n)
         index, factor = index[:n], factor[:n]
         hat = hat[: (n + 1) // 2 if real else n]

@@ -200,9 +200,7 @@ def scan_obstructions(
     p^(d-1) candidates by batched DFTs, under the work cap, in one walk
     that keeps its hits.
     """
-    values = _finite_values(values, field.p)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    values = _finite_values(values, field.p, d)
     _check_positive("threshold", threshold)
     peak = float(np.abs(values).max())
     found: list[PhaseComponent] = []
@@ -230,9 +228,7 @@ def max_phase_correlation(
     Ties go to the first top (a_2, ..., a_{d-1}) in flat order, then to
     the smallest linear coefficient.
     """
-    values = _finite_values(values, field.p)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    values = _finite_values(values, field.p, d)
     if d == 1:
         return abs(complex(values.mean())), (0,)
     mag, arg = _walk(values, d, field)[:2]

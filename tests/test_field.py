@@ -187,6 +187,31 @@ class TestDft:
             assert np.abs(batched[i] - field101.dft(m[i])).max() <= 1e-12
 
 
+class TestAutocorrelation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from([p for p in ODD_PRIMES_TO_400 if p <= 211]),
+        real=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(p=3, real=True, seed=0)
+    @example(p=3, real=False, seed=0)
+    def test_matches_cyclic_sum(self, p, real, seed):
+        """c(h) = sum_x v[x + h] conj v[x], summed over np.roll, real for a real v."""
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=p) if real else rng.normal(size=p) + 1j * rng.normal(size=p)
+        c = prime_field(p).autocorrelation(v)
+        direct = np.array([np.sum(np.roll(v, -h) * np.conj(v)) for h in range(p)])
+        assert c.shape == (p,)
+        assert np.isrealobj(c) == real
+        assert np.abs(c - direct).max() <= 1e-12 * np.sum(np.abs(v) ** 2)
+
+    @pytest.mark.parametrize("shape", [(100,), (101, 1), (1, 101)], ids=["100", "101x1", "1x101"])
+    def test_shape_mismatch_rejected(self, field101, shape):
+        with pytest.raises(ValueError, match="shape"):
+            field101.autocorrelation(np.ones(shape))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=996))
 def test_mod_inverse_roundtrip_property(a):

@@ -267,11 +267,12 @@ class TestOrbitKernel:
         assert weights.sum() == p**k
         assert len(reps) == math.comb((p + 1) // 2 + k - 1, k)
 
-    @pytest.mark.parametrize("d, rows", [(2, 1), (3, 51), (4, 1326)])
+    @pytest.mark.parametrize("d, rows", [(2, 0), (3, 51), (4, 1326)])
     def test_one_dft_row_per_orbit(self, monkeypatch, field101, d, rows):
         # rows is the orbit count.  A complex table (inverse_phase) transforms
-        # one row per orbit; from d = 3 on a real one (Kloosterman) packs two
-        # orbit rows into each complex DFT row (an odd last row has one alone).
+        # one row per orbit; a real one (Kloosterman) packs two orbit rows
+        # into each complex DFT row (an odd last row has one alone).  U_2
+        # transforms no prime-length row: it takes the autocorrelation.
         complex_table = inverse_phase_trace(field101).values
         real_table = kloosterman_trace(field101).values
         seen = []
@@ -286,13 +287,18 @@ class TestOrbitKernel:
         assert sum(seen) == rows
         seen.clear()
         gowers_accelerated(real_table, d, field101)
-        assert sum(seen) == {1: 1, 51: 26, 1326: 663}[rows]
+        assert sum(seen) == {0: 0, 51: 26, 1326: 663}[rows]
 
-    @pytest.mark.parametrize("d, p", [(3, 1009), (4, 101), (4, 211)])
-    def test_matches_benchmark_references(self, d, p):
-        expected = json.loads(REFERENCES.read_text())["u_d"][f"kloosterman|{d}|{p}"]
+    @pytest.mark.parametrize("family, d, p", [
+        (kloosterman_trace, 3, 1009), (kloosterman_trace, 4, 101), (kloosterman_trace, 4, 211),
+        # U_2 at p ~ 10^6: a real table (rfft) and a complex one (fft).
+        (kloosterman_trace, 2, 1000003), (inverse_phase_trace, 2, 1000003),
+    ], ids=["3-1009", "4-101", "4-211", "kloosterman-2-1000003", "inverse_phase-2-1000003"])
+    def test_matches_benchmark_references(self, family, d, p):
+        name = family.__name__.removesuffix("_trace")
+        expected = json.loads(REFERENCES.read_text())["u_d"][f"{name}|{d}|{p}"]
         field = prime_field(p)
-        u_d = gowers_accelerated(kloosterman_trace(field).values, d, field)
+        u_d = gowers_accelerated(family(field).values, d, field)
         assert u_d == pytest.approx(expected, rel=1e-9)
 
 
@@ -491,6 +497,15 @@ class TestEvaluate:
             v[3] = bad
             with pytest.raises(ValueError, match="finite"):
                 route(v, 2)
+
+    @pytest.mark.parametrize("route", [gowers_oracle, gowers_recursive, gowers_accelerated],
+                             ids=["oracle", "recursive", "accelerated"])
+    @pytest.mark.parametrize("shape", [(7, 7), (7, 1)], ids=["7x7", "7x1"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_values_of_another_shape_rejected(self, route, shape, d):
+        # No field gives p, yet a table must still be one-dimensional.
+        with pytest.raises(ValueError, match="shape"):
+            route(np.ones(shape), d)
 
     def test_accelerated_request_at_d1_uses_mean_formula(self, field101):
         ones = FamilyDescriptor(family="const", label="const", rank=1, swan={})
