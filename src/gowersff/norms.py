@@ -10,13 +10,17 @@ where C is complex conjugation.  The routes are:
 
 * ``gowers_accelerated`` -- the production route for every d >= 1: U_1 is
   |mean|^2, U_2 is p^-3 sum_h |c(h)|^2 for the cyclic autocorrelation c
-  of phi (:meth:`PrimeField.autocorrelation`, no prime-length DFT), and
+  of phi (:meth:`PrimeField.correlation`, no prime-length DFT), and
   for d >= 3, U_d = (1/p^k) sum over h in F_p^k of U_2(Delta_h phi),
   k = d - 2, with the Fourier base U_2 = sum_t |hat(t)|^4.  U_2(Delta_h phi)
   is unchanged by permuting the h_i and by flipping their signs, so one
   row is transformed per orbit: C((p+1)/2 + k - 1, k) rows, about
   p^k / (2^k k!), each the product of 2^k shifted tables and then a
-  prime-length DFT.  When phi is exactly real the rows are real, and two
+  prime-length DFT: numpy's FFT, or Rader's algorithm where p - 1 is
+  13-smooth (:meth:`PrimeField._transform`).  Rows are laid out in the
+  field plan's order, [0, g^0, g^-1, ...] on Rader's route, and their
+  spectra are never put back in natural order: the U_2 sums do not depend
+  on the order of t.  When phi is exactly real the rows are real, and two
   of them share one complex DFT, of r + i s, whose spectrum splits into
   the spectra of r and s: half the rows are transformed.  Its one cost
   policy is the work cap on rows * p * 2^k + dft_rows * p * log2 p.
@@ -277,12 +281,14 @@ def _u2_sums(hat: np.ndarray) -> np.ndarray:
     return power.sum(axis=1)
 
 
-def _paired_u2_sums(hat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _paired_u2_sums(hat: np.ndarray, scratch: np.ndarray, partners: slice) -> np.ndarray:
     """U_2 of both real rows behind each spectrum Z of r + i s, interleaved.
 
     2 r_hat(t) = Z(t) + conj Z(-t) and 2i s_hat(t) = Z(t) - conj Z(-t).  A
     real row's spectrum has |r_hat(t)| = |r_hat(-t)|, so
-    U_2(r) = r_hat(0)^4 + 2 sum over 0 < t < p/2 of |r_hat(t)|^4.  hat is
+    U_2(r) = r_hat(0)^4 + 2 sum over half of the t != 0 of |r_hat(t)|^4:
+    those of hat[:, 1:(p + 1) // 2], whose partners Z(-t) are
+    hat[:, partners] (the field plan's layout).  Column 0 is t = 0.  hat is
     overwritten; ``scratch`` is complex with hat's rows and at least
     (p - 1) / 2 columns.
     """
@@ -290,10 +296,10 @@ def _paired_u2_sums(hat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     sums = np.empty(2 * len(hat))
     sums[0::2] = hat[:, 0].real ** 4
     sums[1::2] = hat[:, 0].imag ** 4
-    zt, zm = hat[:, 1:half], hat[:, : half - 1 : -1]  # Z(t), Z(p - t)
+    zt, zm = hat[:, 1:half], hat[:, partners]  # Z(t), Z(-t)
     np.conjugate(zm, out=zm)
     diff = np.subtract(zt, zm, out=scratch[:, : half - 1])
-    # 2 |r_hat(t)|^4 = |Z(t) + conj Z(p - t)|^4 / 8, and likewise for s.
+    # 2 |r_hat(t)|^4 = |Z(t) + conj Z(-t)|^4 / 8, and likewise for s.
     sums[0::2] += _u2_sums(np.add(zt, zm, out=zt)) / 8
     sums[1::2] += _u2_sums(diff) / 8
     return sums
@@ -308,10 +314,12 @@ def gowers_accelerated(
     """U_d for any d >= 1; from d = 3 on, one U_2 row per orbit of (h_1..h_{d-2}).
 
     d = 1 is :func:`u1`, and d = 2 is p^-3 sum_h |c(h)|^2 for c the
-    :meth:`PrimeField.autocorrelation` of phi.  From d = 3 on each row
+    :meth:`PrimeField.correlation` of phi.  From d = 3 on each row
     Delta_h phi(x) = prod over omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h)
     goes through the batched Fourier base, and the orbit weights from
-    :func:`_orbits` restore the full average.  When phi is exactly real,
+    :func:`_orbits` restore the full average.  Rows are laid out in the
+    field plan's order and turned into spectra in place by
+    :meth:`PrimeField._transform`.  When phi is exactly real,
     the rows are real: rows 2j and 2j + 1 are built as the real and
     imaginary parts of one complex DFT row (an odd last row of a chunk has
     one to itself) and split again by :func:`_paired_u2_sums`.  The chunks
@@ -337,13 +345,15 @@ def gowers_accelerated(
     if real:
         values = values.real
     if not k:
-        c = field.autocorrelation(values)
+        c = field.correlation(values)
         return _finalize(float(np.vdot(c, c).real) / p**3, _tolerance(p, d))
     reps, weights = _orbits(p, k)
     # By the parity of |omega|: phi or conj phi, doubled so that row s of a
     # corner's factor is doubled[s : s + p].
     doubled = [np.concatenate([v, v[:-1]]) for v in (values, np.conj(values))]
-    window = np.arange(p)
+    # Column j of every row holds x = order[j] (natural, or Rader's order).
+    plan = field._plan
+    first = values[plan.order]
     corners = [np.asarray(omega, dtype=np.int64)
                for omega in itertools.product((0, 1), repeat=k)][1:]
     chunk = max(1, _CHUNK_VALUES // p)
@@ -375,12 +385,13 @@ def gowers_accelerated(
         else:
             parts = [(slice(None), hat)]
         for j, omega in enumerate(corners):
-            np.add(((h @ omega) % p)[:, None], window, out=index)
+            np.add(((h @ omega) % p)[:, None], plan.order, out=index)
             np.take(doubled[omega.sum() % 2], index, out=factor, mode="clip")
             for rows, dest in parts:  # the first factor times phi (omega = 0)
-                np.multiply(factor[rows], dest if j else values, out=dest)
-        field.dft(hat, out=hat)
-        sums = _paired_u2_sums(hat, scratch[: len(hat)])[:n] if real else _u2_sums(hat)
+                np.multiply(factor[rows], dest if j else first, out=dest)
+        field._transform(hat)
+        sums = (_paired_u2_sums(hat, scratch[: len(hat)], plan.partners)[:n] if real
+                else _u2_sums(hat))
         return float(weights[start : start + chunk] @ sums)
 
     partial = _in_chunks(-(-len(reps) // chunk), chunk_sum, buffers)

@@ -113,14 +113,15 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     ``rows(i)`` gives the rows of the flat tops i * chunk on, at most
     ``chunk`` of them: row j at b is the correlation with P = (0, b, *top),
     the DFT of phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p).  At d = 2
-    the one top is ().  ``rows(i, phases, twisted)`` works in a worker's
+    the one top is (); at d = 1 the one row is the mean, the correlation
+    with P = 0.  ``rows(i, phases, twisted)`` works in a worker's
     (chunk, p) int64 and complex buffers: the twisted table, then its DFT
     over it, go into the second.  Refuses, before any allocation, when the
     estimated cost p^(d-2) * p * (d + log2 p) of the walk (rows times
     twist and DFT) exceeds the default work cap.
     """
     p = field.p
-    n_tops = p ** (d - 2)
+    n_tops = p ** max(d - 2, 0)
     est = n_tops * p * (d + max(1.0, np.log2(p)))
     _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
                      est, DEFAULT_WORK_CAP)
@@ -131,6 +132,8 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     chunk = max(1, _CHUNK_VALUES // p)
 
     def rows(i, phase_buf=None, twisted_buf=None):
+        if d == 1:
+            return values.mean(keepdims=True)[None]
         if d == 2:
             return field.dft(values[None, :])
         tops = _tops(np.arange(i * chunk, min((i + 1) * chunk, n_tops)), d, p)
@@ -156,7 +159,7 @@ _shared_walk: ContextVar[tuple | None] = ContextVar("_shared_walk", default=None
 
 
 def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.inf):
-    """(mag, arg, flat, b, beta): one walk of the p^(d-1) candidates (d >= 2).
+    """(mag, arg, flat, b, beta): one walk of the p^(d-1) candidates (one at d = 1).
 
     mag and arg run over the flat tops: max_b |row[b]| and the first b
     attaining it.  (flat, b, beta) are the entries with |beta| >= threshold
@@ -204,16 +207,11 @@ def scan_obstructions(
     _check_positive("threshold", threshold)
     peak = float(np.abs(values).max())
     found: list[PhaseComponent] = []
-    if d == 1:
-        beta = complex(values.mean())
-        if abs(beta) >= threshold:
-            found.append(PhaseComponent(coeffs=(0,), beta=beta))
-    else:
-        *_, flat, b, beta = _walk(values, d, field, threshold)
-        hit = np.abs(beta) >= threshold  # a shared walk may have a lower threshold
-        for top, b_, beta_ in zip(_tops(flat[hit], d, field.p).tolist(), b[hit].tolist(),
-                                  beta[hit].tolist()):
-            found.append(PhaseComponent(coeffs=(0, b_, *top), beta=beta_))
+    *_, flat, b, beta = _walk(values, d, field, threshold)
+    hit = np.abs(beta) >= threshold  # a shared walk may have a lower threshold
+    for top, b_, beta_ in zip(_tops(flat[hit], d, field.p).tolist(), b[hit].tolist(),
+                              beta[hit].tolist()):
+        found.append(PhaseComponent(coeffs=(0, b_, *top)[:d], beta=beta_))
     for comp in found:
         assert comp.magnitude <= peak + 1e-9, "correlation exceeds the sup norm"
     found.sort(key=lambda c: (-c.magnitude, c.coeffs))
@@ -229,11 +227,9 @@ def max_phase_correlation(
     the smallest linear coefficient.
     """
     values = _finite_values(values, field.p, d)
-    if d == 1:
-        return abs(complex(values.mean())), (0,)
     mag, arg = _walk(values, d, field)[:2]
     t = int(mag.argmax())
-    return float(mag[t]), (0, int(arg[t]), *_tops(t, d, field.p).tolist())
+    return float(mag[t]), (0, int(arg[t]), *_tops(t, d, field.p).tolist())[:d]
 
 
 def decompose(

@@ -81,16 +81,30 @@ def test_traced_probe_and_scan_restore_every_binding(spans, capsys):
 
 
 def test_counts_stay_exact_with_two_workers(spans, capsys, monkeypatch):
-    # U_3 at p = 4001 runs 2001 orbit rows in 63 chunks, shared with a
-    # helper thread whose DFTs go through the same wrapped PrimeField.dft:
-    # 1001 packed rows, plus the one row of the Kloosterman table itself.
+    # U_3 at p = 4013 (4012 = 2^2 * 17 * 59, numpy's route) runs 2007 orbit
+    # rows in 63 chunks, the last one odd, shared with a helper thread whose
+    # DFTs go through the same wrapped PrimeField.dft: 1004 packed rows, plus
+    # the one row of the Kloosterman table itself.
     monkeypatch.setattr(norms, "_WORKERS", 2)
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        assert cli.main(["scan", "--family", "kloosterman", "--d", "3",
+                         "--primes", "4013"]) == 0
+    capsys.readouterr()
+    counts = tracer.counts[0]
+    assert counts["field.dft_rows"] == 1005
+    assert counts["field.dft_points"] == 1005 * 4013
+    assert counts["harness.records"] == 1 and counts["harness.errors"] == 0
+
+
+def test_rader_rows_bypass_prime_field_dft(spans, capsys):
+    # At p = 4001 (4000 = 2^5 * 5^3) the kernel's rows take Rader's route,
+    # which never calls PrimeField.dft: only the table's own row does.
     tracer = spans.Tracer()
     with spans.instrumented(tracer):
         assert cli.main(["scan", "--family", "kloosterman", "--d", "3",
                          "--primes", "4001"]) == 0
     capsys.readouterr()
     counts = tracer.counts[0]
-    assert counts["field.dft_rows"] == 1002
-    assert counts["field.dft_points"] == 1002 * 4001
+    assert counts["field.dft_rows"] == 1
     assert counts["harness.records"] == 1 and counts["harness.errors"] == 0

@@ -200,16 +200,35 @@ class TestAutocorrelation:
         """c(h) = sum_x v[x + h] conj v[x], summed over np.roll, real for a real v."""
         rng = np.random.default_rng(seed)
         v = rng.normal(size=p) if real else rng.normal(size=p) + 1j * rng.normal(size=p)
-        c = prime_field(p).autocorrelation(v)
+        c = prime_field(p).correlation(v)
         direct = np.array([np.sum(np.roll(v, -h) * np.conj(v)) for h in range(p)])
         assert c.shape == (p,)
         assert np.isrealobj(c) == real
         assert np.abs(c - direct).max() <= 1e-12 * np.sum(np.abs(v) ** 2)
 
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.sampled_from([p for p in ODD_PRIMES_TO_400 if p <= 211]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(p=3, seed=0)
+    def test_cross_correlation_matches_cyclic_sum(self, p, seed):
+        """c(h) = sum_x v[x + h] w[x] for real v and w, summed over np.roll."""
+        rng = np.random.default_rng(seed)
+        v, w = rng.normal(size=p), rng.integers(-3, 4, size=p)
+        c = prime_field(p).correlation(v, w)
+        direct = np.array([np.sum(np.roll(v, -h) * w) for h in range(p)])
+        assert np.isrealobj(c)
+        assert np.abs(c - direct).max() <= 1e-12 * np.sqrt(np.sum(v**2) * np.sum(w**2))
+
+    def test_cross_correlation_of_complex_vectors_refused(self, field101):
+        with pytest.raises(ValueError, match="real"):
+            field101.correlation(np.ones(101), np.ones(101) * 1j)
+
     @pytest.mark.parametrize("shape", [(100,), (101, 1), (1, 101)], ids=["100", "101x1", "1x101"])
     def test_shape_mismatch_rejected(self, field101, shape):
         with pytest.raises(ValueError, match="shape"):
-            field101.autocorrelation(np.ones(shape))
+            field101.correlation(np.ones(shape))
+        with pytest.raises(ValueError, match="shape"):
+            field101.correlation(np.ones(101), np.ones(shape))
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gowersff import (
@@ -29,6 +29,7 @@ from gowersff import (
     u1,
     xi,
 )
+from gowersff import field as field_module
 from gowersff import norms
 from gowersff.norms import _finalize, _orbits
 from conftest import poly_phase, random_unit_vector
@@ -38,6 +39,10 @@ REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.
 # (p, d) pairs the oracle finishes quickly: odd primes with p^(d+1) <= 2e6.
 ORACLE_CASES = [(p, d) for d in (3, 4, 5) for p in range(3, 40)
                 if is_prime(p) and p ** (d + 1) <= 2 * 10**6]
+
+# Primes whose p - 1 is 13-smooth, on both sides of Rader's floor.
+SMOOTH_PRIMES = [p for p in range(3, 140)
+                 if is_prime(p) and max(field_module._factor(p - 1)) <= 13]
 
 
 def one_row_formula(values: np.ndarray, d: int) -> float:
@@ -273,16 +278,17 @@ class TestOrbitKernel:
         # one row per orbit; a real one (Kloosterman) packs two orbit rows
         # into each complex DFT row (an odd last row has one alone).  U_2
         # transforms no prime-length row: it takes the autocorrelation.
+        # Every kernel row passes PrimeField._transform, on either route.
         complex_table = inverse_phase_trace(field101).values
         real_table = kloosterman_trace(field101).values
         seen = []
-        dft = PrimeField.dft
+        transform = PrimeField._transform
 
-        def spy(self, v, out=None):
-            seen.append(math.prod(np.shape(v)[:-1]))
-            return dft(self, v, out)
+        def spy(self, rows):
+            seen.append(len(rows))
+            return transform(self, rows)
 
-        monkeypatch.setattr(PrimeField, "dft", spy)
+        monkeypatch.setattr(PrimeField, "_transform", spy)
         gowers_accelerated(complex_table, d, field101)
         assert sum(seen) == rows
         seen.clear()
@@ -293,7 +299,11 @@ class TestOrbitKernel:
         (kloosterman_trace, 3, 1009), (kloosterman_trace, 4, 101), (kloosterman_trace, 4, 211),
         # U_2 at p ~ 10^6: a real table (rfft) and a complex one (fft).
         (kloosterman_trace, 2, 1000003), (inverse_phase_trace, 2, 1000003),
-    ], ids=["3-1009", "4-101", "4-211", "kloosterman-2-1000003", "inverse_phase-2-1000003"])
+        # Rader's route at the scan's larger primes.
+        (kloosterman_trace, 3, 2017), (kloosterman_trace, 3, 4001), (kloosterman_trace, 3, 8009),
+        (kloosterman_trace, 4, 313),
+    ], ids=["3-1009", "4-101", "4-211", "kloosterman-2-1000003", "inverse_phase-2-1000003",
+            "3-2017", "3-4001", "3-8009", "4-313"])
     def test_matches_benchmark_references(self, family, d, p):
         name = family.__name__.removesuffix("_trace")
         expected = json.loads(REFERENCES.read_text())["u_d"][f"{name}|{d}|{p}"]
@@ -302,15 +312,75 @@ class TestOrbitKernel:
         assert u_d == pytest.approx(expected, rel=1e-9)
 
 
+def _rader_field(p: int) -> PrimeField:
+    """A fresh field whose orbit kernel takes Rader's route, whatever the rule says of p."""
+    field = PrimeField(p)
+    field._plan = field._rader_plan()
+    return field
+
+
+class TestRaderRoute:
+    """Rader's algorithm for the orbit kernel's rows, where p - 1 is 13-smooth."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(SMOOTH_PRIMES), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example(p=3, n=1, seed=0)
+    def test_u2_sums_match_direct_dft(self, p, n, seed):
+        # Rows go in as [x(0), x(g^0), x(g^-1), ...] and come out as
+        # [hat(0), hat(g^0), hat(g^1), ...].  Read as n complex rows or as
+        # 2n real rows packed in pairs, their U_2 sums are the direct ones.
+        field = _rader_field(p)
+        plan = field._plan
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(n, p)) + 1j * rng.normal(size=(n, p))
+        direct = field.dft_direct(v)
+        hat = field._transform(v[:, plan.order].copy())  # C order, as the kernel's rows
+        out_order = np.concatenate([[0], field._powers()])
+        assert np.abs(hat - direct[:, out_order]).max() <= 1e-14 * np.abs(direct).max()
+        u2 = (np.abs(direct) ** 4).sum(axis=1)
+        assert norms._u2_sums(hat.copy()) == pytest.approx(u2, rel=1e-14)
+        reals = np.stack([v.real, v.imag], axis=1).reshape(2 * n, p)
+        paired = norms._paired_u2_sums(hat, np.empty((n, p // 2), complex), plan.partners)
+        assert paired == pytest.approx((np.abs(field.dft_direct(reals)) ** 4).sum(axis=1),
+                                       rel=1e-14)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("p, d, oracle", [(37, 3, gowers_oracle), (41, 4, gowers_recursive)],
+                             ids=["3-37", "4-41"])
+    def test_kernel_matches_oracles(self, monkeypatch, workers, real, p, d, oracle):
+        # Chunks of 8 rows: 19 orbit rows at (37, 3) run as 8 + 8 + 3 and 231
+        # at (41, 4) as 28 * 8 + 7, so a real table's last row is unpaired.
+        monkeypatch.setattr(field_module, "_rader_route", lambda p: True)
+        monkeypatch.setattr(norms, "_WORKERS", workers)
+        monkeypatch.setattr(norms, "_CHUNK_VALUES", 8 * p)
+        field = PrimeField(p)
+        assert field._plan.spectrum is not None
+        rng = np.random.default_rng(p + d)
+        v = rng.uniform(-1, 1, p) if real else rng.random(p) * np.exp(2j * np.pi * rng.random(p))
+        assert gowers_accelerated(v, d, field) == pytest.approx(oracle(v, d), rel=1e-12)
+
+    def test_band_primes_take_the_measured_route(self):
+        # The benchmark's d = 3 and d = 4 bands: Rader where p - 1 is 13-smooth.
+        rader = {101, 109, 211, 313, 1009, 2003, 2017, 4001, 8009}
+        bands = [101, 103, 107, 109, 211, 223, 227, 229, 307, 311, 313, 317,
+                 1009, 1013, 1019, 1021, 2003, 2011, 2017, 2027,
+                 4001, 4003, 4007, 4013, 8009, 8011, 8017, 8039]
+        assert {p for p in bands if field_module._rader_route(p)} == rader
+        assert prime_field(8009)._plan.spectrum is not None
+        assert prime_field(8011)._plan.spectrum is None
+
+
 class TestChunkRunner:
     """The orbit kernel's chunks, shared between the calling thread and a helper."""
 
     @pytest.mark.parametrize("family", [kloosterman_trace, inverse_phase_trace],
                              ids=["real", "complex"])
-    @pytest.mark.parametrize("p, d", [(2017, 3), (211, 4)])
+    @pytest.mark.parametrize("p, d", [(2017, 3), (211, 4), (2011, 3)])
     def test_worker_count_does_not_change_u_d(self, monkeypatch, family, p, d):
-        # Both cases span several chunks of 2^17 values: 1009 rows of 2017
-        # and 5671 rows of 211.
+        # Every case spans several chunks of 2^17 values: 1009 rows of 2017,
+        # 5671 rows of 211 and 1006 rows of 2011.  2017 and 211 take Rader's
+        # route, 2011 (2010 = 2 * 3 * 5 * 67) numpy's.
         field = prime_field(p)
         values = family(field).values
         results = []

@@ -254,6 +254,12 @@ class TestMaxPhaseCorrelation:
         assert coeffs == (0,)
         assert best == pytest.approx(0.25, abs=1e-12)
 
+    def test_d1_scan_finds_only_the_mean(self, field101):
+        v = poly_phase((0, 3), 101) + 0.75
+        found = scan_obstructions(v, 1, 0.5, field101)
+        assert [(c.coeffs, c.beta) for c in found] == [((0,), complex(v.mean()))]
+        assert scan_obstructions(v, 1, 0.8, field101) == []
+
 
 def _composed(table, d, threshold):
     """probe_report built from its parts: decompose, dichotomy, U_d of t1."""
@@ -298,16 +304,24 @@ class TestSharedWalk:
         # One walk of 101 tops, which keeps its hits; U_3 once for the table,
         # once more for the residual when a phase is planted.  U_3 transforms the
         # 51 orbit rows of a complex table, and 26 for the real Kloosterman table.
+        # The walk's rows pass PrimeField.dft; at p = 101 U_3's rows take
+        # Rader's route through PrimeField._transform, which calls no dft.
+        assert field101._plan.spectrum is not None
         table = kloosterman_trace(field101) if case == "kloosterman" else _planted(
             field101, (0, 5, 7))
-        dft = PrimeField.dft
+        dft, transform = PrimeField.dft, PrimeField._transform
         seen = []
 
         def spy(self, v, out=None):
             seen.append(np.shape(v)[0] if np.ndim(v) == 2 else 1)
             return dft(self, v, out)
 
+        def transform_spy(self, rows):
+            seen.append(len(rows))
+            return transform(self, rows)
+
         monkeypatch.setattr(PrimeField, "dft", spy)
+        monkeypatch.setattr(PrimeField, "_transform", transform_spy)
         probe_report(table, 3, 0.5)
         assert sum(seen) == rows
 

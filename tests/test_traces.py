@@ -190,9 +190,10 @@ class TestLegendreCurve:
 
     def test_non_integral_correlation_refused(self, monkeypatch):
         F = prime_field(101)
-        idft = PrimeField.idft
+        correlation = PrimeField.correlation
         # Every correlation entry 0.4 from an integer, past the 0.25 guard.
-        monkeypatch.setattr(PrimeField, "idft", lambda self, v: idft(self, v) + 0.4 / self.p)
+        monkeypatch.setattr(PrimeField, "correlation",
+                            lambda self, v, w=None: correlation(self, v, w) + 0.4)
         with pytest.raises(ArithmeticError, match="not integral"):
             legendre_curve_integers(F)
 
