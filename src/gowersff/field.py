@@ -22,11 +22,12 @@ testing.  :meth:`PrimeField.correlation`, the base of U_2 and of the
 Legendre-curve counts, pads its FFTs to a power of two instead.
 
 numpy runs a prime length as Bluestein, two FFTs of about 2p points.
-Where :func:`_rader_route` takes p (p - 1 is 13-smooth), the orbit
-kernel's rows take Rader's algorithm instead (:meth:`PrimeField._transform`):
-one cyclic convolution of length p - 1 turns a row laid out as
-[x(0), x(g^0), x(g^-1), ...] into [hat(0), hat(g^0), hat(g^1), ...].
-:attr:`PrimeField._plan` holds that layout.
+Where :func:`_rader_route` takes p (p - 1 is 13-smooth), the rows of the
+orbit kernel and of the probe's walk take Rader's algorithm instead
+(:meth:`PrimeField._transform`): one cyclic convolution of length p - 1
+turns a row laid out as [x(0), x(g^0), x(g^-1), ...] into
+[hat(0), hat(g^0), hat(g^1), ...].  :attr:`PrimeField._plan` holds both
+layouts.
 """
 
 from __future__ import annotations
@@ -105,10 +106,12 @@ def _factor(n: int) -> list[int]:
 
 
 class _Plan(NamedTuple):
-    """How the orbit kernel lays out its rows and finds a spectrum's -t partners."""
+    """How rows are laid out for :meth:`PrimeField._transform`, and where their spectra land."""
 
     #: Column j of a row holds the value at x = order[j]; order[0] = 0.
     order: np.ndarray
+    #: Column j of a spectrum holds t = freqs[j]; freqs[0] = 0.
+    freqs: np.ndarray
     #: hat[:, partners] holds hat(-t) for the t of hat[:, 1:(p + 1) // 2].
     partners: slice
     #: Rader's spectrum of b(m) = e(-g^m/p)/p; None on numpy's own route.
@@ -229,26 +232,30 @@ class PrimeField:
 
     @functools.cached_property
     def _plan(self) -> _Plan:
-        """The orbit kernel's route for this field: Rader's where :func:`_rader_route` takes p."""
+        """The route of this field's batched transforms: Rader's where :func:`_rader_route` says."""
         if _rader_route(self.p):
             plan = self._rader_plan()
         else:
-            plan = _Plan(np.arange(self.p), slice(None, self.p // 2, -1), None)
-        for table in (plan.order, plan.spectrum):
+            natural = np.arange(self.p)
+            plan = _Plan(natural, natural, slice(None, self.p // 2, -1), None)
+        for table in (plan.order, plan.freqs, plan.spectrum):
             if table is not None:
                 table.setflags(write=False)
         return plan
 
     def _rader_plan(self) -> _Plan:
-        """Rader's layout: x in [0, g^0, g^-1, ..., g^-(p-2)], hat(-g^q) = hat(g^(q + (p-1)/2))."""
+        """Rader's layout: x in [0, g^0, g^-1, ..., g^-(p-2)], t in [0, g^0, g^1, ..., g^(p-2)].
+
+        hat(-g^q) = hat(g^(q + (p-1)/2)) gives the partners.
+        """
         p, n = self.p, self.p - 1
         pw = self._powers()
         order = np.concatenate([[0], pw[-np.arange(n) % n]])
         spectrum = np.fft.fft(np.conj(self.char_table[pw]) / p)
-        return _Plan(order, slice((p + 1) // 2, None), spectrum)
+        return _Plan(order, np.concatenate([[0], pw]), slice((p + 1) // 2, None), spectrum)
 
     def _transform(self, rows: np.ndarray) -> np.ndarray:
-        """The spectra of rows laid out in ``_plan.order``, in place, in that plan's output order.
+        """The spectra of rows laid out in ``_plan.order``, in place, in ``_plan.freqs`` order.
 
         On numpy's route this is :meth:`dft`.  On Rader's, rows[:, 1:] take
         an FFT of length p - 1, a multiply by the plan's spectrum and the

@@ -12,14 +12,18 @@ cost policy is the default work cap on p^(d-2) * p * (d + log2 p).
 The candidates are walked once: the walk keeps each row's peak
 magnitude and where it occurs, and every entry reaching the scan's
 threshold.  ``max_phase_correlation`` reduces the peaks, and
-``scan_obstructions`` reads the hits.  The walk's chunks of 2^17 values
-run through the orbit kernel's runner, :func:`gowersff.norms._in_chunks`:
-with two usable cores a helper thread takes every other chunk, each
-worker twists and transforms its chunks in one reused buffer, and peaks
-and hits are kept in chunk order, so they do not depend on the workers.
-Inside one ``probe_report`` the scan and the dichotomy share the walk (a
-``contextvars`` scope, reset on exit), and the residual's U_d is the
-table's own when nothing was removed.
+``scan_obstructions`` reads the hits.  The rows take the orbit kernel's
+route, :meth:`PrimeField._transform` (Rader's algorithm where p - 1 is
+13-smooth), and a real table at d >= 3 walks about half of its tops (see
+``_correlation_rows``).  The walk's chunks of 2^17 values run through
+the orbit kernel's runner, :func:`gowersff.norms._in_chunks`: with two
+usable cores a helper thread takes every other chunk, each worker twists
+and transforms its chunks in one reused buffer, and peaks and hits are
+kept in chunk order, so they do not depend on the workers.  Inside one
+``probe_report`` the scan and the dichotomy share the walk (a
+``contextvars`` scope, reset on exit).  The table's U_d is computed only
+when read: the "phase" branch does not need it, and the residual's U_d
+is the table's own when nothing was removed.
 Values must be finite; every entry point refuses NaN and infinities.
 
 ``dichotomy_report`` classifies a family table as "phase" (some
@@ -31,6 +35,8 @@ has modest U_d * p at desk-scale p, and it belongs to the first branch.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -107,50 +113,67 @@ def _tops(flat, d: int, p: int) -> np.ndarray:
     return np.asarray(flat, dtype=np.int64)[..., None] // place % p
 
 
+def _mirror(flat, d: int, p: int) -> np.ndarray:
+    """The flat indices of the tops -(a_2, ..., a_{d-1})."""
+    return (-_tops(flat, d, p) % p) @ p ** np.arange(d - 2, dtype=np.int64)
+
+
 def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     """The walk over the tops (a_2, ..., a_{d-1}) in chunks: (n_chunks, chunk, rows).
 
-    ``rows(i)`` gives the rows of the flat tops i * chunk on, at most
-    ``chunk`` of them: row j at b is the correlation with P = (0, b, *top),
-    the DFT of phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p).  At d = 2
-    the one top is (); at d = 1 the one row is the mean, the correlation
-    with P = 0.  ``rows(i, phases, twisted)`` works in a worker's
-    (chunk, p) int64 and complex buffers: the twisted table, then its DFT
-    over it, go into the second.  Refuses, before any allocation, when the
-    estimated cost p^(d-2) * p * (d + log2 p) of the walk (rows times
-    twist and DFT) exceeds the default work cap.
+    ``rows(i)`` gives chunk i as (flat, hat): at most ``chunk`` flat tops,
+    ascending, and their rows laid out by ``field._plan``.  hat[j, c] is
+    the correlation with P = (0, b, *top) for b = ``_plan.freqs[c]``: the
+    transform of phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p), twisted in
+    ``_plan.order`` and run through :meth:`PrimeField._transform`.  At
+    d = 2 the one top is (); at d = 1 the one row is the mean, the
+    correlation with P = 0.  For real phi at d >= 3, row(-top)(-b) is
+    conj row(top)(b), so only the tops that come before their mirror -top
+    in flat order are walked: the zero top, and those whose leading
+    nonzero digit is at most (p - 1)/2.  ``rows(i, phases, twisted)``
+    works in a worker's (chunk, p) int64 and complex buffers: the twisted
+    table, then its transform, go into the second.  Refuses, before any
+    allocation, when the estimated cost p^(d-2) * p * (d + log2 p) of the
+    walk over all tops (rows times twist and DFT) exceeds the default work
+    cap.
     """
     p = field.p
     n_tops = p ** max(d - 2, 0)
     est = n_tops * p * (d + max(1.0, np.log2(p)))
     _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
                      est, DEFAULT_WORK_CAP)
-    x = np.arange(p, dtype=np.int64)
+    walked = np.arange(n_tops)
+    if d >= 3 and not values.imag.any():  # leading nonzero digit a_k at most (p - 1)/2
+        walked = np.concatenate([[0], *(np.arange(p**k, (p + 1) // 2 * p**k)
+                                        for k in range(d - 2))])
+    x = field._plan.order  # column j holds x = order[j]
+    laid_out = values[x]
     powers = [x * x % p]  # x^2, ..., x^(d-1)
     while len(powers) < d - 2:
         powers.append(powers[-1] * x % p)
     chunk = max(1, _CHUNK_VALUES // p)
 
     def rows(i, phase_buf=None, twisted_buf=None):
+        flat = walked[i * chunk : (i + 1) * chunk]
         if d == 1:
-            return values.mean(keepdims=True)[None]
-        if d == 2:
-            return field.dft(values[None, :])
-        tops = _tops(np.arange(i * chunk, min((i + 1) * chunk, n_tops)), d, p)
+            return flat, values.mean(keepdims=True)[None]
+        if d == 2:  # one chunk, so the row can be transformed in place
+            return flat, field._transform(laid_out[None, :])
+        tops = _tops(flat, d, p)
         if phase_buf is not None:
             phase_buf, twisted_buf = phase_buf[: len(tops)], twisted_buf[: len(tops)]
         # a_2 x^2 + ... + a_{d-1} x^(d-1) mod p; phi(x) e(-that/p), then
-        # its DFT, all in one array.
+        # its transform, all in one array.
         phases = np.multiply(tops[:, :1], powers[0], out=phase_buf)
         for j in range(1, d - 2):
             phases += tops[:, j : j + 1] * powers[j]
         phases %= p
         twisted = np.take(field.char_table, phases, out=twisted_buf, mode="clip")
         np.conjugate(twisted, out=twisted)
-        np.multiply(values, twisted, out=twisted)
-        return field.dft(twisted, out=twisted)
+        np.multiply(laid_out, twisted, out=twisted)
+        return flat, field._transform(twisted)
 
-    return -(-n_tops // chunk), chunk, rows
+    return -(-len(walked) // chunk), chunk, rows
 
 
 #: Within one probe_report: () or its last (values, d, field, threshold, walk),
@@ -159,35 +182,57 @@ _shared_walk: ContextVar[tuple | None] = ContextVar("_shared_walk", default=None
 
 
 def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.inf):
-    """(mag, arg, flat, b, beta): one walk of the p^(d-1) candidates (one at d = 1).
+    """(tops, peak, arg, flat, b, beta): one walk of the p^(d-1) candidates (one at d = 1).
 
-    mag and arg run over the flat tops: max_b |row[b]| and the first b
-    attaining it.  (flat, b, beta) are the entries with |beta| >= threshold
-    in flat-top order, then by b, searched for only in the tops whose peak
-    reaches it.  The chunks run through :func:`gowersff.norms._in_chunks`.
-    Inside a probe_report a walk of the same values object, d and field at
-    threshold t serves every call whose threshold is at least t.
+    tops are the flat tops walked, ascending; peak and arg run over them:
+    max_b |row[b]| and the smallest b attaining it.  (flat, b, beta) are
+    the entries with |beta| >= threshold, sorted by flat top, then by b,
+    searched for only in the tops whose peak reaches it.  A real table's
+    walk leaves out the mirrors of its tops, which take their hits from
+    them (-top, -b, conj beta).  A mirror's peak is its twin's, and the
+    twin comes first in flat order, so the first top with the largest
+    peak is always a walked one.  The chunks run through
+    :func:`gowersff.norms._in_chunks`.  Inside a probe_report a walk of
+    the same values object, d and field at threshold t serves every call
+    whose threshold is at least t.
     """
     shared = _shared_walk.get()
     if shared:
         seen, seen_d, seen_field, seen_t, walk = shared
         if seen is values and seen_d == d and seen_field is field and seen_t <= threshold:
             return walk
+    p = field.p
     n_chunks, chunk, rows = _correlation_rows(values, d, field)
+    freqs = field._plan.freqs
 
     def buffers():
-        shape = (chunk, field.p)
+        shape = (chunk, p)
         return np.empty(shape, np.int64), np.empty(shape, np.complex128), np.empty(shape)
 
     def walk_chunk(i, phase_buf=None, twisted_buf=None, mag_buf=None):
-        hat = rows(i, phase_buf, twisted_buf)
+        flat, hat = rows(i, phase_buf, twisted_buf)
         mag = np.abs(hat, out=None if mag_buf is None else mag_buf[: len(hat)])
-        peak = mag.max(axis=1)
+        at = np.arange(len(mag)), mag.argmax(axis=1)
+        peak, arg = mag[at], freqs[at[1]]
+        # A peak in more than one column (the runner-up equals it) goes to
+        # the smallest b attaining it.
+        mag[at] = -1.0
+        tied = np.flatnonzero(mag.max(axis=1) == peak)
+        mag[at] = peak
+        arg[tied] = np.where(mag[tied] == peak[tied, None], freqs, p).min(axis=1)
         tops = np.flatnonzero(peak >= threshold)
-        j, b = np.nonzero(mag[tops] >= threshold)
-        return peak, mag.argmax(axis=1), i * chunk + tops[j], b, hat[tops[j], b]
+        j, c = np.nonzero(mag[tops] >= threshold)
+        return flat, peak, arg, flat[tops[j]], freqs[c], hat[tops[j], c]
 
-    walk = tuple(map(np.concatenate, zip(*_in_chunks(n_chunks, walk_chunk, buffers))))
+    tops, peak, arg, flat, b, beta = map(
+        np.concatenate, zip(*_in_chunks(n_chunks, walk_chunk, buffers)))
+    if len(tops) < p ** max(d - 2, 0):  # a real table: the hits of the mirrors
+        off = flat != 0  # the zero top is its own mirror
+        flat = np.concatenate([flat, _mirror(flat[off], d, p)])
+        b = np.concatenate([b, -b[off] % p])
+        beta = np.concatenate([beta, np.conj(beta[off])])
+    order = np.lexsort((b, flat))
+    walk = tops, peak, arg, flat[order], b[order], beta[order]
     if shared is not None:
         _shared_walk.set((values, d, field, threshold, walk))
     return walk
@@ -213,7 +258,8 @@ def scan_obstructions(
                               beta[hit].tolist()):
         found.append(PhaseComponent(coeffs=(0, b_, *top)[:d], beta=beta_))
     for comp in found:
-        assert comp.magnitude <= peak + 1e-9, "correlation exceeds the sup norm"
+        if comp.magnitude > peak + 1e-9:
+            raise ArithmeticError(f"correlation {comp.magnitude} exceeds the sup norm {peak}")
     found.sort(key=lambda c: (-c.magnitude, c.coeffs))
     return found
 
@@ -227,9 +273,9 @@ def max_phase_correlation(
     the smallest linear coefficient.
     """
     values = _finite_values(values, field.p, d)
-    mag, arg = _walk(values, d, field)[:2]
-    t = int(mag.argmax())
-    return float(mag[t]), (0, int(arg[t]), *_tops(t, d, field.p).tolist())[:d]
+    tops, peak, arg = _walk(values, d, field)[:3]
+    t = int(peak.argmax())
+    return float(peak[t]), (0, int(arg[t]), *_tops(tops[t], d, field.p).tolist())[:d]
 
 
 def decompose(
@@ -247,17 +293,33 @@ def decompose(
 
 @dataclass(frozen=True)
 class DichotomyReport:
-    """What the data exhibits at one (table, d): phase or uniformity."""
+    """What the data exhibits at one (table, d): phase or uniformity.
+
+    ``u_d`` is the table's U_d, computed on first read: the phase branch
+    needs none, and the other two branches read it.
+    """
 
     p: int
     family: str
     d: int
     max_correlation: float
     argmax_coeffs: tuple[int, ...]
-    u_d: float
-    u_d_times_p: float
     ceiling: float
-    branch: str
+    table: TraceTable = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def u_d(self) -> float:
+        return gowers_accelerated(self.table.values, self.d, self.table.field)
+
+    @property
+    def u_d_times_p(self) -> float:
+        return self.u_d * self.p
+
+    @property
+    def branch(self) -> str:
+        if self.max_correlation >= PHASE_PROXY:
+            return "phase"
+        return "uniform" if self.u_d_times_p <= self.ceiling else "inconclusive"
 
 
 def dichotomy_report(
@@ -265,27 +327,10 @@ def dichotomy_report(
 ) -> DichotomyReport:
     """Classify a family table as phase / uniform / inconclusive at level d."""
     _check_positive("ceiling", ceiling)
-    field = table.field
-    corr, coeffs = max_phase_correlation(table.values, d, field)
-    u_d = gowers_accelerated(table.values, d, field)
-    u_d_p = u_d * field.p
-    if corr >= PHASE_PROXY:
-        branch = "phase"
-    elif u_d_p <= ceiling:
-        branch = "uniform"
-    else:
-        branch = "inconclusive"
-    return DichotomyReport(
-        p=field.p,
-        family=table.descriptor.label,
-        d=d,
-        max_correlation=corr,
-        argmax_coeffs=coeffs,
-        u_d=u_d,
-        u_d_times_p=u_d_p,
-        ceiling=ceiling,
-        branch=branch,
-    )
+    corr, coeffs = max_phase_correlation(table.values, d, table.field)
+    return DichotomyReport(p=table.p, family=table.descriptor.label, d=d,
+                           max_correlation=corr, argmax_coeffs=coeffs, ceiling=ceiling,
+                           table=table)
 
 
 def probe_report(
@@ -308,7 +353,8 @@ def probe_report(
         report = dichotomy_report(table, d, ceiling)
     finally:
         _shared_walk.reset(token)
-    # With no components t1 is the table itself, whose U_d the report holds.
+    # With no components t1 is the table itself, whose U_d the report holds;
+    # a planted phase's report never computes it.
     residual_u = (gowers_accelerated(decomp.t1, d, field) if decomp.components
                   else report.u_d)
     return {

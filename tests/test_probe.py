@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from gowersff import field as field_module
 from gowersff import norms, probe
 from gowersff.field import PrimeField
 from gowersff import (
@@ -123,6 +124,13 @@ class TestScanObstructions:
         with pytest.raises(ValueError, match="threshold"):
             scan_obstructions(np.ones(101, dtype=np.complex128), 2, threshold, field101)
 
+    def test_a_correlation_over_the_sup_norm_is_refused(self, field101, monkeypatch):
+        # A raise, not an assert, so that python -O keeps the check.
+        transform = PrimeField._transform
+        monkeypatch.setattr(PrimeField, "_transform", lambda self, rows: 2 * transform(self, rows))
+        with pytest.raises(ArithmeticError, match="exceeds the sup norm"):
+            scan_obstructions(poly_phase((0, 5, 7), 101), 3, 0.5, field101)
+
     def test_planted_phase_recovery_trials(self):
         p = 101
         F = prime_field(p)
@@ -200,6 +208,14 @@ class TestDichotomy:
         with pytest.raises(ValueError):
             dichotomy_report(kloosterman_trace(field101), 0)
 
+    def test_the_phase_branch_computes_u_d_on_first_read(self, field101):
+        table = _planted(field101, (0, 5, 7))
+        report = dichotomy_report(table, 3)
+        assert report.branch == "phase"
+        assert "u_d" not in vars(report)
+        assert report.u_d == gowers_accelerated(table.values, 3, field101)
+        assert report.u_d_times_p == report.u_d * 101
+
     @pytest.mark.parametrize("ceiling", [np.nan, np.inf, 0.0])
     def test_ceiling_must_be_finite_and_positive(self, field101, ceiling):
         with pytest.raises(ValueError, match="ceiling"):
@@ -245,8 +261,47 @@ class TestMaxPhaseCorrelation:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_ties_go_to_the_first_top_then_the_first_b(self, d):
-        F = prime_field(11)
-        assert max_phase_correlation(np.zeros(11), d, F) == (0.0, (0,) * d)
+        # 11 is on numpy's route and 101 on Rader's, whose spectra are not in b order.
+        for p in (11, 101):
+            assert max_phase_correlation(np.zeros(p), d, prime_field(p)) == (0.0, (0,) * d)
+
+    @pytest.mark.parametrize("rader", [True, False], ids=["rader", "numpy"])
+    def test_exact_ties_in_a_row_go_to_the_smallest_b(self, monkeypatch, rader):
+        # Every row is 1 at b = 3, 4 and 9 and 0 elsewhere.  Rader's columns
+        # at p = 11 hold b = 0, 1, 2, 4, 8, 5, 10, 9, 7, 3, 6: b = 4 comes first.
+        monkeypatch.setattr(field_module, "_rader_route", lambda p: rader)
+        F = PrimeField(11)
+        peaks = np.isin(F._plan.freqs, [3, 4, 9])
+
+        def transform(self, rows):
+            rows[:] = peaks
+            return rows
+
+        monkeypatch.setattr(PrimeField, "_transform", transform)
+        # A real table walks tops 0..5; the hits of 6..10 are their mirrors'.
+        tops, peak, arg, flat, b, beta = probe._walk(np.ones(11), 3, F, 0.5)
+        assert tops.tolist() == list(range(6)) and arg.tolist() == [3] * 6
+        assert list(zip(flat.tolist(), b.tolist())) == sorted(
+            (t, c if t <= 5 else -c % 11) for t in range(11) for c in (3, 4, 9))
+        assert max_phase_correlation(np.ones(11), 3, F) == (1.0, (0, 3, 0))
+
+    @pytest.mark.parametrize("p", [101, 103], ids=["rader", "numpy"])
+    @pytest.mark.parametrize("top", [(70,), (30,), (1, 100), (100, 1)], ids=str)
+    def test_a_mirrored_tie_goes_to_the_first_top(self, p, top):
+        # cos(2 pi P(x)/p) correlates about 1/2 with e(P/p), and exactly as
+        # much with e(-P/p): a tie between (b, top) and (-b, -top), which the
+        # real table's walk keeps exact.  The first top in flat order wins.
+        F = prime_field(p)
+        d = len(top) + 2
+        coeffs = (0, 9, *top)
+        mirrored = tuple(-c % p for c in coeffs)
+        first = min(coeffs, mirrored, key=lambda c: sum(a * p**i for i, a in enumerate(c[2:])))
+        v = poly_phase(coeffs, p).real
+        best, argmax = max_phase_correlation(v, d, F)
+        found = scan_obstructions(v, d, 0.3, F)
+        assert [c.coeffs for c in found] == sorted([coeffs, mirrored])
+        assert found[0].beta == found[1].beta.conjugate()
+        assert argmax == first and best == pytest.approx(found[0].magnitude, rel=1e-15)
 
     def test_d1_is_the_mean(self, field101):
         v = poly_phase((0, 3), 101) + 0.25
@@ -299,13 +354,15 @@ class TestSharedWalk:
             assert report["branch"] == "phase"
             assert report["components"] == []
 
-    @pytest.mark.parametrize("case, rows", [("kloosterman", 127), ("planted", 203)])
+    @pytest.mark.parametrize("case, rows", [("kloosterman", 77), ("planted", 152)])
     def test_rows_transformed(self, field101, monkeypatch, case, rows):
-        # One walk of 101 tops, which keeps its hits; U_3 once for the table,
-        # once more for the residual when a phase is planted.  U_3 transforms the
-        # 51 orbit rows of a complex table, and 26 for the real Kloosterman table.
-        # The walk's rows pass PrimeField.dft; at p = 101 U_3's rows take
-        # Rader's route through PrimeField._transform, which calls no dft.
+        # One walk, which keeps its hits: all 101 tops of the complex planted
+        # table, and the 51 tops 0..50 of the real Kloosterman table, whose
+        # other tops are mirrors.  U_3 of Kloosterman (26 packed orbit rows)
+        # decides its branch; the planted phase's branch needs no U_3, so only
+        # its complex residual's 51 orbit rows are transformed.  At p = 101
+        # every row takes Rader's route through PrimeField._transform, which
+        # calls no dft.
         assert field101._plan.spectrum is not None
         table = kloosterman_trace(field101) if case == "kloosterman" else _planted(
             field101, (0, 5, 7))
@@ -324,6 +381,21 @@ class TestSharedWalk:
         monkeypatch.setattr(PrimeField, "_transform", transform_spy)
         probe_report(table, 3, 0.5)
         assert sum(seen) == rows
+
+    def test_a_planted_phase_takes_u_d_of_the_residual_only(self, field101, monkeypatch):
+        table = _planted(field101, (0, 5, 7))
+        seen = []
+
+        def spy(values, d, field=None, **kwargs):
+            seen.append(values)
+            return gowers_accelerated(values, d, field, **kwargs)
+
+        monkeypatch.setattr(probe, "gowers_accelerated", spy)
+        report = probe_report(table, 3, 0.5)
+        t1 = decompose(table.values, 3, 0.5, field101).t1
+        assert len(seen) == 1 and np.array_equal(seen[0], t1)
+        assert report["branch"] == "phase"
+        assert report["residual_u_d"] == gowers_accelerated(t1, 3, field101)
 
     def test_refusal_comes_before_any_walk(self, field101, monkeypatch):
         def walked(*args, **kwargs):
@@ -401,6 +473,44 @@ class TestChunkedWalk:
         max_phase_correlation(values, 3, field101)  # 101 tops, one chunk
         with pytest.raises(AssertionError, match="a thread was started"):
             max_phase_correlation(values, 4, field101)
+
+
+def _threshold_below(mags, k: int) -> float:
+    """A threshold with at least k of mags above it, and none within 1e-9 of it."""
+    mags = np.sort(mags)[::-1]
+    while mags[k - 1] - mags[k] < 1e-9:
+        k += 1
+    return (mags[k - 1] + mags[k]) / 2
+
+
+class TestWalkRoutes:
+    """The walk against the brute-force scan, on numpy's route and on Rader's."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("rader", [True, False], ids=["rader", "numpy"])
+    @pytest.mark.parametrize("p, d", [(37, 3), (13, 4)], ids=["3-37", "4-13"])
+    def test_walk_matches_brute_force(self, monkeypatch, workers, real, rader, p, d):
+        # Chunks of 4 rows: 19 walked tops of a real table at (37, 3), 37 of a
+        # complex one, and 85 or 169 at (13, 4), run through both workers.
+        monkeypatch.setattr(field_module, "_rader_route", lambda p: rader)
+        monkeypatch.setattr(norms, "_WORKERS", workers)
+        monkeypatch.setattr(probe, "_CHUNK_VALUES", 4 * p)
+        F = PrimeField(p)
+        assert (F._plan.spectrum is not None) == rader
+        rng = np.random.default_rng(p + d)
+        v = rng.uniform(-1, 1, p) if real else random_unit_vector(p, rng)
+        brute = {(0,) + tail: phase_correlation(v, (0,) + tail, F)
+                 for tail in itertools.product(range(p), repeat=d - 1)}
+        threshold = _threshold_below(np.abs(list(brute.values())), 12)
+        found = scan_obstructions(v, d, threshold, F)
+        assert found == sorted(found, key=lambda c: (-c.magnitude, c.coeffs))
+        expected = {c: beta for c, beta in brute.items() if abs(beta) >= threshold}
+        assert {c.coeffs for c in found} == expected.keys()
+        assert max(abs(c.beta - expected[c.coeffs]) for c in found) <= 1e-12
+        best, coeffs = max_phase_correlation(v, d, F)
+        assert best == pytest.approx(max(map(abs, brute.values())), abs=1e-12)
+        assert abs(brute[coeffs]) == pytest.approx(best, abs=1e-12)
 
 
 def _one_nan(field):
