@@ -1,39 +1,24 @@
 """Exact arithmetic in F_p and the numeric primitives built on it.
 
-A :class:`PrimeField` owns the per-prime precomputed data that the rest of
-the library consumes: the table of additive character values e(a/p), and
-lazily built quadratic-residue and inverse tables.  All of it is
-immutable once built, so instances are safe to share across threads;
-every function in this module is pure.
-
-The multiplicative tables (inverses, and the values of multiplicative
-characters in :mod:`gowersff.traces`) are numpy scatters from one power
-table g^k mod p of the primitive root g, built from ~sqrt(p) baby and
-giant steps; no table loops over the elements of F_p in Python.
+A :class:`PrimeField` owns the per-prime tables the rest of the library
+reads: the additive characters e(a/p), the quadratic residues, the
+inverses and the powers of a primitive root.  They are immutable once
+built, so fields are safe to share across threads.
 
 The DFT convention used throughout is
 
     dft(v)[t] = (1/p) * sum_x v[x] * e(-x*t/p),
 
-so a pure phase e(c*x/p) transforms to the indicator of t = c.  It is
-numpy's FFT, which takes any length, with ``norm="forward"`` (see
-:meth:`PrimeField.dft`); a direct O(p^2) reference transform is kept for
-testing.  :meth:`PrimeField.correlation`, the base of U_2 and of the
-Legendre-curve counts, pads its FFTs to a power of two instead.
-
-numpy runs a prime length as Bluestein, two FFTs of about 2p points.
-Where :func:`_rader_route` takes p (p - 1 is 13-smooth), the rows of the
-orbit kernel and of the probe's walk take Rader's algorithm instead
-(:meth:`PrimeField._transform`): one cyclic convolution of length p - 1
-turns a row laid out as [x(0), x(g^0), x(g^-1), ...] into
-[hat(0), hat(g^0), hat(g^1), ...].  :attr:`PrimeField._plan` holds both
-layouts.
+so a pure phase e(c*x/p) transforms to the indicator of t = c.
+:meth:`PrimeField.dft_direct` is its O(p^2) test oracle.  Batched rows
+take :meth:`PrimeField._transform`, on numpy's route or, where
+:func:`_rader_route` says, Rader's; :meth:`PrimeField.correlation` pads
+to a power of two.  README Numerics derives both.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +60,19 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _finite_values(values, p: int | None = None, d: int = 1) -> np.ndarray:
+    """values as complex128: one-dimensional, of length p if p is given, and finite; d >= 1."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 1 or p not in (None, len(values)):
+        want = "(p,)" if p is None else f"(p,) = ({p},)"
+        raise ValueError(f"values must have shape {want}, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return values
 
 
 #: Rader's route: p - 1 at most 13-smooth and p at least 40.  Measured on
@@ -167,26 +165,20 @@ class PrimeField:
         raise AssertionError("no primitive root found")  # unreachable for prime p
 
     def _powers(self) -> np.ndarray:
-        """g^k mod p for 0 <= k < p - 1, g the primitive root.
+        """g^k mod p for 0 <= k < p - 1, g the primitive root; not cached.
 
-        Baby steps g^j (j < m) and giant steps g^(m*i) (m ~ sqrt(p)) come
-        from Python; their outer product mod p is one numpy operation,
-        exact in int64 since p < 2^31.  Not cached: the callers keep only
-        what they derive from it.
+        Built by doubling, pw[m:2m] = pw[:m] * g^m mod p, exact in int64
+        since p < 2^31.
         """
         p, g, n = self.p, self.primitive_root, self.p - 1
-        m = math.isqrt(n - 1) + 1
-        baby = np.empty(m, dtype=np.int64)
-        giant = np.empty(-(-n // m), dtype=np.int64)
-        x = 1
-        for j in range(m):
-            baby[j] = x
-            x = x * g % p
-        y = 1
-        for i in range(len(giant)):
-            giant[i] = y
-            y = y * x % p
-        return (giant[:, None] * baby[None, :] % p).ravel()[:n]
+        pw = np.ones(n, dtype=np.int64)
+        m = 1
+        while m < n:  # in place: no temporaries
+            step = pw[m : 2 * m]
+            np.multiply(pw[: len(step)], pow(g, m, p), out=step)
+            step %= p
+            m *= 2
+        return pw
 
     @functools.cached_property
     def legendre_table(self) -> np.ndarray:
@@ -226,10 +218,6 @@ class PrimeField:
         """
         return np.fft.fft(self._vectors(v), axis=-1, norm="forward", out=out)
 
-    def idft(self, v: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`dft`: sum_t v[t] e(+xt/p) (normalization p)."""
-        return np.fft.ifft(self._vectors(v), axis=-1, norm="forward")
-
     @functools.cached_property
     def _plan(self) -> _Plan:
         """The route of this field's batched transforms: Rader's where :func:`_rader_route` says."""
@@ -244,10 +232,7 @@ class PrimeField:
         return plan
 
     def _rader_plan(self) -> _Plan:
-        """Rader's layout: x in [0, g^0, g^-1, ..., g^-(p-2)], t in [0, g^0, g^1, ..., g^(p-2)].
-
-        hat(-g^q) = hat(g^(q + (p-1)/2)) gives the partners.
-        """
+        """Rader's layout: x in [0, g^0, g^-1, ..., g^-(p-2)], t in [0, g^0, g^1, ..., g^(p-2)]."""
         p, n = self.p, self.p - 1
         pw = self._powers()
         order = np.concatenate([[0], pw[-np.arange(n) % n]])
@@ -257,12 +242,8 @@ class PrimeField:
     def _transform(self, rows: np.ndarray) -> np.ndarray:
         """The spectra of rows laid out in ``_plan.order``, in place, in ``_plan.freqs`` order.
 
-        On numpy's route this is :meth:`dft`.  On Rader's, rows[:, 1:] take
-        an FFT of length p - 1, a multiply by the plan's spectrum and the
-        inverse FFT.  Two folds keep it to those three passes: hat(0) is
-        (x(0) + Y[0]) / p for Y the forward transform, and subtracting
-        (p - 1) x(0) from Y[0] before the multiply adds x(0)/p to every
-        output, because the spectrum's bin 0 is sum_m b(m) = -1/p.
+        On numpy's route this is :meth:`dft`; on Rader's, three passes of
+        length p - 1 over rows[:, 1:] (README Numerics).
         """
         spectrum = self._plan.spectrum
         if spectrum is None:
@@ -279,13 +260,9 @@ class PrimeField:
     def correlation(self, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         """c(h) = sum_x v[x + h] conj(w[x]) for 0 <= h < p; w = v by default.
 
-        FFTs zero-padded to a power of two n >= 2p - 1, which numpy runs
-        without Bluestein, give the linear lags r(h), |h| < p, and
-        c(h) = r(h) + r(h - p).  With w = v, c is real for a real v and
-        r(h - p) = conj r(p - h): irfft of a real v's power spectrum is r,
-        and rfft of a complex v's is n conj r.  The spectrum is squared in
-        place and freed before the second transform.  A given w must be
-        real, as v then is: irfft of V conj W gives r.
+        FFTs zero-padded to a power of two n >= 2p - 1 give the linear lags
+        r(h), |h| < p, and c(h) = r(h) + r(h - p).  A given w must be real,
+        as v then is.
         """
         p = self.p
         for u in (v,) if w is None else (v, w):

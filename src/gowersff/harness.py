@@ -26,7 +26,9 @@ import numpy as np
 
 from .field import prime_field
 from .norms import (
+    DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
+    _check_positive,
     _refuse_over_cap,
     evaluate,
     gowers_recursive,
@@ -64,7 +66,6 @@ __all__ = [
     "BASELINE_COLUMNS",
 ]
 
-DEFAULT_CEILING = 1e3
 DEFAULT_PRIMES = (101, 211, 499, 997)
 DEFAULT_FAMILIES = (
     "legendre_poly:1,1,0,1",  # f = X^3 + X + 1, ascending coefficients
@@ -75,12 +76,6 @@ DEFAULT_FAMILIES = (
 
 ENGINE_AGREEMENT_TOL = 1e-9
 KLOOSTERMAN_METHOD_TOL = 1e-8
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Refuse a ceiling, threshold or work cap that is not finite and positive."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _check_p_above_d(p: int, d: int) -> None:
@@ -419,6 +414,14 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     records: list[ScanRecord] = []
     errors: list[dict] = []
     failures: list[str] = []
+    # The production routes against their oracles at the smallest prime.
+    agreements: list[dict] = []
+
+    def agree(check: str, delta: float, tol: float, failure: str, **where) -> None:
+        ok = delta <= tol  # a NaN delta fails
+        agreements.append({"check": check, **where, "p": p0, "delta": delta, "ok": ok})
+        if not ok:
+            failures.append(failure)
 
     tables: dict[tuple[str, int], TraceTable] = {}
     for spec, fam in zip(specs, config.families):
@@ -450,29 +453,14 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                         f"ceiling exceeded: {rec.family} d={d} p={p}: "
                         f"u_d*p={rec.u_d_times_p:.6g} > {config.ceiling:.6g}"
                     )
+                if p == p0:
+                    delta = abs(rec.u_d - gowers_recursive(table.values, d))
+                    agree("engine", delta, ENGINE_AGREEMENT_TOL,
+                          f"engine disagreement: {fam} d={d} p={p0}: |accel-rec|={delta:.3g}",
+                          family=rec.family, d=d)
 
     records.sort(key=lambda r: (r.family, r.d, r.p))
-
-    # The production routes against their oracles at the smallest prime.
-    agreements: list[dict] = []
-
-    def agree(check: str, delta: float, tol: float, failure: str, **where) -> None:
-        ok = delta <= tol  # a NaN delta fails
-        agreements.append({"check": check, **where, "p": p0, "delta": delta, "ok": ok})
-        if not ok:
-            failures.append(failure)
-
     field0 = prime_field(p0)
-    for spec, fam in zip(specs, config.families):
-        table = tables.get((fam, p0))
-        if table is None:
-            continue
-        for d in config.d_values:
-            primary = gowers_accelerated(table.values, d, field0, work_cap=config.work_cap)
-            delta = abs(primary - gowers_recursive(table.values, d))
-            agree("engine", delta, ENGINE_AGREEMENT_TOL,
-                  f"engine disagreement: {fam} d={d} p={p0}: |accel-rec|={delta:.3g}",
-                  family=table.descriptor.label, d=d)
     delta = float(np.abs(kloosterman_direct(field0) - kloosterman_trace(field0).values).max())
     agree("kloosterman_methods", delta, KLOOSTERMAN_METHOD_TOL,
           f"kloosterman direct vs transform: {delta:.3g}")

@@ -8,45 +8,18 @@ phi : F_p -> C (the "pnorm"), so every route returns
 
 where C is complex conjugation.  The routes are:
 
-* ``gowers_accelerated`` -- the production route for every d >= 1: U_1 is
-  |mean|^2, U_2 is p^-3 sum_h |c(h)|^2 for the cyclic autocorrelation c
-  of phi (:meth:`PrimeField.correlation`, no prime-length DFT), and
-  for d >= 3, U_d = (1/p^k) sum over h in F_p^k of U_2(Delta_h phi),
-  k = d - 2, with the Fourier base U_2 = sum_t |hat(t)|^4.  U_2(Delta_h phi)
-  is unchanged by permuting the h_i and by flipping their signs, so one
-  row is transformed per orbit: C((p+1)/2 + k - 1, k) rows, about
-  p^k / (2^k k!), each the product of 2^k shifted tables and then a
-  prime-length DFT: numpy's FFT, or Rader's algorithm where p - 1 is
-  13-smooth (:meth:`PrimeField._transform`).  Rows are laid out in the
-  field plan's order, [0, g^0, g^-1, ...] on Rader's route, and their
-  spectra are never put back in natural order: the U_2 sums do not depend
-  on the order of t.  When phi is exactly real the rows are real, and two
-  of them share one complex DFT, of r + i s, whose spectrum splits into
-  the spectra of r and s: half the rows are transformed.  Its one cost
-  policy is the work cap on rows * p * 2^k + dft_rows * p * log2 p.
+* ``gowers_accelerated`` -- the production route for every d >= 1, under
+  one work cap;
 * ``gowers_oracle``      -- test oracle: the unrolled cube sum above, the
-  ground truth; cost p^(d+1), refused beyond a work cap.
+  ground truth; cost p^(d+1), refused beyond a work cap;
 * ``gowers_recursive``   -- test oracle: the inductive definition
   U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
   xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost about p^d, uncapped.
 
-The orbit kernel and the probe's walk of its candidates (``probe._walk``)
-run their chunks of rows through one runner, :func:`_in_chunks`.  numpy's
-FFT releases the GIL, so with two usable cores the chunks are dealt in
-turn to the calling thread and one helper thread.  Each worker's chunk is
-2^17 values, so at most 2^18 values are in flight, and each worker
-allocates its buffers once and reuses them for every chunk: the kernel
-gathers and multiplies a chunk's rows in them, the DFT overwrites the
-rows with their spectra, and the U_2 sums are taken in place.  A large
-array freed per chunk would go back to the OS and be faulted in again.
-Partial sums are kept by chunk index and added in chunk order: U_d does
-not depend on the number of workers or on thread timing.  A call with
-one chunk runs on the calling thread alone and allocates only what that
-chunk needs.
-
 NaN or infinite values are refused.  Values are real up to rounding; the
 routes check the imaginary part where one exists (relative to the real
-part) and clamp tiny negative results to zero.
+part) and clamp tiny negative results to zero.  README Numerics derives
+the orbit kernel, the paired real rows and the chunk runner.
 """
 
 from __future__ import annotations
@@ -61,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import PrimeField, prime_field
+from .field import PrimeField, _finite_values, prime_field
 from .traces import TraceTable
 
 __all__ = [
@@ -78,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_WORK_CAP = 10**9
+#: The default empirical ceiling on U_d * p (verify's and the probe's).
+DEFAULT_CEILING = 1e3
 
 # Imag/negativity tolerance; relaxed once accumulations grow past ~1e6 terms.
 _TOL_TIGHT = 1e-9
@@ -123,6 +98,12 @@ def _refuse_over_cap(what: str, formula: str, est: float, cap: int) -> None:
         )
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a ceiling, threshold or work cap that is not finite and positive."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _in_chunks(n_chunks: int, work, buffers) -> list:
     """[work(i, *bufs) for i in range(n_chunks)], the chunks shared between workers.
 
@@ -133,13 +114,9 @@ def _in_chunks(n_chunks: int, work, buffers) -> list:
     its own heap and are returned with it, and a worker passes the same
     arrays to every chunk it runs.  Results are stored by chunk index, so
     whatever the caller reduces them to does not depend on thread timing.
-    A single chunk runs as ``work(0)`` on the calling thread, with no
-    helper and no buffers kept: work allocates what that one chunk needs.
     An exception in any worker stops the others after their current chunk
     and is raised here.
     """
-    if n_chunks <= 1:
-        return [work(i) for i in range(n_chunks)]
     workers = min(_WORKERS, n_chunks)
     bufs = [buffers() for _ in range(workers)]
     results: list = [None] * n_chunks
@@ -165,19 +142,6 @@ def _in_chunks(n_chunks: int, work, buffers) -> list:
     if failed:
         raise failed[0]
     return results
-
-
-def _finite_values(values, p: int | None = None, d: int = 1) -> np.ndarray:
-    """values as complex128: one-dimensional, of length p if p is given, and finite; d >= 1."""
-    values = np.asarray(values, dtype=np.complex128)
-    if values.ndim != 1 or p not in (None, len(values)):
-        want = "(p,)" if p is None else f"(p,) = ({p},)"
-        raise ValueError(f"values must have shape {want}, got {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return values
 
 
 def xi(values: np.ndarray, h: int) -> np.ndarray:
@@ -284,12 +248,10 @@ def _u2_sums(hat: np.ndarray) -> np.ndarray:
 def _paired_u2_sums(hat: np.ndarray, scratch: np.ndarray, partners: slice) -> np.ndarray:
     """U_2 of both real rows behind each spectrum Z of r + i s, interleaved.
 
-    2 r_hat(t) = Z(t) + conj Z(-t) and 2i s_hat(t) = Z(t) - conj Z(-t).  A
-    real row's spectrum has |r_hat(t)| = |r_hat(-t)|, so
-    U_2(r) = r_hat(0)^4 + 2 sum over half of the t != 0 of |r_hat(t)|^4:
-    those of hat[:, 1:(p + 1) // 2], whose partners Z(-t) are
-    hat[:, partners] (the field plan's layout).  Column 0 is t = 0.  hat is
-    overwritten; ``scratch`` is complex with hat's rows and at least
+    2 r_hat(t) = Z(t) + conj Z(-t) and 2i s_hat(t) = Z(t) - conj Z(-t), and
+    U_2(r) = r_hat(0)^4 + 2 sum of |r_hat(t)|^4 over the t of
+    hat[:, 1:(p + 1) // 2], whose partners Z(-t) are hat[:, partners].
+    hat is overwritten; ``scratch`` is complex with hat's rows and at least
     (p - 1) / 2 columns.
     """
     half = (hat.shape[1] + 1) // 2
@@ -314,21 +276,20 @@ def gowers_accelerated(
     """U_d for any d >= 1; from d = 3 on, one U_2 row per orbit of (h_1..h_{d-2}).
 
     d = 1 is :func:`u1`, and d = 2 is p^-3 sum_h |c(h)|^2 for c the
-    :meth:`PrimeField.correlation` of phi.  From d = 3 on each row
-    Delta_h phi(x) = prod over omega in {0,1}^(d-2) of C^|omega| phi(x + omega.h)
-    goes through the batched Fourier base, and the orbit weights from
-    :func:`_orbits` restore the full average.  Rows are laid out in the
-    field plan's order and turned into spectra in place by
-    :meth:`PrimeField._transform`.  When phi is exactly real,
-    the rows are real: rows 2j and 2j + 1 are built as the real and
-    imaginary parts of one complex DFT row (an odd last row of a chunk has
-    one to itself) and split again by :func:`_paired_u2_sums`.  The chunks
-    of rows run through :func:`_in_chunks`.  Refuses non-finite values
-    (``ValueError``) and any request whose estimated cost
-    rows * p * 2^(d-2) + dft_rows * p * log2 p exceeds ``work_cap``: each
-    of the rows = C((p+1)/2 + d - 3, d - 2) rows is 2^(d-2) corner
-    products, and each of the dft_rows = ceil(rows / 2) rows of a real
-    table (rows of a complex one) one DFT.
+    :meth:`PrimeField.correlation` of phi.  From d = 3 on,
+    U_d = (1/p^k) sum over h in F_p^k of U_2(Delta_h phi), k = d - 2, with
+    Delta_h phi(x) = prod over omega in {0,1}^k of C^|omega| phi(x + omega.h)
+    and the Fourier base U_2 = sum_t |hat(t)|^4.  One row is transformed
+    per orbit of h under permutation and sign (:func:`_orbits` weighs
+    them), laid out in the field plan's order and turned into spectra by
+    :meth:`PrimeField._transform`.  The rows of an exactly real phi are
+    real and pair up, two per complex DFT row (:func:`_paired_u2_sums`).
+    The chunks of rows run through :func:`_in_chunks`.  Refuses non-finite
+    values (``ValueError``) and any request whose estimated cost
+    rows * p * 2^k + dft_rows * p * log2 p exceeds ``work_cap``: each of
+    the rows = C((p+1)/2 + k - 1, k) rows is 2^k corner products, and each
+    of the dft_rows = ceil(rows / 2) rows of a real table (rows of a
+    complex one) one DFT.
     """
     values = _finite_values(values, None if field is None else field.p, d)
     p = len(values)
@@ -356,24 +317,23 @@ def gowers_accelerated(
     first = values[plan.order]
     corners = [np.asarray(omega, dtype=np.int64)
                for omega in itertools.product((0, 1), repeat=k)][1:]
-    chunk = max(1, _CHUNK_VALUES // p)
+    chunk = min(max(1, _CHUNK_VALUES // p), len(reps))
     if real:  # real rows pair up within a chunk
         chunk += chunk % 2
 
-    def buffers(n=chunk):
+    def buffers():
         # Gather indices, one corner's factor, the DFT rows (which collect
         # the corner products and then hold their spectra), and the paired
         # sums' scratch.
-        m = (n + 1) // 2 if real else n
-        return (np.empty((n, p), np.int64), np.empty((n, p), values.dtype),
+        m = (chunk + 1) // 2 if real else chunk
+        return (np.empty((chunk, p), np.int64), np.empty((chunk, p), values.dtype),
                 np.empty((m, p), np.complex128),
                 np.empty((m, p // 2), np.complex128) if real else None)
 
-    def chunk_sum(i, *bufs):
+    def chunk_sum(i, index, factor, hat, scratch):
         start = i * chunk
         h = reps[start : start + chunk]
         n = len(h)
-        index, factor, hat, scratch = bufs or buffers(n)
         index, factor = index[:n], factor[:n]
         hat = hat[: (n + 1) // 2 if real else n]
         # Rows 2j and 2j + 1 of a real table are the real and imaginary

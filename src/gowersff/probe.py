@@ -1,30 +1,15 @@
 """Polynomial-phase obstruction scanning and the structure dichotomy.
 
 A function with large U_d norm must correlate with some phase
-e(P(x)/p), deg P <= d - 1.  This module finds such phases analytically:
-``scan_obstructions`` enumerates all candidate P with zero constant
-term (constant terms only rotate the coefficient and are normalized
-away), at every d, reading one row over the linear coefficient off a
-prime-length DFT for each choice of the higher ones, and ``decompose``
-splits phi = t1 + t2 with t2 the detected phase part.  The scan's one
-cost policy is the default work cap on p^(d-2) * p * (d + log2 p).
-
-The candidates are walked once: the walk keeps each row's peak
-magnitude and where it occurs, and every entry reaching the scan's
-threshold.  ``max_phase_correlation`` reduces the peaks, and
-``scan_obstructions`` reads the hits.  The rows take the orbit kernel's
-route, :meth:`PrimeField._transform` (Rader's algorithm where p - 1 is
-13-smooth), and a real table at d >= 3 walks about half of its tops (see
-``_correlation_rows``).  The walk's chunks of 2^17 values run through
-the orbit kernel's runner, :func:`gowersff.norms._in_chunks`: with two
-usable cores a helper thread takes every other chunk, each worker twists
-and transforms its chunks in one reused buffer, and peaks and hits are
-kept in chunk order, so they do not depend on the workers.  Inside one
-``probe_report`` the scan and the dichotomy share the walk (a
-``contextvars`` scope, reset on exit).  The table's U_d is computed only
-when read: the "phase" branch does not need it, and the residual's U_d
-is the table's own when nothing was removed.
-Values must be finite; every entry point refuses NaN and infinities.
+e(P(x)/p), deg P <= d - 1.  ``scan_obstructions`` lists every candidate
+P with zero constant term (a constant term only rotates the
+coefficient) whose correlation reaches a threshold, ``max_phase_correlation``
+finds the largest, and ``decompose`` splits phi = t1 + t2 with t2 the
+detected phase part.  All of them read one walk of the p^(d-1)
+candidates (``_walk``), refused when its cost p^(d-2) * p * (d + log2 p)
+exceeds the default work cap.  ``probe_report`` walks once and lends that
+walk to its scan and its dichotomy.  Values must be finite; every entry
+point refuses NaN and infinities.
 
 ``dichotomy_report`` classifies a family table as "phase" (some
 correlation >= 0.99, the analytic proxy for containing that phase
@@ -42,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PrimeField
+from .field import PrimeField, _finite_values
 from . import polys
-from .harness import DEFAULT_CEILING, _check_positive
 from .norms import (
     _CHUNK_VALUES,
+    DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
-    _finite_values,
+    _check_positive,
     _in_chunks,
     _refuse_over_cap,
     gowers_accelerated,
@@ -83,7 +68,8 @@ class PhaseComponent:
 
     @property
     def magnitude(self) -> float:
-        return abs(self.beta)
+        """|beta| as the walk's threshold test computes it (``np.abs``)."""
+        return float(np.abs(self.beta))
 
 
 @dataclass(frozen=True)
@@ -121,21 +107,19 @@ def _mirror(flat, d: int, p: int) -> np.ndarray:
 def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     """The walk over the tops (a_2, ..., a_{d-1}) in chunks: (n_chunks, chunk, rows).
 
-    ``rows(i)`` gives chunk i as (flat, hat): at most ``chunk`` flat tops,
-    ascending, and their rows laid out by ``field._plan``.  hat[j, c] is
-    the correlation with P = (0, b, *top) for b = ``_plan.freqs[c]``: the
-    transform of phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p), twisted in
-    ``_plan.order`` and run through :meth:`PrimeField._transform`.  At
-    d = 2 the one top is (); at d = 1 the one row is the mean, the
-    correlation with P = 0.  For real phi at d >= 3, row(-top)(-b) is
-    conj row(top)(b), so only the tops that come before their mirror -top
-    in flat order are walked: the zero top, and those whose leading
-    nonzero digit is at most (p - 1)/2.  ``rows(i, phases, twisted)``
-    works in a worker's (chunk, p) int64 and complex buffers: the twisted
-    table, then its transform, go into the second.  Refuses, before any
-    allocation, when the estimated cost p^(d-2) * p * (d + log2 p) of the
-    walk over all tops (rows times twist and DFT) exceeds the default work
-    cap.
+    ``rows(i, phases, twisted)`` gives chunk i as (flat, hat): at most
+    ``chunk`` flat tops, ascending, and their rows laid out by
+    ``field._plan``.  hat[j, c] is the correlation with P = (0, b, *top)
+    for b = ``_plan.freqs[c]``: the transform of
+    phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p), twisted in the plan's
+    order in a worker's (chunk, p) int64 and complex buffers and run
+    through :meth:`PrimeField._transform` in the second.  At d = 2 the one
+    top is (); at d = 1 the one row is the mean, the correlation with
+    P = 0.  A real phi at d >= 3 walks only the tops that come before
+    their mirror -top in flat order: the zero top, and those whose leading
+    nonzero digit is at most (p - 1)/2.  Refuses, before any allocation,
+    when the estimated cost p^(d-2) * p * (d + log2 p) of the walk over all
+    tops exceeds the default work cap.
     """
     p = field.p
     n_tops = p ** max(d - 2, 0)
@@ -151,17 +135,16 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     powers = [x * x % p]  # x^2, ..., x^(d-1)
     while len(powers) < d - 2:
         powers.append(powers[-1] * x % p)
-    chunk = max(1, _CHUNK_VALUES // p)
+    chunk = min(max(1, _CHUNK_VALUES // p), len(walked))
 
-    def rows(i, phase_buf=None, twisted_buf=None):
+    def rows(i, phase_buf, twisted_buf):
         flat = walked[i * chunk : (i + 1) * chunk]
         if d == 1:
             return flat, values.mean(keepdims=True)[None]
         if d == 2:  # one chunk, so the row can be transformed in place
             return flat, field._transform(laid_out[None, :])
         tops = _tops(flat, d, p)
-        if phase_buf is not None:
-            phase_buf, twisted_buf = phase_buf[: len(tops)], twisted_buf[: len(tops)]
+        phase_buf, twisted_buf = phase_buf[: len(tops)], twisted_buf[: len(tops)]
         # a_2 x^2 + ... + a_{d-1} x^(d-1) mod p; phi(x) e(-that/p), then
         # its transform, all in one array.
         phases = np.multiply(tops[:, :1], powers[0], out=phase_buf)
@@ -176,8 +159,8 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     return -(-len(walked) // chunk), chunk, rows
 
 
-#: Within one probe_report: () or its last (values, d, field, threshold, walk),
-#: which its scan and its dichotomy share.  None outside a probe.
+#: Inside a probe_report: (values, d, field, walk), the walk it lends to its
+#: scan and its dichotomy.  None outside a probe.
 _shared_walk: ContextVar[tuple | None] = ContextVar("_shared_walk", default=None)
 
 
@@ -186,21 +169,14 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
 
     tops are the flat tops walked, ascending; peak and arg run over them:
     max_b |row[b]| and the smallest b attaining it.  (flat, b, beta) are
-    the entries with |beta| >= threshold, sorted by flat top, then by b,
-    searched for only in the tops whose peak reaches it.  A real table's
-    walk leaves out the mirrors of its tops, which take their hits from
-    them (-top, -b, conj beta).  A mirror's peak is its twin's, and the
-    twin comes first in flat order, so the first top with the largest
-    peak is always a walked one.  The chunks run through
-    :func:`gowersff.norms._in_chunks`.  Inside a probe_report a walk of
-    the same values object, d and field at threshold t serves every call
-    whose threshold is at least t.
+    the entries with |beta| >= threshold, sorted by flat top, then by b;
+    the tops a real table does not walk take theirs from their mirrors as
+    (-top, -b, conj beta).  Returns the walk a probe_report lent for the
+    same values object, d and field.
     """
     shared = _shared_walk.get()
-    if shared:
-        seen, seen_d, seen_field, seen_t, walk = shared
-        if seen is values and seen_d == d and seen_field is field and seen_t <= threshold:
-            return walk
+    if shared and shared[0] is values and shared[1] == d and shared[2] is field:
+        return shared[3]
     p = field.p
     n_chunks, chunk, rows = _correlation_rows(values, d, field)
     freqs = field._plan.freqs
@@ -209,9 +185,9 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
         shape = (chunk, p)
         return np.empty(shape, np.int64), np.empty(shape, np.complex128), np.empty(shape)
 
-    def walk_chunk(i, phase_buf=None, twisted_buf=None, mag_buf=None):
+    def walk_chunk(i, phase_buf, twisted_buf, mag_buf):
         flat, hat = rows(i, phase_buf, twisted_buf)
-        mag = np.abs(hat, out=None if mag_buf is None else mag_buf[: len(hat)])
+        mag = np.abs(hat, out=mag_buf[: len(hat), : hat.shape[1]])
         at = np.arange(len(mag)), mag.argmax(axis=1)
         peak, arg = mag[at], freqs[at[1]]
         # A peak in more than one column (the runner-up equals it) goes to
@@ -232,10 +208,7 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
         b = np.concatenate([b, -b[off] % p])
         beta = np.concatenate([beta, np.conj(beta[off])])
     order = np.lexsort((b, flat))
-    walk = tops, peak, arg, flat[order], b[order], beta[order]
-    if shared is not None:
-        _shared_walk.set((values, d, field, threshold, walk))
-    return walk
+    return tops, peak, arg, flat[order], b[order], beta[order]
 
 
 def scan_obstructions(
@@ -251,12 +224,9 @@ def scan_obstructions(
     values = _finite_values(values, field.p, d)
     _check_positive("threshold", threshold)
     peak = float(np.abs(values).max())
-    found: list[PhaseComponent] = []
     *_, flat, b, beta = _walk(values, d, field, threshold)
-    hit = np.abs(beta) >= threshold  # a shared walk may have a lower threshold
-    for top, b_, beta_ in zip(_tops(flat[hit], d, field.p).tolist(), b[hit].tolist(),
-                              beta[hit].tolist()):
-        found.append(PhaseComponent(coeffs=(0, b_, *top)[:d], beta=beta_))
+    found = [PhaseComponent(coeffs=(0, b_, *top)[:d], beta=beta_) for top, b_, beta_
+             in zip(_tops(flat, d, field.p).tolist(), b.tolist(), beta.tolist())]
     for comp in found:
         if comp.magnitude > peak + 1e-9:
             raise ArithmeticError(f"correlation {comp.magnitude} exceeds the sup norm {peak}")
@@ -338,18 +308,18 @@ def probe_report(
 ) -> dict:
     """Full probe of one table: components, residual norm, branch.
 
-    Returns the JSON-ready report ``{p, family, d, components,
+    Returns the JSON-ready report ``{p, family, d, threshold, components,
     residual_u_d, residual_u_d_times_p, branch}`` where each component
     is ``{coeffs, beta_re, beta_im}`` with ascending coefficients.
-    The threshold and ceiling are checked before any walk, and the
-    decomposition and the dichotomy share one walk of the candidates.
+    The threshold and ceiling are checked before the one walk of the
+    candidates, which the decomposition and the dichotomy both read.
     """
     _check_positive("threshold", threshold)
     _check_positive("ceiling", ceiling)
-    field = table.field
-    token = _shared_walk.set(())
+    field, values = table.field, _finite_values(table.values, table.p, d)
+    token = _shared_walk.set((values, d, field, _walk(values, d, field, threshold)))
     try:
-        decomp = decompose(table.values, d, threshold, field)
+        decomp = decompose(values, d, threshold, field)
         report = dichotomy_report(table, d, ceiling)
     finally:
         _shared_walk.reset(token)

@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .field import PrimeField
+from .field import PrimeField, _finite_values
 from . import polys
 from .polys import RationalFunction
 
@@ -108,12 +108,7 @@ class TraceTable:
     descriptor: FamilyDescriptor
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.field.p,):
-            raise ValueError(f"values must have shape ({self.field.p},)")
-        if not np.isfinite(v).all():
-            raise ValueError("values must be finite")
-        v = v.copy()
+        v = _finite_values(self.values, self.field.p).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         r = self.descriptor.rank
@@ -342,14 +337,12 @@ def mixed_ask_trace(f1, f2, chi: MultiplicativeCharacter, field: PrimeField) -> 
 
 
 def fourier_trace(table: TraceTable) -> TraceTable:
-    """t -> -(1/sqrt(p)) sum_x v(x) e(tx/p); metadata untracked.
+    """t -> -(1/sqrt(p)) sum_x v(x) e(tx/p) = -sqrt(p) dft(v)[-t]; metadata untracked.
 
-    Applying the transform twice returns the reflection x -> v(-x)
-    exactly (the 1/sqrt(p) normalization makes it an involution up to
-    reflection).
+    Applying the transform twice returns the reflection x -> v(-x).
     """
     field = table.field
-    out = -field.idft(table.values) / np.sqrt(field.p)
+    out = -np.sqrt(field.p) * field.dft(table.values)[-np.arange(field.p) % field.p]
     desc = FamilyDescriptor(
         family="fourier_of",
         label=f"fourier_of({table.descriptor.label})",

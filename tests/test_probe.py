@@ -303,6 +303,17 @@ class TestMaxPhaseCorrelation:
         assert found[0].beta == found[1].beta.conjugate()
         assert argmax == first and best == pytest.approx(found[0].magnitude, rel=1e-15)
 
+    def test_components_at_the_peak_reach_the_threshold(self, field101):
+        # Python's abs and numpy's np.abs differ in the last bit for these
+        # betas; a component's magnitude is the walk's |beta|, so a threshold
+        # set to the peak keeps both mirrored components at or above it.
+        v = poly_phase((0, 9, 70), 101).real
+        threshold = max_phase_correlation(v, 3, field101)[0]
+        found = scan_obstructions(v, 3, threshold, field101)
+        assert [c.coeffs for c in found] == [(0, 9, 70), (0, 92, 31)]
+        assert all(c.magnitude >= threshold for c in found)
+        assert found[0].magnitude == threshold
+
     def test_d1_is_the_mean(self, field101):
         v = poly_phase((0, 3), 101) + 0.25
         best, coeffs = max_phase_correlation(v, 1, field101)

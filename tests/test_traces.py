@@ -330,6 +330,17 @@ class TestFourierTrace:
         reflected = v[(-np.arange(101)) % 101]
         assert np.abs(twice - reflected).max() <= 1e-9
 
+    @pytest.mark.parametrize("p", [101, 103])
+    def test_matches_the_direct_sum(self, p):
+        # -(1/sqrt(p)) sum_x v(x) e(tx/p) = -sqrt(p) conj(dft_direct(conj v))[t],
+        # from the character table alone: no FFT.
+        F = prime_field(p)
+        rng = np.random.default_rng(p)
+        v = rng.normal(size=p) + 1j * rng.normal(size=p)
+        table = TraceTable(F, v, FamilyDescriptor("fourier_of", "raw", 0, {}))
+        direct = -math.sqrt(p) * np.conj(F.dft_direct(np.conj(v)))
+        assert np.abs(fourier_trace(table).values - direct).max() <= 1e-9
+
     def test_untracked_descriptor(self, field101):
         out = fourier_trace(inverse_phase_trace(field101))
         assert out.descriptor.rank == 0
