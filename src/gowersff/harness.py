@@ -20,11 +20,11 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .field import prime_field
+from .field import PrimeField, prime_field
 from .norms import (
     DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
@@ -83,26 +83,24 @@ def _check_p_above_d(p: int, d: int) -> None:
         raise ValueError(f"p = {p} violates the precondition p > d = {d}")
 
 
-def _check_table_cost(p: int, work_cap: int) -> None:
-    """Refuse, before any field is built, a table costing p * log2 p over the cap."""
+def _table_field(p: int, work_cap: int) -> PrimeField:
+    """The field of a table at p, refused before it is built when p * log2 p exceeds the cap."""
     est = p * math.log2(p) if p > 1 else 0.0
     _refuse_over_cap(f"table at p = {p}", "p * log2 p", est, work_cap)
-
-
-def _power(base: float, exponent: int) -> float:
-    try:
-        return float(base) ** exponent
-    except OverflowError:
-        return math.inf
+    return prime_field(p)
 
 
 def generic_bound_constant(conductor: int, d: int) -> float:
     """(5c)^((d+1) 2^d) for a family of conductor c; inf when it overflows."""
-    return _power(5 * conductor, (d + 1) * 2**d)
+    try:
+        return float(5 * conductor) ** ((d + 1) * 2**d)
+    except OverflowError:
+        return math.inf
 
 
-#: Base constants C of the named families (legendre_poly's is 5m+10, a generic one's 5c).
-_BOUND_BASES = {"inverse_phase": 15, "kloosterman": 20, "legendre_curve": 25}
+#: Conductors c of the named families, whose base constant is C = 5c
+#: (legendre_poly's is m + 2, so C = 5m + 10).
+_CONDUCTORS = {"inverse_phase": 3, "kloosterman": 4, "legendre_curve": 5}
 
 
 def bound_constant(family: str, d: int, m: int | None = None,
@@ -115,9 +113,9 @@ def bound_constant(family: str, d: int, m: int | None = None,
     if family == "legendre_poly":
         if m is None:
             raise ValueError("legendre_poly bound needs the degree m")
-        return _power(5 * m + 10, (d + 1) * 2**d)
-    if family in _BOUND_BASES:
-        return _power(_BOUND_BASES[family], (d + 1) * 2**d)
+        return generic_bound_constant(m + 2, d)
+    if family in _CONDUCTORS:
+        return generic_bound_constant(_CONDUCTORS[family], d)
     if conductor is not None:
         return generic_bound_constant(conductor, d)
     raise ValueError(f"no bound constant for family {family!r} without a conductor")
@@ -159,8 +157,9 @@ def parse_family(spec: str, args: str | None = None) -> FamilySpec:
     ``f1=<num>/<den>; f2=<num>/<den>; chi=<index|q>`` coefficient lists.
     """
     if ":" in spec:
-        spec, inline = spec.split(":", 1)
-        args = inline if args is None else args
+        if args is not None:
+            raise ValueError(f"{spec} has inline arguments; do not also give {args!r}")
+        spec, args = spec.split(":", 1)
     name = spec.strip()
     if name in ("inverse_phase", "kloosterman", "legendre_curve"):
         return FamilySpec(name=name)
@@ -194,8 +193,7 @@ def make_table(spec: FamilySpec, p: int, work_cap: int = DEFAULT_WORK_CAP) -> Tr
     Refuses, before the field is built, when the table's cost p * log2 p
     exceeds ``work_cap`` (the caller's, so ``--work-cap`` moves it too).
     """
-    _check_table_cost(p, work_cap)
-    field = prime_field(p)
+    field = _table_field(p, work_cap)
     if spec.name == "legendre_poly":
         return legendre_poly_trace(spec.coeffs, field)
     if spec.name == "inverse_phase":
@@ -212,13 +210,6 @@ def make_table(spec: FamilySpec, p: int, work_cap: int = DEFAULT_WORK_CAP) -> Tr
 
 
 # -- records -----------------------------------------------------------------
-
-SCAN_COLUMNS = (
-    "p", "family", "d", "engine", "u_d", "u_d_times_p",
-    "bound_constant", "bound", "bound_satisfied", "elapsed_ms",
-)
-
-BASELINE_COLUMNS = ("p", "d", "trials", "seed", "mean_u_d", "mean_u_d_times_p")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -251,6 +242,10 @@ class BaselineRecord:
     seed: int
     mean_u_d: float
     mean_u_d_times_p: float
+
+
+SCAN_COLUMNS = tuple(f.name for f in fields(ScanRecord))
+BASELINE_COLUMNS = tuple(f.name for f in fields(BaselineRecord))
 
 
 def _make_record(spec: FamilySpec, table: TraceTable, d: int, work_cap: int) -> ScanRecord:
@@ -295,6 +290,14 @@ def scan_primes(
     return records, errors
 
 
+def _baseline_field(p: int, d: int, trials: int) -> PrimeField:
+    """The field of a baseline at p, refused unless trials >= 1 and p is an odd prime above d."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _check_p_above_d(p, d)
+    return _table_field(p, DEFAULT_WORK_CAP)
+
+
 def random_baseline(p: int, d: int, trials: int, seed: int) -> BaselineRecord:
     """Average U_d over seeded uniform +-1 functions (PCG64 stream).
 
@@ -303,11 +306,7 @@ def random_baseline(p: int, d: int, trials: int, seed: int) -> BaselineRecord:
     reproduce identical records bit for bit.  p must be an odd prime
     above d, as for a scan record.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_p_above_d(p, d)
-    _check_table_cost(p, DEFAULT_WORK_CAP)
-    field = prime_field(p)
+    field = _baseline_field(p, d, trials)
     rng = np.random.Generator(np.random.PCG64(seed))
     totals = np.empty(trials)
     for t in range(trials):
@@ -337,6 +336,9 @@ class VerifyConfig:
     stable_output: bool = False
 
     def __post_init__(self):
+        for key in ("families", "d_values", "primes"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} is empty: verify needs at least one")
         _check_positive("ceiling", self.ceiling)
         _check_positive("work_cap", self.work_cap)
 
@@ -344,10 +346,29 @@ class VerifyConfig:
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _flag(value: str) -> bool:
+    if value.lower() not in _FLAGS:
+        raise ValueError(f"stable_output must be one of {'/'.join(_FLAGS)}, got {value!r}")
+    return _FLAGS[value.lower()]
+
+
+def _ints(value: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in value.replace(",", " ").split())
+
+
+#: The parser of each config key: one per VerifyConfig field.
+_CONFIG_KEYS = {
+    "families": lambda value: tuple(value.split()), "d_values": _ints, "primes": _ints,
+    "ceiling": float, "baseline_p": int, "baseline_d": int, "baseline_trials": int,
+    "seed": int, "work_cap": int, "stable_output": _flag,
+}
+
+
 def load_config(path: str) -> VerifyConfig:
     """Read a flat ``key = value`` config file (# starts a comment).
 
-    ``stable_output`` takes 1/0, true/false or yes/no in any case.
+    ``stable_output`` takes 1/0, true/false or yes/no in any case.  Every
+    error in a line is reported with its ``path:line``.
     """
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -358,24 +379,13 @@ def load_config(path: str) -> VerifyConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "families":
-                values["families"] = tuple(value.split())
-            elif key in ("d_values", "primes"):
-                values[key] = tuple(int(t) for t in value.replace(",", " ").split())
-            elif key in ("ceiling",):
-                values[key] = float(value)
-            elif key == "stable_output":
-                if value.lower() not in _FLAGS:
-                    raise ValueError(
-                        f"{path}:{lineno}: stable_output must be one of "
-                        f"{'/'.join(_FLAGS)}, got {value!r}"
-                    )
-                values[key] = _FLAGS[value.lower()]
-            elif key in ("baseline_p", "baseline_d", "baseline_trials", "seed", "work_cap"):
-                values[key] = int(value)
-            else:
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _CONFIG_KEYS[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return VerifyConfig(**values)
 
 
@@ -398,9 +408,9 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
 
     PASS requires: (a) every proven bound holds, (b) every U_d * p is at
     most the empirical ceiling, (c) the production routes agree with their
-    oracles at the smallest prime p0.  Before any table is built, every p
-    must exceed every d, and p0^d at the largest d (the cost of
-    ``gowers_recursive``) must fit the work cap.
+    oracles at the smallest prime p0.  Before any table is built, p0 and the
+    baseline are checked, every p must exceed every d, and p0^d at the
+    largest d (the cost of ``gowers_recursive``) must fit the work cap.
     """
     max_d = max(config.d_values)
     bad = [p for p in config.primes if p <= max_d]
@@ -409,8 +419,10 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     p0 = min(config.primes)
     _refuse_over_cap(f"verify agreement check U_{max_d} at p = {p0}", "p^d",
                      p0**max_d, config.work_cap)
-
     specs = [parse_family(s) for s in config.families]
+    field0 = prime_field(p0)
+    # Checked here, drawn last: its draw loads numpy.random (~5 MB) after the sweep's peak.
+    _baseline_field(config.baseline_p, config.baseline_d, config.baseline_trials)
     records: list[ScanRecord] = []
     errors: list[dict] = []
     failures: list[str] = []
@@ -423,20 +435,14 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         if not ok:
             failures.append(failure)
 
-    tables: dict[tuple[str, int], TraceTable] = {}
     for spec, fam in zip(specs, config.families):
         for p in config.primes:
             try:
-                tables[(fam, p)] = make_table(spec, p, config.work_cap)
+                table = make_table(spec, p, config.work_cap)
             except Exception as exc:
                 errors.append({"p": p, "family": spec.name, "error": str(exc)})
-
-    for spec, fam in zip(specs, config.families):
-        for d in config.d_values:
-            for p in config.primes:
-                table = tables.get((fam, p))
-                if table is None:
-                    continue
+                continue
+            for d in config.d_values:
                 try:
                     rec = _make_record(spec, table, d, config.work_cap)
                 except Exception as exc:
@@ -460,7 +466,6 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                           family=rec.family, d=d)
 
     records.sort(key=lambda r: (r.family, r.d, r.p))
-    field0 = prime_field(p0)
     delta = float(np.abs(kloosterman_direct(field0) - kloosterman_trace(field0).values).max())
     agree("kloosterman_methods", delta, KLOOSTERMAN_METHOD_TOL,
           f"kloosterman direct vs transform: {delta:.3g}")
@@ -473,8 +478,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     baseline = random_baseline(
         config.baseline_p, config.baseline_d, config.baseline_trials, config.seed
     )
-
-    report = VerifyReport(
+    return VerifyReport(
         config=config,
         records=tuple(records),
         errors=tuple(errors),
@@ -482,7 +486,6 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         agreements=tuple(agreements),
         failures=tuple(failures),
     )
-    return report
 
 
 def summary_table(report: VerifyReport) -> str:
@@ -533,14 +536,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_fields(record) -> tuple:
-    if isinstance(record, ScanRecord):
-        return SCAN_COLUMNS
-    if isinstance(record, BaselineRecord):
-        return BASELINE_COLUMNS
-    raise TypeError(f"cannot emit {type(record).__name__}")
-
-
 @contextmanager
 def _writing(target):
     """A file object as given, or the path ``target`` opened for writing and closed on exit."""
@@ -559,23 +554,22 @@ def _write_json(obj, target) -> None:
 
 
 def emit(records, fmt: str, path_or_file) -> None:
-    """Write records as CSV (exact column set, 17-significant-digit
-    floats) or JSON (same field names, native types)."""
+    """Write dataclass records as CSV (their fields as columns,
+    17-significant-digit floats) or JSON (same field names, native types)."""
     with _writing(path_or_file) as fh:
         records = list(records)
         if fmt == "csv":
-            columns = _record_fields(records[0]) if records else SCAN_COLUMNS
+            columns = [f.name for f in fields(records[0])] if records else SCAN_COLUMNS
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for r in records:
                 writer.writerow([_fmt(getattr(r, c)) for c in columns])
         elif fmt == "json":
-            _write_json([{c: getattr(r, c) for c in _record_fields(r)} for r in records], fh)
+            _write_json([asdict(r) for r in records], fh)
         else:
             raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")
 
 
 def stable_records(records) -> list:
-    """Zero the elapsed_ms column for byte-stable output."""
-    return [replace(r, elapsed_ms=0.0) if isinstance(r, ScanRecord) else r
-            for r in records]
+    """Scan records with the elapsed_ms column zeroed, for byte-stable output."""
+    return [replace(r, elapsed_ms=0.0) for r in records]

@@ -104,23 +104,34 @@ def _mirror(flat, d: int, p: int) -> np.ndarray:
     return (-_tops(flat, d, p) % p) @ p ** np.arange(d - 2, dtype=np.int64)
 
 
-def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
-    """The walk over the tops (a_2, ..., a_{d-1}) in chunks: (n_chunks, chunk, rows).
+#: Inside a probe_report: (values, d, field, walk), the walk it lends to its
+#: scan and its dichotomy.  None outside a probe.
+_shared_walk: ContextVar[tuple | None] = ContextVar("_shared_walk", default=None)
 
-    ``rows(i, phases, twisted)`` gives chunk i as (flat, hat): at most
-    ``chunk`` flat tops, ascending, and their rows laid out by
-    ``field._plan``.  hat[j, c] is the correlation with P = (0, b, *top)
-    for b = ``_plan.freqs[c]``: the transform of
-    phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p), twisted in the plan's
-    order in a worker's (chunk, p) int64 and complex buffers and run
-    through :meth:`PrimeField._transform` in the second.  At d = 2 the one
-    top is (); at d = 1 the one row is the mean, the correlation with
-    P = 0.  A real phi at d >= 3 walks only the tops that come before
-    their mirror -top in flat order: the zero top, and those whose leading
-    nonzero digit is at most (p - 1)/2.  Refuses, before any allocation,
-    when the estimated cost p^(d-2) * p * (d + log2 p) of the walk over all
-    tops exceeds the default work cap.
+
+def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.inf):
+    """(tops, peak, arg, flat, b, beta): one walk of the p^(d-1) candidates (one at d = 1).
+
+    The walk runs in chunks over the flat tops (a_2, ..., a_{d-1}), ascending.
+    A top's row is the transform of phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p),
+    twisted in the order of ``field._plan`` in a worker's (chunk, p) int64 and
+    complex buffers and run through :meth:`PrimeField._transform` in the second;
+    its column c is the correlation with P = (0, b, *top) for b = ``_plan.freqs[c]``.
+    At d = 2 the one top is (); at d = 1 the one row is the mean.  A real
+    phi at d >= 3 walks only the zero top and the tops whose leading
+    nonzero digit is at most (p - 1)/2, the ones before their mirror -top.
+
+    tops are the flat tops walked; peak and arg run over them: max_b |row[b]|
+    and the smallest b attaining it.  (flat, b, beta) are the entries with
+    |beta| >= threshold, sorted by flat top, then by b; the tops not walked
+    take theirs from their mirrors as (-top, -b, conj beta).  Returns the
+    walk a probe_report lent for the same values object, d and field.
+    Refuses, before any allocation, when the cost p^(d-2) * p * (d + log2 p)
+    of walking all tops exceeds the default work cap.
     """
+    shared = _shared_walk.get()
+    if shared and shared[0] is values and shared[1] == d and shared[2] is field:
+        return shared[3]
     p = field.p
     n_tops = p ** max(d - 2, 0)
     est = n_tops * p * (d + max(1.0, np.log2(p)))
@@ -130,63 +141,36 @@ def _correlation_rows(values: np.ndarray, d: int, field: PrimeField):
     if d >= 3 and not values.imag.any():  # leading nonzero digit a_k at most (p - 1)/2
         walked = np.concatenate([[0], *(np.arange(p**k, (p + 1) // 2 * p**k)
                                         for k in range(d - 2))])
-    x = field._plan.order  # column j holds x = order[j]
+    x, freqs = field._plan.order, field._plan.freqs  # column j holds x = order[j]
     laid_out = values[x]
     powers = [x * x % p]  # x^2, ..., x^(d-1)
     while len(powers) < d - 2:
         powers.append(powers[-1] * x % p)
     chunk = min(max(1, _CHUNK_VALUES // p), len(walked))
 
-    def rows(i, phase_buf, twisted_buf):
-        flat = walked[i * chunk : (i + 1) * chunk]
-        if d == 1:
-            return flat, values.mean(keepdims=True)[None]
-        if d == 2:  # one chunk, so the row can be transformed in place
-            return flat, field._transform(laid_out[None, :])
-        tops = _tops(flat, d, p)
-        phase_buf, twisted_buf = phase_buf[: len(tops)], twisted_buf[: len(tops)]
-        # a_2 x^2 + ... + a_{d-1} x^(d-1) mod p; phi(x) e(-that/p), then
-        # its transform, all in one array.
-        phases = np.multiply(tops[:, :1], powers[0], out=phase_buf)
-        for j in range(1, d - 2):
-            phases += tops[:, j : j + 1] * powers[j]
-        phases %= p
-        twisted = np.take(field.char_table, phases, out=twisted_buf, mode="clip")
-        np.conjugate(twisted, out=twisted)
-        np.multiply(laid_out, twisted, out=twisted)
-        return flat, field._transform(twisted)
-
-    return -(-len(walked) // chunk), chunk, rows
-
-
-#: Inside a probe_report: (values, d, field, walk), the walk it lends to its
-#: scan and its dichotomy.  None outside a probe.
-_shared_walk: ContextVar[tuple | None] = ContextVar("_shared_walk", default=None)
-
-
-def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.inf):
-    """(tops, peak, arg, flat, b, beta): one walk of the p^(d-1) candidates (one at d = 1).
-
-    tops are the flat tops walked, ascending; peak and arg run over them:
-    max_b |row[b]| and the smallest b attaining it.  (flat, b, beta) are
-    the entries with |beta| >= threshold, sorted by flat top, then by b;
-    the tops a real table does not walk take theirs from their mirrors as
-    (-top, -b, conj beta).  Returns the walk a probe_report lent for the
-    same values object, d and field.
-    """
-    shared = _shared_walk.get()
-    if shared and shared[0] is values and shared[1] == d and shared[2] is field:
-        return shared[3]
-    p = field.p
-    n_chunks, chunk, rows = _correlation_rows(values, d, field)
-    freqs = field._plan.freqs
-
     def buffers():
         shape = (chunk, p)
         return np.empty(shape, np.int64), np.empty(shape, np.complex128), np.empty(shape)
 
     def walk_chunk(i, phase_buf, twisted_buf, mag_buf):
-        flat, hat = rows(i, phase_buf, twisted_buf)
+        flat = walked[i * chunk : (i + 1) * chunk]
+        if d == 1:
+            hat = values.mean(keepdims=True)[None]
+        elif d == 2:  # one chunk, so the row can be transformed in place
+            hat = field._transform(laid_out[None, :])
+        else:
+            tops = _tops(flat, d, p)
+            # a_2 x^2 + ... + a_{d-1} x^(d-1) mod p; phi(x) e(-that/p), then
+            # its transform, all in one array.
+            phases = np.multiply(tops[:, :1], powers[0], out=phase_buf[: len(tops)])
+            for j in range(1, d - 2):
+                phases += tops[:, j : j + 1] * powers[j]
+            phases %= p
+            twisted = np.take(field.char_table, phases, out=twisted_buf[: len(tops)],
+                              mode="clip")
+            np.conjugate(twisted, out=twisted)
+            np.multiply(laid_out, twisted, out=twisted)
+            hat = field._transform(twisted)
         mag = np.abs(hat, out=mag_buf[: len(hat), : hat.shape[1]])
         at = np.arange(len(mag)), mag.argmax(axis=1)
         peak, arg = mag[at], freqs[at[1]]
@@ -196,19 +180,19 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
         tied = np.flatnonzero(mag.max(axis=1) == peak)
         mag[at] = peak
         arg[tied] = np.where(mag[tied] == peak[tied, None], freqs, p).min(axis=1)
-        tops = np.flatnonzero(peak >= threshold)
-        j, c = np.nonzero(mag[tops] >= threshold)
-        return flat, peak, arg, flat[tops[j]], freqs[c], hat[tops[j], c]
+        hits = np.flatnonzero(peak >= threshold)
+        j, c = np.nonzero(mag[hits] >= threshold)
+        return peak, arg, flat[hits[j]], freqs[c], hat[hits[j], c]
 
-    tops, peak, arg, flat, b, beta = map(
-        np.concatenate, zip(*_in_chunks(n_chunks, walk_chunk, buffers)))
-    if len(tops) < p ** max(d - 2, 0):  # a real table: the hits of the mirrors
+    peak, arg, flat, b, beta = map(
+        np.concatenate, zip(*_in_chunks(-(-len(walked) // chunk), walk_chunk, buffers)))
+    if len(walked) < n_tops:  # a real table: the hits of the mirrors
         off = flat != 0  # the zero top is its own mirror
         flat = np.concatenate([flat, _mirror(flat[off], d, p)])
         b = np.concatenate([b, -b[off] % p])
         beta = np.concatenate([beta, np.conj(beta[off])])
     order = np.lexsort((b, flat))
-    return tops, peak, arg, flat[order], b[order], beta[order]
+    return walked, peak, arg, flat[order], b[order], beta[order]
 
 
 def scan_obstructions(

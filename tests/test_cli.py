@@ -253,6 +253,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "p > d" in err
 
+    @pytest.mark.parametrize("key", ["families", "d_values", "primes"])
+    def test_empty_sweep_is_usage_error(self, capsys, tmp_path, key):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"{key} =\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"{key} is empty" in err
+
 
 def _nan_table(spec, p, work_cap=None):
     return SimpleNamespace(p=p, values=np.full(p, np.nan, dtype=np.complex128))
@@ -276,6 +285,9 @@ REFUSALS = [
                   "--work-cap", "-1"), "work_cap", None, id="negative_work_cap"),
     pytest.param(("norm", "--p", "11", "--family", "nope", "--d", "1"),
                  "unknown family", None, id="unknown_family"),
+    pytest.param(("norm", "--p", "11", "--family", "legendre_poly:1,1,0,1",
+                  "--family-args", "0,1", "--d", "1"), "inline arguments", None,
+                 id="inline_and_family_args"),
     pytest.param(("baseline", "--p", "4", "--d", "1"), "not prime", None,
                  id="baseline_composite_p"),
     pytest.param(("baseline", "--p", "0", "--d", "1"), "p > d", None, id="baseline_zero_p"),

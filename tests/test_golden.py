@@ -3,6 +3,8 @@
 The files were written by the CLI (numpy 2.4.6) with
 
     gowersff verify --stable-output --output verify.csv > verify_summary.txt
+    gowersff verify --stable-output --format json --output -  (after the summary: verify.json)
+    gowersff baseline --p 101 --d 2 [--format json] > baseline_p101_d2.csv (.json)
     gowersff scan --family kloosterman --d 3 --primes 1009,2011,2017 \\
         --output scan_kloosterman_d3.csv          (elapsed_ms column dropped)
     gowersff probe --p P --family kloosterman --d 3 --output probe_kloosterman_d3_P.json
@@ -80,6 +82,23 @@ def test_verify_csv_and_summary(capsys, tmp_path):
     words = [re.split(r"[\s=]+", line.strip()) for line in summary.splitlines()]
     _assert_same_rows(words, [re.split(r"[\s=]+", line.strip()) for line in
                               (GOLDEN / "verify_summary.txt").read_text().splitlines()])
+
+
+def test_verify_json(capsys):
+    out = _run(capsys, "verify", "--stable-output", "--format", "json", "--output", "-")
+    _, result, records = out.partition("RESULT: PASS\n")
+    assert result
+    assert _same_json(json.loads(records), json.loads((GOLDEN / "verify.json").read_text()))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_baseline(capsys, fmt):
+    got = _run(capsys, "baseline", "--p", "101", "--d", "2", "--format", fmt)
+    want = (GOLDEN / f"baseline_p101_d2.{fmt}").read_text()
+    if fmt == "csv":
+        _assert_same_rows(_csv_rows(got), _csv_rows(want))
+    else:
+        assert _same_json(json.loads(got), json.loads(want)), (got, want)
 
 
 def test_scan_csv(capsys):

@@ -2,7 +2,7 @@ import io
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -82,6 +82,14 @@ class TestFamilyParsing:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             parse_family("weil_sum")
+
+    @pytest.mark.parametrize("spec, args", [
+        ("legendre_poly:1,1,0,1", "0,1"), ("legendre_poly:1,1,0,1", "1,1,0,1"),
+        ("mixed_ask:chi=q", "f1=0,1"), ("kloosterman:", ""),
+    ])
+    def test_inline_and_separate_args_together_refused(self, spec, args):
+        with pytest.raises(ValueError, match="inline arguments"):
+            parse_family(spec, args)
 
     def test_make_table_families(self):
         for name in ("inverse_phase", "kloosterman", "legendre_curve"):
@@ -183,6 +191,47 @@ class TestVerify:
         with pytest.raises(ValueError, match=field):
             replace(SMALL_CONFIG, **{field: value})
 
+    @pytest.mark.parametrize("key", ["families", "d_values", "primes"])
+    def test_empty_sweep_refused(self, key):
+        with pytest.raises(ValueError, match=f"{key} is empty"):
+            replace(SMALL_CONFIG, **{key: ()})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"primes": (100, 211, 499)}, "p = 100 is not prime"),
+        ({"baseline_trials": 0}, "trials must be >= 1"),
+        ({"baseline_p": 4}, "p = 4 is not prime"),
+        ({"baseline_d": 200}, "p > d = 200"),
+    ], ids=["composite_p0", "no_trials", "composite_baseline_p", "baseline_d_above_p"])
+    def test_refused_before_any_table(self, monkeypatch, change, message):
+        built = []
+
+        def no_table(spec, p, work_cap):
+            built.append(p)
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        with pytest.raises(ValueError, match=message):
+            verify(replace(SMALL_CONFIG, **change))
+        assert built == []
+
+    def test_failures_and_errors_come_in_family_p_d_order(self, monkeypatch):
+        evaluate = harness.evaluate
+
+        def no_deep_norm(table, d, work_cap):
+            if d >= 3:
+                raise ValueError(f"refused d = {d}")
+            return evaluate(table, d, work_cap)
+
+        monkeypatch.setattr(harness, "evaluate", no_deep_norm)
+        report = verify(replace(SMALL_CONFIG, families=("inverse_phase",), d_values=(1, 2, 3, 4),
+                                ceiling=1e-9))
+        assert [(e["p"], e["d"]) for e in report.errors] == [(11, 3), (11, 4), (13, 3), (13, 4)]
+        where = [f.split(": ")[1] for f in report.failures if f.startswith("ceiling exceeded")]
+        assert where == ["inverse_phase d=1 p=11", "inverse_phase d=2 p=11",
+                         "inverse_phase d=1 p=13", "inverse_phase d=2 p=13"]
+        assert [(r.d, r.p) for r in report.records] == [(1, 11), (1, 13), (2, 11), (2, 13)]
+        assert [a["d"] for a in report.agreements if a["check"] == "engine"] == [1, 2]
+
     def test_p_not_exceeding_d_refused(self):
         with pytest.raises(ValueError, match="p > d"):
             verify(replace(SMALL_CONFIG, primes=(2, 11), d_values=(1, 2, 3)))
@@ -275,6 +324,11 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit([], "yaml", io.StringIO())
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_record_rejected(self, fmt):
+        with pytest.raises(TypeError):
+            emit([{"p": 11}], fmt, io.StringIO())
+
     def test_unwritable_path_errors(self):
         with pytest.raises(OSError):
             emit([], "csv", "/nonexistent-dir/records.csv")
@@ -343,6 +397,16 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("ceiling = nan\n")
         with pytest.raises(ValueError, match="ceiling"):
+            load_config(str(path))
+
+    def test_one_parser_per_config_field(self):
+        assert harness._CONFIG_KEYS.keys() == {f.name for f in fields(VerifyConfig)}
+
+    @pytest.mark.parametrize("text", ["seed = x", "primes = 11 b", "ceiling = high"])
+    def test_parse_errors_name_the_line(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# comment\n{text}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
             load_config(str(path))
 
     def test_malformed_line_rejected(self, tmp_path):

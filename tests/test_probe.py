@@ -412,7 +412,7 @@ class TestSharedWalk:
         def walked(*args, **kwargs):
             raise RuntimeError("walked")
 
-        monkeypatch.setattr(probe, "_correlation_rows", walked)
+        monkeypatch.setattr(probe, "_in_chunks", walked)
         table = kloosterman_trace(field101)
         with pytest.raises(ValueError, match="ceiling"):
             probe_report(table, 3, 0.5, ceiling=np.nan)
@@ -426,13 +426,13 @@ class TestSharedWalk:
         table = kloosterman_trace(field101)
         probe_report(table, 3, 0.5)
         walks = []
-        rows = probe._correlation_rows
+        in_chunks = probe._in_chunks
 
         def counted(*args, **kwargs):
             walks.append(1)
-            return rows(*args, **kwargs)
+            return in_chunks(*args, **kwargs)
 
-        monkeypatch.setattr(probe, "_correlation_rows", counted)
+        monkeypatch.setattr(probe, "_in_chunks", counted)
         max_phase_correlation(table.values, 3, field101)
         max_phase_correlation(table.values, 3, field101)
         assert len(walks) == 2
@@ -462,14 +462,17 @@ class TestChunkedWalk:
         p, d, threshold = 53, 4, 0.15
         F = prime_field(p)
         v = random_unit_vector(p, np.random.default_rng(53))
-        assert probe._correlation_rows(v, d, F)[0] == 2
         tops = [(a2, a3) for a3 in range(p) for a2 in range(p)]
         beta = F.dft_direct([v * np.conj(poly_phase((0, 0, *top), p)) for top in tops])
         expected = sorted((((0, int(b), *tops[t]), beta[t, b])
                            for t, b in zip(*np.nonzero(np.abs(beta) >= threshold))),
                           key=lambda e: (-abs(e[1]), e[0]))
         monkeypatch.setattr(norms, "_WORKERS", workers)
+        n_chunks, in_chunks = [], probe._in_chunks
+        monkeypatch.setattr(probe, "_in_chunks",
+                            lambda n, *rest: n_chunks.append(n) or in_chunks(n, *rest))
         found = scan_obstructions(v, d, threshold, F)
+        assert n_chunks == [2]
         assert [c.coeffs for c in found] == [coeffs for coeffs, _ in expected]
         assert max(abs(c.beta - b) for c, (_, b) in zip(found, expected)) <= 1e-12
 
@@ -539,7 +542,7 @@ def test_non_finite_values_refused(field101, monkeypatch, call):
     def walked(*args, **kwargs):
         raise RuntimeError("walked")
 
-    monkeypatch.setattr(probe, "_correlation_rows", walked)
+    monkeypatch.setattr(probe, "_in_chunks", walked)
     with pytest.raises(ValueError, match="finite"):
         call(_one_nan(field101), field101)
 
@@ -559,6 +562,6 @@ def test_values_of_another_shape_refused(field101, monkeypatch, call, shape):
     def walked(*args, **kwargs):
         raise RuntimeError("walked")
 
-    monkeypatch.setattr(probe, "_correlation_rows", walked)
+    monkeypatch.setattr(probe, "_in_chunks", walked)
     with pytest.raises(ValueError, match=r"values must have shape \(p,\)"):
         call(np.ones(shape, dtype=np.complex128), field101)
