@@ -13,12 +13,15 @@ so a pure phase e(c*x/p) transforms to the indicator of t = c.
 :meth:`PrimeField.dft_direct` is its O(p^2) test oracle.  Batched rows
 take :meth:`PrimeField._transform`, on numpy's route or, where
 :func:`_rader_route` says, Rader's; :meth:`PrimeField.correlation` pads
-to a power of two.  README Numerics derives both.
+two halves to a power of two.  README Numerics derives both, and the
+chunk runner :func:`_in_chunks` that shares long work between workers.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +76,70 @@ def _finite_values(values, p: int | None = None, d: int = 1) -> np.ndarray:
     if d < 1:
         raise ValueError("d must be >= 1")
     return values
+
+
+#: Values per chunk of rows.  Each worker holds one chunk's rows and
+#: spectra: larger chunks run no faster and only raise peak memory.  A
+#: correlation's transforms take the second worker from this length on.
+_CHUNK_VALUES = 1 << 17
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: The calling thread and at most one helper.
+_WORKERS = min(_usable_cores(), 2)
+
+
+def _in_chunks(n_chunks: int, work, buffers) -> list:
+    """[work(i, *bufs) for i in range(n_chunks)], the chunks shared between workers.
+
+    Chunk i goes to worker i % workers, with at most ``_WORKERS`` workers:
+    the calling thread is worker 0 and the others are helper threads (one,
+    when two cores are usable).  The calling thread makes each worker's
+    arrays with ``buffers()`` before any helper starts, so they come from
+    its own heap and are returned with it, and a worker passes the same
+    arrays to every chunk it runs.  Results are stored by chunk index, so
+    whatever the caller reduces them to does not depend on thread timing.
+    An exception in any worker stops the others after their current chunk
+    and is raised here.
+    """
+    workers = min(_WORKERS, n_chunks)
+    bufs = [buffers() for _ in range(workers)]
+    results: list = [None] * n_chunks
+    failed: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, n_chunks, workers):
+                if failed:
+                    return
+                results[i] = work(i, *bufs[first])
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
+def _in_parts(length: int, work) -> None:
+    """work(part) for each part of range(length), as a slice: two parts on two
+    workers from _CHUNK_VALUES on, else one.  For elementwise work only."""
+    parts = 2 if length >= _CHUNK_VALUES else 1
+    ends = [length * i // parts for i in range(parts + 1)]
+    _in_chunks(parts, lambda i: work(slice(ends[i], ends[i + 1])), tuple)
 
 
 #: Rader's route: p - 1 at most 13-smooth and p at least 40.  Measured on
@@ -139,7 +206,8 @@ class PrimeField:
 
         half = p // 2
         table = np.empty(p, dtype=np.complex128)
-        table[: half + 1] = np.exp(2j * np.pi * np.arange(half + 1) / p)
+        _in_parts(half + 1, lambda a: np.exp(2j * np.pi * np.arange(a.start, a.stop) / p,
+                                            out=table[a]))
         table[half + 1 :] = np.conj(table[1 : half + 1][::-1])
         table.setflags(write=False)
         #: e(a/p) for 0 <= a < p; single source of character values.
@@ -182,21 +250,21 @@ class PrimeField:
 
     @functools.cached_property
     def legendre_table(self) -> np.ndarray:
-        """(a/p) for 0 <= a < p, built by enumerating the squares mod p."""
+        """(a/p) for 0 <= a < p, built from the squares x^2 = (-x)^2 mod p, 0 < x < p/2."""
         t = np.full(self.p, -1, dtype=np.int64)
         t[0] = 0
-        sq = np.arange(1, self.p, dtype=np.int64)
-        t[(sq * sq) % self.p] = 1
+        sq = np.arange(1, (self.p + 1) // 2, dtype=np.int64)
+        t[sq * sq % self.p] = 1
         t.setflags(write=False)
         return t
 
     @functools.cached_property
     def inverse_values(self) -> np.ndarray:
         """x^-1 for all x (0 mapped to 0), for bulk table generation."""
-        n = self.p - 1
         pw = self._powers()
         inv = np.zeros(self.p, dtype=np.int64)
-        inv[pw] = pw[-np.arange(n) % n]  # (g^k)^-1 = g^(n-k)
+        inv[1] = 1  # and (g^k)^-1 = g^(p-1-k) for 0 < k < p - 1:
+        _in_parts(self.p - 2, lambda k: np.put(inv, pw[1:][k], pw[:0:-1][k]))
         inv.setflags(write=False)
         return inv
 
@@ -233,9 +301,9 @@ class PrimeField:
 
     def _rader_plan(self) -> _Plan:
         """Rader's layout: x in [0, g^0, g^-1, ..., g^-(p-2)], t in [0, g^0, g^1, ..., g^(p-2)]."""
-        p, n = self.p, self.p - 1
+        p = self.p
         pw = self._powers()
-        order = np.concatenate([[0], pw[-np.arange(n) % n]])
+        order = np.concatenate([[0, 1], pw[:0:-1]])
         spectrum = np.fft.fft(np.conj(self.char_table[pw]) / p)
         return _Plan(order, np.concatenate([[0], pw]), slice((p + 1) // 2, None), spectrum)
 
@@ -260,32 +328,85 @@ class PrimeField:
     def correlation(self, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         """c(h) = sum_x v[x + h] conj(w[x]) for 0 <= h < p; w = v by default.
 
-        FFTs zero-padded to a power of two n >= 2p - 1 give the linear lags
-        r(h), |h| < p, and c(h) = r(h) + r(h - p).  A given w must be real,
-        as v then is.
+        v and w are split at m = (p + 1)/2 into halves zero-padded to a
+        power of two n >= p.  With S the linear lags of V1 conj W1 + V2 conj W2,
+        X those of V2 conj W1 and Y those of V1 conj W2,
+        c(h) = S(h) + S(h - p) + X(h - m) + Y(h - m + 1), and for w = v,
+        Y(k) = conj X(-k).  A given w must be real, as v then is.  README
+        Numerics says which transforms run on which worker.
         """
         p = self.p
         for u in (v,) if w is None else (v, w):
             if np.shape(u) != (p,):
                 raise ValueError(f"vector shape {np.shape(u)} != (p,) = ({p},)")
-        n = 1 << (2 * p - 2).bit_length()
-        if w is not None:
-            if not (np.isrealobj(v) and np.isrealobj(w)):
-                raise ValueError("a cross-correlation takes real vectors")
-            spectrum = np.fft.rfft(v, n)
-            spectrum *= np.conj(np.fft.rfft(w, n))
-            r = np.fft.irfft(spectrum, n)
-            return r[:p] + r[n - p :]
-        real = np.isrealobj(v)
-        parts = (np.fft.rfft(v, n) if real else np.fft.fft(v, n)).view(np.float64)
-        np.square(parts, out=parts)  # re^2, im^2 interleaved
-        power = parts[0::2] + parts[1::2]
-        del parts  # drop the spectrum before the second transform
+        if w is not None and not (np.isrealobj(v) and np.isrealobj(w)):
+            raise ValueError("a cross-correlation takes real vectors")
+        m, n = (p + 1) // 2, 1 << (p - 1).bit_length()
+        half, real = n // 2, np.isrealobj(v)
+        # Job i runs on worker i % chunks; below _CHUNK_VALUES a helper
+        # thread would cost more than it saves.
+        chunks = 2 if n >= _CHUNK_VALUES else 1
+
+        def transforms(*jobs):
+            _in_chunks(chunks, lambda i: [job() for job in jobs[i::chunks]], tuple)
+
+        def forward(u, out, b):
+            """out = fft(u, n), its first half + 1 for a real u; given b, by real transforms."""
+            if b is None:
+                return (np.fft.rfft if real else np.fft.fft)(u, n, out=out)
+            a, top = out[: half + 1], out[half + 1 :]
+            np.fft.rfft(u.real, n, out=a)
+            np.fft.rfft(u.imag, n, out=b)
+            np.multiply(b, 1j, out=b)  # fft(u) = A + iB, and fft(u)(-t) = conj(A(t) - iB(t))
+            np.conjugate(np.subtract(a[half - 1 : 0 : -1], b[half - 1 : 0 : -1], out=top), out=top)
+            return np.add(a, b, out=a)
+
+        halves = [u[s] for u in ((v,) if w is None else (v, w)) for s in (slice(m), slice(m, p))]
+        spectra = [np.empty(half + 1 if real else n, np.complex128) for _ in halves]
+        # The helper runs real transforms only (README Numerics).
+        scratch = [None if real or i % chunks == 0 else np.empty(half + 1, np.complex128)
+                   for i in range(len(halves))]
+        transforms(*(functools.partial(forward, *job) for job in zip(halves, spectra, scratch)))
+        del scratch
+        if w is None:
+            cross = [np.conj(spectra[0])]
+            cross[0] *= spectra[1]
+            # |V1|^2 + |V2|^2 in V1's real parts, squared in place; a real v
+            # hands all of V1 to irfft, so its imaginary parts are zeroed.
+            a, b = (np.square(u.view(np.float64), out=u.view(np.float64)) for u in spectra)
+            a += b
+            a[0::2] += a[1::2]
+            a[1::2] = 0.0
+            same = spectra[0] if real else a[0::2]
+            del a, b
+        else:
+            v1, v2, w1, w2 = spectra
+            cross = [v2 * np.conj(w1), v1 * np.conj(w2)]
+            same = v1 * np.conj(w1) + v2 * np.conj(w2)
+        del spectra
         if real:
-            r = np.fft.irfft(power, n)
-            return r[:p] + r[p:0:-1]
-        r = np.fft.rfft(power, norm="forward")
-        return np.conj(r[:p]) + r[p:0:-1]
+            lags = [np.empty(n) for _ in range(1 + len(cross))]
+            transforms(*(functools.partial(np.fft.irfft, z, n, out=out)
+                         for z, out in zip([same, *cross], lags)))
+            c = np.concatenate([lags[0][:m], lags[0][n - m + 1 :]])
+        else:  # S is the conjugate of the real |V1|^2 + |V2|^2's forward transform
+            lags = [np.empty(half + 1, np.complex128), cross[0]]
+            transforms(functools.partial(np.fft.ifft, lags[1], out=lags[1]),
+                       functools.partial(np.fft.rfft, same, norm="forward", out=lags[0]))
+            c = np.concatenate([lags[0][:m], lags[0][m - 1 : 0 : -1]])
+            np.conjugate(c[:m], out=c[:m])
+        del same, cross
+        x = lags[1]
+        c[1:m] += x[n - m + 1 :]  # X(h - m), 0 < h < p
+        c[m:] += x[: m - 1]
+        if w is None:  # conj X(m - 1 - h)
+            np.conjugate(x, out=x)
+            c[1:m] += x[m - 2 :: -1]
+            c[m:] += x[: n - m : -1]
+        else:  # Y(h - m + 1)
+            c[1 : m - 1] += lags[2][n - m + 2 :]
+            c[m - 1 :] += lags[2][:m]
+        return c
 
     def dft_direct(self, v: np.ndarray) -> np.ndarray:
         """O(p^2) reference DFT from the character table (testing only)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -155,6 +156,7 @@ def parse_family(spec: str, args: str | None = None) -> FamilySpec:
     legendre_poly args are the ascending coefficients of f, e.g.
     ``1,1,0,1`` for X^3 + X + 1.  mixed_ask args are semicolon-separated
     ``f1=<num>/<den>; f2=<num>/<den>; chi=<index|q>`` coefficient lists.
+    The other families take no arguments.
     """
     if ":" in spec:
         if args is not None:
@@ -162,6 +164,8 @@ def parse_family(spec: str, args: str | None = None) -> FamilySpec:
         spec, args = spec.split(":", 1)
     name = spec.strip()
     if name in ("inverse_phase", "kloosterman", "legendre_curve"):
+        if args:
+            raise ValueError(f"{name} takes no arguments, got {args!r}")
         return FamilySpec(name=name)
     if name == "legendre_poly":
         if not args:
@@ -178,6 +182,8 @@ def parse_family(spec: str, args: str | None = None) -> FamilySpec:
             if key.strip() not in fields:
                 raise ValueError(f"unknown mixed_ask argument {key.strip()!r}")
             fields[key.strip()] = value.strip()
+        if fields["chi"] != "q" and not re.fullmatch(r"[+-]?\d+", fields["chi"]):
+            raise ValueError(f"mixed_ask chi must be an integer or q, got {fields['chi']!r}")
         return FamilySpec(
             name=name,
             f1=_parse_ratio(fields["f1"]),

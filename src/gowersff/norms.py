@@ -19,22 +19,20 @@ where C is complex conjugation.  The routes are:
 NaN or infinite values are refused.  Values are real up to rounding; the
 routes check the imaginary part where one exists (relative to the real
 part) and clamp tiny negative results to zero.  README Numerics derives
-the orbit kernel, the paired real rows and the chunk runner.
+the orbit kernel and the paired real rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import PrimeField, _finite_values, prime_field
+from .field import _CHUNK_VALUES, PrimeField, _finite_values, _in_chunks, prime_field
 from .traces import TraceTable
 
 __all__ = [
@@ -57,21 +55,6 @@ DEFAULT_CEILING = 1e3
 # Imag/negativity tolerance; relaxed once accumulations grow past ~1e6 terms.
 _TOL_TIGHT = 1e-9
 _TOL_RELAXED = 1e-8
-
-
-#: Values per chunk of rows.  Each worker holds one chunk's rows and
-#: spectra: larger chunks run no faster and only raise peak memory.
-_CHUNK_VALUES = 1 << 17
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-#: The calling thread and at most one helper.
-_WORKERS = min(_usable_cores(), 2)
 
 
 class WorkCapExceeded(RuntimeError):
@@ -102,46 +85,6 @@ def _check_positive(name: str, value: float) -> None:
     """Refuse a ceiling, threshold or work cap that is not finite and positive."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _in_chunks(n_chunks: int, work, buffers) -> list:
-    """[work(i, *bufs) for i in range(n_chunks)], the chunks shared between workers.
-
-    Chunk i goes to worker i % workers, with at most ``_WORKERS`` workers:
-    the calling thread is worker 0 and the others are helper threads (one,
-    when two cores are usable).  The calling thread makes each worker's
-    arrays with ``buffers()`` before any helper starts, so they come from
-    its own heap and are returned with it, and a worker passes the same
-    arrays to every chunk it runs.  Results are stored by chunk index, so
-    whatever the caller reduces them to does not depend on thread timing.
-    An exception in any worker stops the others after their current chunk
-    and is raised here.
-    """
-    workers = min(_WORKERS, n_chunks)
-    bufs = [buffers() for _ in range(workers)]
-    results: list = [None] * n_chunks
-    failed: list[BaseException] = []
-
-    def run(first: int) -> None:
-        try:
-            for i in range(first, n_chunks, workers):
-                if failed:
-                    return
-                results[i] = work(i, *bufs[first])
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    helpers = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    try:
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failed:
-        raise failed[0]
-    return results
 
 
 def xi(values: np.ndarray, h: int) -> np.ndarray:
@@ -306,8 +249,9 @@ def gowers_accelerated(
     if real:
         values = values.real
     if not k:
-        c = field.correlation(values)
-        return _finalize(float(np.vdot(c, c).real) / p**3, _tolerance(p, d))
+        # sum |c(h)|^2 without BLAS, whose threads would spin on the helper's core
+        c = field.correlation(values).view(np.float64)
+        return _finalize(float(np.square(c, out=c).sum()) / p**3, _tolerance(p, d))
     reps, weights = _orbits(p, k)
     # By the parity of |omega|: phi or conj phi, doubled so that row s of a
     # corner's factor is doubled[s : s + p].

@@ -50,9 +50,11 @@ def poly_eval(coeffs: Coeffs, x: int, p: int) -> int:
 def poly_eval_all(coeffs: Coeffs, p: int) -> np.ndarray:
     """Horner evaluation at every x in F_p at once (int64, exact for p < 2^31)."""
     x = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
+    acc = np.full(p, coeffs[-1] % p if coeffs else 0, dtype=np.int64)
+    for c in reversed(coeffs[:-1]):  # in place: no temporaries
+        acc *= x
+        acc += c
+        acc %= p
     return acc
 
 
@@ -202,6 +204,8 @@ class RationalFunction:
         """(values, defined) with values[x] = f(x) where defined."""
         p = self.field.p
         num_vals = poly_eval_all(self.num, p)
+        if self.den == (1,):
+            return num_vals, np.ones(p, dtype=bool)
         den_vals = poly_eval_all(self.den, p)
         defined = den_vals != 0
         inv = self.field.inverse_values

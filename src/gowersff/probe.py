@@ -27,14 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PrimeField, _finite_values
+from .field import _CHUNK_VALUES, PrimeField, _finite_values, _in_chunks
 from . import polys
 from .norms import (
-    _CHUNK_VALUES,
     DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
     _check_positive,
-    _in_chunks,
     _refuse_over_cap,
     gowers_accelerated,
 )

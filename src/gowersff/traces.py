@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .field import PrimeField, _finite_values
+from .field import PrimeField, _finite_values, _in_parts
 from . import polys
 from .polys import RationalFunction
 
@@ -145,7 +145,8 @@ class MultiplicativeCharacter:
         step = self.index // (n // order)
         roots = np.exp(2j * np.pi * np.arange(order) / order)
         out = np.zeros(self.field.p, dtype=np.complex128)
-        out[self.field._powers()] = roots[np.arange(n, dtype=np.int64) * step % order]
+        pw, chi = self.field._powers(), np.tile(roots[np.arange(order) * step % order], n // order)
+        _in_parts(n, lambda k: np.put(out, pw[k], chi[k]))
         return out
 
 
@@ -185,8 +186,7 @@ def inverse_phase_trace(field: PrimeField) -> TraceTable:
     """x -> e(inv(x)/p) for x != 0, and 0 at x = 0."""
     p = field.p
     values = np.zeros(p, dtype=np.complex128)
-    inv = field.inverse_values
-    values[1:] = field.char_table[inv[1:]]
+    np.take(field.char_table, field.inverse_values[1:], out=values[1:])
     desc = FamilyDescriptor(
         family="inverse_phase",
         label="inverse_phase",
@@ -204,10 +204,12 @@ def kloosterman_trace(field: PrimeField) -> TraceTable:
     """
     p = field.p
     sqrt_p = np.sqrt(p)
-    w = inverse_phase_trace(field).values
+    w = inverse_phase_trace(field).values.copy()  # writable: the DFT runs in place
     # S(x,1;p) = sum_y w(y) e(+xy/p) = p * dft(w)[-x mod p]
-    hat = field.dft(w)
-    values = (p * hat)[(-np.arange(p)) % p] / sqrt_p
+    hat = field.dft(w, out=w)
+    values = np.concatenate([hat[:1], hat[:0:-1]])
+    values *= p
+    values /= sqrt_p
     # y -> -y conjugates S(x,1;p), so it is real: drop the transform's rounding.
     values.imag = 0.0
     values[0] = -1.0 / sqrt_p

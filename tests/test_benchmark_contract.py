@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gowersff import cli, norms
+from gowersff import cli, field
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -85,7 +85,7 @@ def test_counts_stay_exact_with_two_workers(spans, capsys, monkeypatch):
     # rows in 63 chunks, the last one odd, shared with a helper thread whose
     # DFTs go through the same wrapped PrimeField.dft: 1004 packed rows, plus
     # the one row of the Kloosterman table itself.
-    monkeypatch.setattr(norms, "_WORKERS", 2)
+    monkeypatch.setattr(field, "_WORKERS", 2)
     tracer = spans.Tracer()
     with spans.instrumented(tracer):
         assert cli.main(["scan", "--family", "kloosterman", "--d", "3",

@@ -253,6 +253,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "p > d" in err
 
+    def test_bad_character_index_refused_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_table(spec, p):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("families = mixed_ask:chi=x\nprimes = 11 13\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "chi must be an integer or q" in err
+
     @pytest.mark.parametrize("key", ["families", "d_values", "primes"])
     def test_empty_sweep_is_usage_error(self, capsys, tmp_path, key):
         cfg = tmp_path / "v.cfg"
@@ -288,6 +300,10 @@ REFUSALS = [
     pytest.param(("norm", "--p", "11", "--family", "legendre_poly:1,1,0,1",
                   "--family-args", "0,1", "--d", "1"), "inline arguments", None,
                  id="inline_and_family_args"),
+    pytest.param(("norm", "--p", "11", "--family", "kloosterman", "--family-args", "1,2",
+                  "--d", "1"), "takes no arguments", None, id="family_args_of_kloosterman"),
+    pytest.param(("norm", "--p", "11", "--family", "kloosterman:junk", "--d", "1"),
+                 "takes no arguments", None, id="inline_args_of_kloosterman"),
     pytest.param(("baseline", "--p", "4", "--d", "1"), "not prime", None,
                  id="baseline_composite_p"),
     pytest.param(("baseline", "--p", "0", "--d", "1"), "p > d", None, id="baseline_zero_p"),

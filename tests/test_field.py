@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gowersff import PrimeField, is_prime, prime_field
+from gowersff import field as field_module
 from conftest import euler_legendre
 
 ODD_PRIMES_TO_400 = [p for p in range(3, 401) if is_prime(p)]
@@ -221,6 +224,67 @@ class TestAutocorrelation:
         direct = np.array([np.sum(np.roll(v, -h) * w) for h in range(p)])
         assert np.isrealobj(c)
         assert np.abs(c - direct).max() <= 1e-12 * np.sqrt(np.sum(v**2) * np.sum(w**2))
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "cross"])
+    def test_two_workers_match_one_above_the_threshold(self, monkeypatch, kind):
+        # (p + 1)/2 >= _CHUNK_VALUES = 2^17, so the character table and the
+        # inverses are built in two parts too; the halves of v pad to 2^19 points.
+        p = 262147
+        rng = np.random.default_rng(p)
+        v = rng.normal(size=p) + (1j * rng.normal(size=p) if kind == "complex" else 0)
+        w = rng.integers(-3, 4, size=p) if kind == "cross" else None
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(field_module, "_WORKERS", workers)
+            field = PrimeField(p)
+            results.append((field.char_table, field.inverse_values, field.correlation(v, w)))
+        assert len(started) == 4  # the table, the inverses, the forward and the inverse transforms
+        for one, two in zip(*results):
+            assert np.array_equal(one, two)
+        table, inv, c = results[1]
+        assert np.array_equal(table[:0:-1], np.conj(table[1:]))  # e(-a/p) = conj e(a/p), exactly
+        assert np.all(np.arange(1, p) * inv[1:] % p == 1)
+        hs = np.r_[0, 1, p // 2, p // 2 + 1, p - 1, rng.integers(0, p, 15)]
+        conj_w = np.conj(v if w is None else w)
+        direct = np.array([np.dot(np.roll(v, -h), conj_w) for h in hs])
+        scale = np.sqrt(np.sum(np.abs(v) ** 2) * np.sum(np.abs(conj_w) ** 2))
+        assert np.abs(c[hs] - direct).max() <= 1e-12 * scale
+
+    def test_below_the_threshold_no_thread_starts(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(field_module, "_WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for p in (101, 65521):  # 65521 pads to 2^16, under _CHUNK_VALUES
+            field = PrimeField(p)
+            v = np.cos(np.arange(p))
+            field.correlation(v)
+            field.correlation(v + 1j)
+            field.correlation(v, v)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            PrimeField(65537).correlation(np.ones(65537))  # pads to 2^17
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        rfft = np.fft.rfft
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("helper")
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(field_module, "_WORKERS", 2)
+        monkeypatch.setattr(np.fft, "rfft", failing)
+        with pytest.raises(MemoryError, match="helper"):
+            prime_field(262147).correlation(np.ones(262147))
 
     def test_cross_correlation_of_complex_vectors_refused(self, field101):
         with pytest.raises(ValueError, match="real"):

@@ -91,6 +91,20 @@ class TestFamilyParsing:
         with pytest.raises(ValueError, match="inline arguments"):
             parse_family(spec, args)
 
+    @pytest.mark.parametrize("spec, args", [
+        ("kloosterman", "1,2"), ("kloosterman:junk", None), ("inverse_phase:0,1", None),
+        ("legendre_curve", "f=1"),
+    ])
+    def test_argument_less_families_refuse_arguments(self, spec, args):
+        with pytest.raises(ValueError, match="takes no arguments"):
+            parse_family(spec, args)
+
+    @pytest.mark.parametrize("chi", ["x", "", "1.5", "q2", "3,4"])
+    def test_mixed_ask_chi_is_an_integer_or_q(self, chi):
+        with pytest.raises(ValueError, match="chi must be an integer or q"):
+            parse_family(f"mixed_ask:f1=0,1;chi={chi}")
+        assert [parse_family(f"mixed_ask:chi={c}").chi for c in ("q", "3", "-3")] == ["q", "3", "-3"]
+
     def test_make_table_families(self):
         for name in ("inverse_phase", "kloosterman", "legendre_curve"):
             table = make_table(parse_family(name), 101)

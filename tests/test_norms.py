@@ -171,6 +171,16 @@ class TestAccelerated:
         expected = float(np.sum(np.abs(np.fft.fft(v) / 101) ** 4))
         assert gowers_accelerated(v, 2, field101) == pytest.approx(expected, rel=1e-12)
 
+    def test_u2_sum_is_accurate_at_p1000003(self):
+        # p^-3 sum_h |c(h)|^2 against math.fsum of the same squares: numpy's
+        # pairwise sum is within 1e-15 relative, where BLAS's vdot was 4e-15 off.
+        p = 1000003
+        field = prime_field(p)
+        v = inverse_phase_trace(field).values
+        c = field.correlation(v).view(np.float64)
+        exact = math.fsum((c * c).tolist()) / p**3
+        assert gowers_accelerated(v, 2, field) == pytest.approx(exact, rel=1e-15, abs=0)
+
     def test_legendre_curve_d3_matches_recursive(self, field101):
         v = legendre_curve_trace(field101).values
         assert abs(
@@ -352,7 +362,7 @@ class TestRaderRoute:
         # Chunks of 8 rows: 19 orbit rows at (37, 3) run as 8 + 8 + 3 and 231
         # at (41, 4) as 28 * 8 + 7, so a real table's last row is unpaired.
         monkeypatch.setattr(field_module, "_rader_route", lambda p: True)
-        monkeypatch.setattr(norms, "_WORKERS", workers)
+        monkeypatch.setattr(field_module, "_WORKERS", workers)
         monkeypatch.setattr(norms, "_CHUNK_VALUES", 8 * p)
         field = PrimeField(p)
         assert field._plan.spectrum is not None
@@ -385,7 +395,7 @@ class TestChunkRunner:
         values = family(field).values
         results = []
         for workers in (1, 2):
-            monkeypatch.setattr(norms, "_WORKERS", workers)
+            monkeypatch.setattr(field_module, "_WORKERS", workers)
             results.append(gowers_accelerated(values, d, field))
         assert results[0] == results[1]
 
@@ -393,7 +403,7 @@ class TestChunkRunner:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(norms, "_WORKERS", 2)
+        monkeypatch.setattr(field_module, "_WORKERS", 2)
         monkeypatch.setattr(threading, "Thread", no_thread)
         values = kloosterman_trace(field101).values
         gowers_accelerated(values, 2, field101)  # one row
@@ -403,7 +413,7 @@ class TestChunkRunner:
             gowers_accelerated(kloosterman_trace(field).values, 3, field)
 
     def test_helper_error_is_raised_by_the_caller(self, monkeypatch):
-        monkeypatch.setattr(norms, "_WORKERS", 2)
+        monkeypatch.setattr(field_module, "_WORKERS", 2)
         ran = []
 
         def work(i, buf):
@@ -413,14 +423,14 @@ class TestChunkRunner:
             return i
 
         with pytest.raises(MemoryError, match="chunk 1"):
-            norms._in_chunks(4, work, lambda: (None,))
+            field_module._in_chunks(4, work, lambda: (None,))
         assert 1 in ran and 3 not in ran
 
     def test_results_keep_chunk_order_under_thread_switching(self, monkeypatch):
         # More workers than cores, switching threads every microsecond: each
         # chunk's result lands at its own index, and each worker accumulates
         # only its own chunks (i, i + 4, ...) in its own buffer.
-        monkeypatch.setattr(norms, "_WORKERS", 4)
+        monkeypatch.setattr(field_module, "_WORKERS", 4)
         owners = []
 
         def buffers():  # all made by the calling thread, before any helper starts
@@ -434,7 +444,7 @@ class TestChunkRunner:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = norms._in_chunks(400, work, buffers)
+            results = field_module._in_chunks(400, work, buffers)
         finally:
             sys.setswitchinterval(interval)
         assert owners == [threading.get_ident()] * 4

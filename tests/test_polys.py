@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowersff.field import prime_field
+from gowersff.field import PrimeField, prime_field
 from gowersff import polys
 from gowersff.polys import (
     RationalFunction,
@@ -30,6 +30,12 @@ def test_poly_eval_all_matches_scalar():
     vals = poly_eval_all(f, 13)
     for x in range(13):
         assert vals[x] == poly_eval(f, x, 13)
+
+
+@pytest.mark.parametrize("f", [(-5, 20, -1), (-5,), (40,), ()])
+def test_poly_eval_all_reduces_unreduced_coefficients(f):
+    vals = poly_eval_all(f, 13)
+    assert [int(v) for v in vals] == [poly_eval(f, x, 13) for x in range(13)]
 
 
 def test_poly_gcd_basic():
@@ -132,6 +138,15 @@ class TestRationalFunction:
         for x in range(1, 11):
             assert defined[x]
             assert vals[x] * x % 11 == 1
+
+    def test_polynomial_is_defined_everywhere(self):
+        F = PrimeField(11)
+        vals, defined = RationalFunction((3, 0, 1), (1,), F).eval_all()
+        assert defined.all() and np.array_equal(vals, poly_eval_all((3, 0, 1), 11))
+        assert "inverse_values" not in vars(F)  # a polynomial needs no inverse table
+        vals, defined = RationalFunction((3, 0, 1), (2,), F).eval_all()  # (X^2 + 3)/2
+        assert defined.all()
+        assert [int(v) * 2 % 11 for v in vals] == [(x * x + 3) % 11 for x in range(11)]
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gowersff import field as field_module
-from gowersff import norms, probe
+from gowersff import probe
 from gowersff.field import PrimeField
 from gowersff import (
     WorkCapExceeded,
@@ -449,7 +449,7 @@ class TestChunkedWalk:
         values = 0.6 * _planted(field, coeffs).values + 0.1 * kloosterman_trace(field).values
         results = []
         for workers in (1, 2):
-            monkeypatch.setattr(norms, "_WORKERS", workers)
+            monkeypatch.setattr(field_module, "_WORKERS", workers)
             results.append((max_phase_correlation(values, d, field),
                             scan_obstructions(values, d, 0.5, field)))
         assert results[0] == results[1]
@@ -467,7 +467,7 @@ class TestChunkedWalk:
         expected = sorted((((0, int(b), *tops[t]), beta[t, b])
                            for t, b in zip(*np.nonzero(np.abs(beta) >= threshold))),
                           key=lambda e: (-abs(e[1]), e[0]))
-        monkeypatch.setattr(norms, "_WORKERS", workers)
+        monkeypatch.setattr(field_module, "_WORKERS", workers)
         n_chunks, in_chunks = [], probe._in_chunks
         monkeypatch.setattr(probe, "_in_chunks",
                             lambda n, *rest: n_chunks.append(n) or in_chunks(n, *rest))
@@ -480,7 +480,7 @@ class TestChunkedWalk:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(norms, "_WORKERS", 2)
+        monkeypatch.setattr(field_module, "_WORKERS", 2)
         monkeypatch.setattr(threading, "Thread", no_thread)
         values = kloosterman_trace(field101).values
         max_phase_correlation(values, 2, field101)  # one top
@@ -508,7 +508,7 @@ class TestWalkRoutes:
         # Chunks of 4 rows: 19 walked tops of a real table at (37, 3), 37 of a
         # complex one, and 85 or 169 at (13, 4), run through both workers.
         monkeypatch.setattr(field_module, "_rader_route", lambda p: rader)
-        monkeypatch.setattr(norms, "_WORKERS", workers)
+        monkeypatch.setattr(field_module, "_WORKERS", workers)
         monkeypatch.setattr(probe, "_CHUNK_VALUES", 4 * p)
         F = PrimeField(p)
         assert (F._plan.spectrum is not None) == rader

@@ -25,6 +25,7 @@ from gowersff import (
     mixed_ask_trace,
     prime_field,
 )
+from gowersff import field as field_module
 from gowersff.harness import KLOOSTERMAN_METHOD_TOL
 from conftest import euler_legendre
 
@@ -300,6 +301,16 @@ class TestCharacterValues:
     def test_sampled_at_p1000003(self):
         ks = np.random.default_rng(5).integers(0, 1000002, size=2000)
         _check_character_values(1000003, 123456789, ks)
+
+    def test_two_workers_scatter_the_same_values(self, monkeypatch):
+        # p - 1 >= _CHUNK_VALUES: the values are scattered in two parts.
+        field = prime_field(262147)
+        values = []
+        for workers in (1, 2):
+            monkeypatch.setattr(field_module, "_WORKERS", workers)
+            values.append([MultiplicativeCharacter(field, m).values() for m in (3, 131073)])
+        for one, two in zip(*values):
+            assert np.array_equal(one, two)
 
 
 class TestFourierTrace:
