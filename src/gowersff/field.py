@@ -20,6 +20,7 @@ chunk runner :func:`_in_chunks` that shares long work between workers.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from typing import NamedTuple
@@ -32,37 +33,13 @@ __all__ = [
     "prime_field",
 ]
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
-# (covers every 64-bit input).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # Largest modulus for which int64 intermediate products x*y stay exact.
 _MAX_P = 1 << 31
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 64-bit integers."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division up to isqrt(n): at most ~23k steps below 2^31."""
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % q for q in range(3, math.isqrt(n) + 1, 2))
 
 
 def _finite_values(values, p: int | None = None, d: int = 1) -> np.ndarray:
@@ -196,12 +173,12 @@ class PrimeField:
     """
 
     def __init__(self, p: int):
+        if p >= _MAX_P:  # before the primality test, whose loop grows with sqrt(p)
+            raise ValueError(f"p = {p} exceeds the supported range (< 2^31)")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if p == 2:
             raise ValueError("p = 2 is not supported; p must be odd")
-        if p >= _MAX_P:
-            raise ValueError(f"p = {p} exceeds the supported range (< 2^31)")
         self.p = int(p)
 
         half = p // 2

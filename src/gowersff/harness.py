@@ -86,8 +86,8 @@ def _check_p_above_d(p: int, d: int) -> None:
 
 def _table_field(p: int, work_cap: int) -> PrimeField:
     """The field of a table at p, refused before it is built when p * log2 p exceeds the cap."""
-    est = p * math.log2(p) if p > 1 else 0.0
-    _refuse_over_cap(f"table at p = {p}", "p * log2 p", est, work_cap)
+    _refuse_over_cap(f"table at p = {p}", "p * log2 p",
+                     lambda: p * math.log2(p) if p > 1 else 0.0, work_cap)
     return prime_field(p)
 
 
@@ -296,10 +296,13 @@ def scan_primes(
     return records, errors
 
 
-def _baseline_field(p: int, d: int, trials: int) -> PrimeField:
-    """The field of a baseline at p, refused unless trials >= 1 and p is an odd prime above d."""
+def _baseline_field(p: int, d: int, trials: int, seed: int) -> PrimeField:
+    """The field of a baseline at p, refused unless trials >= 1, seed >= 0 and p is an odd
+    prime above d."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_p_above_d(p, d)
     return _table_field(p, DEFAULT_WORK_CAP)
 
@@ -312,7 +315,7 @@ def random_baseline(p: int, d: int, trials: int, seed: int) -> BaselineRecord:
     reproduce identical records bit for bit.  p must be an odd prime
     above d, as for a scan record.
     """
-    field = _baseline_field(p, d, trials)
+    field = _baseline_field(p, d, trials, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     totals = np.empty(trials)
     for t in range(trials):
@@ -424,11 +427,11 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         raise ValueError(f"primes {bad} violate the precondition p > d = {max_d}")
     p0 = min(config.primes)
     _refuse_over_cap(f"verify agreement check U_{max_d} at p = {p0}", "p^d",
-                     p0**max_d, config.work_cap)
+                     lambda: p0**max_d, config.work_cap)
     specs = [parse_family(s) for s in config.families]
     field0 = prime_field(p0)
     # Checked here, drawn last: its draw loads numpy.random (~5 MB) after the sweep's peak.
-    _baseline_field(config.baseline_p, config.baseline_d, config.baseline_trials)
+    _baseline_field(config.baseline_p, config.baseline_d, config.baseline_trials, config.seed)
     records: list[ScanRecord] = []
     errors: list[dict] = []
     failures: list[str] = []

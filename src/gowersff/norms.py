@@ -73,8 +73,15 @@ def _finalize(value: float, tol: float) -> float:
     return float(value)
 
 
-def _refuse_over_cap(what: str, formula: str, est: float, cap: int) -> None:
-    """Refuse ``what`` (named with its d and p) when its estimate ``est`` exceeds ``cap``."""
+def _refuse_over_cap(what: str, formula: str, estimate, cap: int) -> None:
+    """Refuse ``what`` (named with its d and p) when its cost ``estimate()`` exceeds ``cap``.
+
+    An estimate past the float range counts as infinite, and is refused.
+    """
+    try:
+        est = float(estimate())
+    except OverflowError:
+        est = math.inf
     if est > cap:
         raise WorkCapExceeded(
             f"{what}: estimated cost {formula} = {est:.3g} exceeds work cap {cap}"
@@ -107,7 +114,7 @@ def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) 
     """Ground-truth U_d by the unrolled cube sum over (x, h_1, ..., h_d)."""
     values = _finite_values(values, d=d)
     p = len(values)
-    _refuse_over_cap(f"oracle U_{d} at p = {p}", "p^(d+1)", p ** (d + 1), work_cap)
+    _refuse_over_cap(f"oracle U_{d} at p = {p}", "p^(d+1)", lambda: p ** (d + 1), work_cap)
     shifted = _shifts(values)
     corners = list(itertools.product((0, 1), repeat=d))
     powers = p ** np.arange(d, dtype=np.int64)
@@ -242,9 +249,9 @@ def gowers_accelerated(
     real = not values.imag.any()
     n_orbits = math.comb((p + 1) // 2 + k - 1, k)  # rows, see _orbits
     dft_rows = (n_orbits + 1) // 2 if real else n_orbits
-    est = n_orbits * p * 2**k + dft_rows * p * max(1.0, np.log2(p))
     _refuse_over_cap(f"U_{d} at p = {p}", "rows * p * 2^(d-2) + dft_rows * p * log2 p",
-                     est, work_cap)
+                     lambda: n_orbits * p * 2**k + dft_rows * p * max(1.0, math.log2(p)),
+                     work_cap)
     field = field or prime_field(p)
     if real:
         values = values.real

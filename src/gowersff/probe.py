@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -132,9 +133,8 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
         return shared[3]
     p = field.p
     n_tops = p ** max(d - 2, 0)
-    est = n_tops * p * (d + max(1.0, np.log2(p)))
     _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
-                     est, DEFAULT_WORK_CAP)
+                     lambda: n_tops * p * (d + max(1.0, math.log2(p))), DEFAULT_WORK_CAP)
     walked = np.arange(n_tops)
     if d >= 3 and not values.imag.any():  # leading nonzero digit a_k at most (p - 1)/2
         walked = np.concatenate([[0], *(np.arange(p**k, (p + 1) // 2 * p**k)
@@ -154,10 +154,8 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
         flat = walked[i * chunk : (i + 1) * chunk]
         if d == 1:
             hat = values.mean(keepdims=True)[None]
-        elif d == 2:  # one chunk, so the row can be transformed in place
-            hat = field._transform(laid_out[None, :])
         else:
-            tops = _tops(flat, d, p)
+            tops = _tops(flat, max(d, 3), p)  # d = 2's one top () reads as (0,)
             # a_2 x^2 + ... + a_{d-1} x^(d-1) mod p; phi(x) e(-that/p), then
             # its transform, all in one array.
             phases = np.multiply(tops[:, :1], powers[0], out=phase_buf[: len(tops)])

@@ -167,6 +167,14 @@ class TestScan:
         rows = out.splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["101", "103", "107", "109", "113"]
 
+    def test_estimate_past_the_float_range_is_an_error_row(self, capsys):
+        code, out, err = run(capsys, "scan", "--family", "inverse_phase", "--d", "1000",
+                             "--primes", "1009,101")
+        assert code == 0
+        assert out.splitlines() == [",".join(SCAN_COLUMNS)]
+        assert "U_1000 at p = 1009" in err and "= inf exceeds work cap" in err
+        assert "p > d = 1000" in err
+
     def test_bad_prime_reported_on_stderr(self, capsys):
         code, out, err = run(
             capsys, "scan", "--family", "inverse_phase", "--d", "2",
@@ -246,6 +254,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "U_5 at p = 101" in err and "work cap" in err
 
+    def test_agreement_estimate_past_the_float_range_refused(self, capsys, tmp_path,
+                                                             monkeypatch):
+        def no_table(spec, p, work_cap):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("d_values = 1 2 200\nprimes = 211 499\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "U_200 at p = 211" in err and "= inf exceeds work cap" in err
+
     def test_refused_config_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text("primes = 3 11\nd_values = 1 2 3\n")
@@ -309,6 +330,19 @@ REFUSALS = [
     pytest.param(("baseline", "--p", "0", "--d", "1"), "p > d", None, id="baseline_zero_p"),
     pytest.param(("baseline", "--p", "3", "--d", "5"), "p > d", None,
                  id="baseline_p_not_above_d"),
+    pytest.param(("baseline", "--p", "101", "--d", "2", "--seed", "-5"),
+                 "seed must be >= 0, got -5", None, id="baseline_negative_seed"),
+    pytest.param(("verify", "--seed", "-1"), "seed must be >= 0, got -1", None,
+                 id="verify_negative_seed"),
+    # Estimates past the float range are refused as infinite, not overflowed.
+    pytest.param(("probe", "--p", "101", "--family", "kloosterman", "--d", "300"),
+                 "= inf exceeds work cap", None, id="probe_estimate_past_float_range"),
+    pytest.param(("norm", "--p", "1000003", "--family", "inverse_phase", "--d", "300"),
+                 "= inf exceeds work cap", None, id="norm_estimate_past_float_range"),
+    pytest.param(("gen", "--p", str(10**400 + 1), "--family", "kloosterman"),
+                 "= inf exceeds work cap", None, id="gen_estimate_past_float_range"),
+    pytest.param(("baseline", "--p", str(10**400 + 1), "--d", "2"),
+                 "= inf exceeds work cap", None, id="baseline_estimate_past_float_range"),
 ]
 
 

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -24,6 +25,15 @@ class TestIsPrime:
         for n in (561, 1105, 1729, 25326001, 3215031751):
             assert not is_prime(n)
 
+    def test_agrees_with_a_sieve_to_20000(self):
+        n = 20000
+        sieve = np.ones(n, dtype=bool)
+        sieve[:2] = False
+        for q in range(2, math.isqrt(n) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = False
+        assert [is_prime(k) for k in range(n)] == sieve.tolist()
+
 
 class TestPrimeField:
     def test_rejects_composite_and_two(self):
@@ -31,6 +41,15 @@ class TestPrimeField:
             PrimeField(9)
         with pytest.raises(ValueError):
             PrimeField(2)
+
+    def test_range_refused_before_the_primality_test(self, monkeypatch):
+        def no_test(n):
+            raise AssertionError(f"is_prime({n}) was called")
+
+        monkeypatch.setattr(field_module, "is_prime", no_test)
+        for p in (2**31, 2**31 + 11, 2**89 - 1, 10**400 + 1):
+            with pytest.raises(ValueError, match="supported range"):
+                PrimeField(p)
 
     def test_inverse_table_exhaustive_p997(self, field997):
         inv = field997.inverse_values

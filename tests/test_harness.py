@@ -175,6 +175,14 @@ class TestRandomBaseline:
         with pytest.raises(ValueError):
             random_baseline(101, 2, 0, seed=1)
 
+    def test_negative_seed_refused_before_the_field(self, monkeypatch):
+        def no_field(p, work_cap):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(harness, "_table_field", no_field)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            random_baseline(101, 2, 20, seed=-5)
+
 
 SMALL_CONFIG = VerifyConfig(
     families=("inverse_phase", "kloosterman"),
@@ -215,7 +223,9 @@ class TestVerify:
         ({"baseline_trials": 0}, "trials must be >= 1"),
         ({"baseline_p": 4}, "p = 4 is not prime"),
         ({"baseline_d": 200}, "p > d = 200"),
-    ], ids=["composite_p0", "no_trials", "composite_baseline_p", "baseline_d_above_p"])
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["composite_p0", "no_trials", "composite_baseline_p", "baseline_d_above_p",
+            "negative_seed"])
     def test_refused_before_any_table(self, monkeypatch, change, message):
         built = []
 
@@ -290,6 +300,15 @@ class TestVerify:
         # p0^d = 11^2 = 121 for the recursive check at p0 = 11, d = 2.
         with pytest.raises(WorkCapExceeded, match=r"U_2 at p = 11.*p\^d.*work cap"):
             verify(replace(SMALL_CONFIG, work_cap=100))
+
+    def test_agreement_estimate_past_the_float_range_refused(self, monkeypatch):
+        def no_table(spec, p, work_cap):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        # 211^200 has no float value: the estimate counts as infinite.
+        with pytest.raises(WorkCapExceeded, match=r"U_200 at p = 211.*= inf exceeds work cap"):
+            verify(replace(SMALL_CONFIG, d_values=(1, 2, 200), primes=(211, 499)))
 
     def test_summary_mentions_result(self):
         report = verify(SMALL_CONFIG)

@@ -129,6 +129,11 @@ class TestOracle:
         with pytest.raises(WorkCapExceeded):
             gowers_oracle(v, 2, work_cap=100)
 
+    def test_estimate_past_the_float_range_refused(self):
+        # 101^201 has no float value: the estimate counts as infinite.
+        with pytest.raises(WorkCapExceeded, match=r"p\^\(d\+1\) = inf exceeds work cap"):
+            gowers_oracle(np.ones(101), 200)
+
 
 class TestRecursive:
     def test_d1_equals_u1(self):
@@ -219,6 +224,11 @@ class TestAccelerated:
         v = np.ones(13, dtype=np.complex128)
         with pytest.raises(WorkCapExceeded, match="work cap"):
             gowers_accelerated(v, 12, work_cap=10**6)
+
+    def test_estimate_past_the_float_range_refused(self):
+        # C(1502, 998) rows * 1009 * 2^998 has no float value.
+        with pytest.raises(WorkCapExceeded, match="U_1000 at p = 1009: .* = inf exceeds work cap"):
+            gowers_accelerated(np.ones(1009), 1000)
 
     def test_work_cap_estimate_counts_orbit_rows(self, field101):
         # 51 rows * 101 * 2 + 26 DFT rows * 101 * log2(101) ~ 2.8e4 fits;
@@ -320,6 +330,19 @@ class TestOrbitKernel:
         field = prime_field(p)
         u_d = gowers_accelerated(family(field).values, d, field)
         assert u_d == pytest.approx(expected, rel=1e-9)
+
+
+class TestFamilyConstants:
+    """U_d * p tends to a constant, and at d = 4 the constant depends on the
+    family: inverse_phase approaches 5 (about 5 - 50/p), Kloosterman 4."""
+
+    @pytest.mark.parametrize("p", [307, 503])
+    def test_u4_of_inverse_phase_tends_to_5_and_kloosterman_to_4(self, p):
+        field = prime_field(p)
+        inverse = gowers_accelerated(inverse_phase_trace(field).values, 4, field) * p
+        kloosterman = gowers_accelerated(kloosterman_trace(field).values, 4, field) * p
+        assert inverse > 4.5  # 4.842 at 307, 4.903 at 503
+        assert kloosterman < 4.1  # 4.084 at 307, 4.050 at 503
 
 
 def _rader_field(p: int) -> PrimeField:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -16,8 +17,10 @@ from gowersff import (
     inverse_phase_trace,
     kloosterman_trace,
     legendre_curve_trace,
+    make_table,
     max_phase_correlation,
     mixed_ask_trace,
+    parse_family,
     phase_correlation,
     prime_field,
     probe_report,
@@ -503,10 +506,11 @@ class TestWalkRoutes:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("rader", [True, False], ids=["rader", "numpy"])
-    @pytest.mark.parametrize("p, d", [(37, 3), (13, 4)], ids=["3-37", "4-13"])
+    @pytest.mark.parametrize("p, d", [(37, 2), (37, 3), (13, 4)], ids=["2-37", "3-37", "4-13"])
     def test_walk_matches_brute_force(self, monkeypatch, workers, real, rader, p, d):
         # Chunks of 4 rows: 19 walked tops of a real table at (37, 3), 37 of a
-        # complex one, and 85 or 169 at (13, 4), run through both workers.
+        # complex one, and 85 or 169 at (13, 4), run through both workers; at
+        # (37, 2) the one top, (), is twisted by e(0) = 1.
         monkeypatch.setattr(field_module, "_rader_route", lambda p: rader)
         monkeypatch.setattr(field_module, "_WORKERS", workers)
         monkeypatch.setattr(probe, "_CHUNK_VALUES", 4 * p)
@@ -525,6 +529,37 @@ class TestWalkRoutes:
         best, coeffs = max_phase_correlation(v, d, F)
         assert best == pytest.approx(max(map(abs, brute.values())), abs=1e-12)
         assert abs(brute[coeffs]) == pytest.approx(best, abs=1e-12)
+
+
+#: Weil's constants C in |correlation with a phase of degree < d| <= C / sqrt(p),
+#: deg P = d - 1: m + d - 2 for the Legendre symbol of a degree-m polynomial, d for
+#: e(1/x); Kloosterman's transform is unimodular (C = 1 at d = 2), and it is the
+#: transform of e(1/x), whose quadratic phases it meets with the same C at d = 3.
+WEIL = {("legendre_poly:1,1,0,1", 2): 3, ("legendre_poly:1,1,0,1", 3): 4,
+        ("inverse_phase", 2): 2, ("inverse_phase", 3): 3,
+        ("kloosterman", 2): 1, ("kloosterman", 3): 3}
+
+
+class TestWeilBounds:
+    """The inverse theorem's other half: a trace function that is not a phase
+    correlates with every phase of degree < d by O(1/sqrt(p))."""
+
+    @pytest.mark.parametrize("p", [101, 1009])
+    @pytest.mark.parametrize("family, d", WEIL, ids=[f"{f.split(':')[0]}-{d}" for f, d in WEIL])
+    def test_peak_correlation_within_the_weil_constant(self, family, d, p):
+        table = make_table(parse_family(family), p)
+        peak, _ = max_phase_correlation(table.values, d, table.field)
+        assert peak * math.sqrt(p) <= WEIL[family, d] * (1 + 1e-9)  # Kloosterman's 1 is tight
+
+    @pytest.mark.parametrize("p", [101, 1009])
+    @pytest.mark.parametrize("family", ["legendre_poly:1,1,0,1", "inverse_phase", "kloosterman"])
+    def test_u2_within_the_weil_bound(self, family, p):
+        # U_2 = sum |hat|^4 <= max |hat|^2 * sum |hat|^2 = max |hat|^2 * E|phi|^2,
+        # so U_2 * p <= C^2 * E|phi|^2; Kloosterman meets it with equality.
+        table = make_table(parse_family(family), p)
+        u2 = gowers_accelerated(table.values, 2, table.field)
+        mean_square = float(np.mean(np.abs(table.values) ** 2))
+        assert u2 * p <= WEIL[family, 2] ** 2 * mean_square * (1 + 1e-9)
 
 
 def _one_nan(field):
