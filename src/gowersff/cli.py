@@ -14,6 +14,7 @@ from dataclasses import replace
 from .field import is_prime
 from .norms import DEFAULT_WORK_CAP, WorkCapExceeded
 from .probe import probe_report
+from .traces import FIXED_FAMILIES
 from .harness import (
     DEFAULT_CEILING,
     VerifyConfig,
@@ -109,8 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_family(p, required=True):
         p.add_argument("--family", required=required,
-                       help="legendre_poly | inverse_phase | kloosterman | "
-                            "legendre_curve | mixed_ask")
+                       help=" | ".join(["legendre_poly", *FIXED_FAMILIES, "mixed_ask"]))
         p.add_argument("--family-args", default=None,
                        help="family arguments (e.g. 1,1,0,1 for legendre_poly)")
 

@@ -30,12 +30,14 @@ from .norms import (
     DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
     _check_positive,
+    _power,
     _refuse_over_cap,
     evaluate,
     gowers_recursive,
     gowers_accelerated,
 )
 from .traces import (
+    FIXED_FAMILIES,
     MultiplicativeCharacter,
     TraceTable,
     inverse_phase_trace,
@@ -99,11 +101,6 @@ def generic_bound_constant(conductor: int, d: int) -> float:
         return math.inf
 
 
-#: Conductors c of the named families, whose base constant is C = 5c
-#: (legendre_poly's is m + 2, so C = 5m + 10).
-_CONDUCTORS = {"inverse_phase": 3, "kloosterman": 4, "legendre_curve": 5}
-
-
 def bound_constant(family: str, d: int, m: int | None = None,
                    conductor: int | None = None) -> float:
     """The proven bound constant for a named family (or generic conductor).
@@ -114,12 +111,11 @@ def bound_constant(family: str, d: int, m: int | None = None,
     if family == "legendre_poly":
         if m is None:
             raise ValueError("legendre_poly bound needs the degree m")
-        return generic_bound_constant(m + 2, d)
-    if family in _CONDUCTORS:
-        return generic_bound_constant(_CONDUCTORS[family], d)
-    if conductor is not None:
-        return generic_bound_constant(conductor, d)
-    raise ValueError(f"no bound constant for family {family!r} without a conductor")
+        conductor = m + 2
+    conductor = FIXED_FAMILIES[family].conductor if family in FIXED_FAMILIES else conductor
+    if conductor is None:
+        raise ValueError(f"no bound constant for family {family!r} without a conductor")
+    return generic_bound_constant(conductor, d)
 
 
 # -- family specs ------------------------------------------------------------
@@ -163,7 +159,7 @@ def parse_family(spec: str, args: str | None = None) -> FamilySpec:
             raise ValueError(f"{spec} has inline arguments; do not also give {args!r}")
         spec, args = spec.split(":", 1)
     name = spec.strip()
-    if name in ("inverse_phase", "kloosterman", "legendre_curve"):
+    if name in FIXED_FAMILIES:
         if args:
             raise ValueError(f"{name} takes no arguments, got {args!r}")
         return FamilySpec(name=name)
@@ -427,7 +423,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         raise ValueError(f"primes {bad} violate the precondition p > d = {max_d}")
     p0 = min(config.primes)
     _refuse_over_cap(f"verify agreement check U_{max_d} at p = {p0}", "p^d",
-                     lambda: p0**max_d, config.work_cap)
+                     lambda: _power(p0, max_d), config.work_cap)
     specs = [parse_family(s) for s in config.families]
     field0 = prime_field(p0)
     # Checked here, drawn last: its draw loads numpy.random (~5 MB) after the sweep's peak.

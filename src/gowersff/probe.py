@@ -34,6 +34,7 @@ from .norms import (
     DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
     _check_positive,
+    _power,
     _refuse_over_cap,
     gowers_accelerated,
 )
@@ -132,9 +133,9 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
     if shared and shared[0] is values and shared[1] == d and shared[2] is field:
         return shared[3]
     p = field.p
-    n_tops = p ** max(d - 2, 0)
     _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
-                     lambda: n_tops * p * (d + max(1.0, math.log2(p))), DEFAULT_WORK_CAP)
+                     lambda: _power(p, max(d - 1, 1)) * (d + math.log2(p)), DEFAULT_WORK_CAP)
+    n_tops = p ** max(d - 2, 0)
     walked = np.arange(n_tops)
     if d >= 3 and not values.imag.any():  # leading nonzero digit a_k at most (p - 1)/2
         walked = np.concatenate([[0], *(np.arange(p**k, (p + 1) // 2 * p**k)

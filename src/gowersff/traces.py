@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -43,6 +44,7 @@ from .polys import RationalFunction
 __all__ = [
     "INFINITY",
     "FamilyDescriptor",
+    "FIXED_FAMILIES",
     "TraceTable",
     "MultiplicativeCharacter",
     "legendre_poly_trace",
@@ -73,8 +75,10 @@ class FamilyDescriptor:
 
     ``swan`` maps every singular point (affine ints, plus ``INFINITY``)
     to its Swan conductor; tame points carry 0 but still count toward
-    the conductor.  ``rank = 0`` marks an untracked family (Fourier
-    transforms), whose conductor is reported as 0.
+    the conductor.  It is stored read-only, since tables share
+    descriptors, and compares equal to the dict given.  ``rank = 0``
+    marks an untracked family (Fourier transforms), whose conductor is
+    reported as 0.
     """
 
     family: str
@@ -85,6 +89,7 @@ class FamilyDescriptor:
     singular_set: frozenset[int] = dataclass_field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "swan", MappingProxyType(dict(self.swan)))
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         for pt, s in self.swan.items():
@@ -97,6 +102,14 @@ class FamilyDescriptor:
             "singular_set",
             frozenset(pt for pt in self.swan if pt != INFINITY),
         )
+
+
+#: The families that take no arguments, each with the one descriptor all its tables share.
+FIXED_FAMILIES = {desc.family: desc for desc in (
+    FamilyDescriptor("inverse_phase", "inverse_phase", rank=1, swan={0: 1, INFINITY: 0}),
+    FamilyDescriptor("kloosterman", "kloosterman", rank=2, swan={0: 0, INFINITY: 1}),
+    FamilyDescriptor("legendre_curve", "legendre_curve", rank=2, swan={0: 0, 1: 0, INFINITY: 0}),
+)}
 
 
 @dataclass(frozen=True)
@@ -187,13 +200,7 @@ def inverse_phase_trace(field: PrimeField) -> TraceTable:
     p = field.p
     values = np.zeros(p, dtype=np.complex128)
     np.take(field.char_table, field.inverse_values[1:], out=values[1:])
-    desc = FamilyDescriptor(
-        family="inverse_phase",
-        label="inverse_phase",
-        rank=1,
-        swan={0: 1, INFINITY: 0},
-    )
-    return TraceTable(field, values, desc)
+    return TraceTable(field, values, FIXED_FAMILIES["inverse_phase"])
 
 
 def kloosterman_trace(field: PrimeField) -> TraceTable:
@@ -213,13 +220,7 @@ def kloosterman_trace(field: PrimeField) -> TraceTable:
     # y -> -y conjugates S(x,1;p), so it is real: drop the transform's rounding.
     values.imag = 0.0
     values[0] = -1.0 / sqrt_p
-    desc = FamilyDescriptor(
-        family="kloosterman",
-        label="kloosterman",
-        rank=2,
-        swan={0: 0, INFINITY: 1},
-    )
-    return TraceTable(field, values, desc)
+    return TraceTable(field, values, FIXED_FAMILIES["kloosterman"])
 
 
 def kloosterman_direct(field: PrimeField) -> np.ndarray:
@@ -280,20 +281,7 @@ def legendre_curve_trace(field: PrimeField) -> TraceTable:
     integers = legendre_curve_integers(field)
     values = integers.astype(np.complex128) / np.sqrt(p)
     values[0] = values[1] = 1.0 / np.sqrt(p)
-    desc = FamilyDescriptor(
-        family="legendre_curve",
-        label="legendre_curve",
-        rank=2,
-        swan={0: 0, 1: 0, INFINITY: 0},
-    )
-    return TraceTable(field, values, desc)
-
-
-def _as_rational(f, field: PrimeField) -> RationalFunction:
-    if isinstance(f, RationalFunction):
-        return f
-    num, den = f
-    return RationalFunction(num, den, field)
+    return TraceTable(field, values, FIXED_FAMILIES["legendre_curve"])
 
 
 def mixed_ask_trace(f1, f2, chi: MultiplicativeCharacter, field: PrimeField) -> TraceTable:
@@ -305,9 +293,8 @@ def mixed_ask_trace(f1, f2, chi: MultiplicativeCharacter, field: PrimeField) -> 
     tame.  f1 and f2 may be RationalFunction or (num, den) coefficient
     pairs.
     """
-    p = field.p
-    f1 = _as_rational(f1, field)
-    f2 = _as_rational(f2, field)
+    f1, f2 = (f if isinstance(f, RationalFunction) else RationalFunction(*f, field)
+              for f in (f1, f2))
     if f2.is_zero:
         raise ValueError("f2 is identically zero")
 

@@ -27,6 +27,15 @@ def poly_phase(coeffs, p: int) -> np.ndarray:
     return np.exp(2j * np.pi * acc / p)
 
 
+class SmallPowersOnly(int):
+    """An int whose ``**`` refuses exponents past 10^4: a p whose huge powers
+    a cost estimate must not compute to refuse them."""
+
+    def __pow__(self, exp, mod=None):
+        assert exp <= 10**4, f"{int(self)} ** {exp} was computed"
+        return pow(int(self), exp, mod)
+
+
 @pytest.fixture(scope="session")
 def field101():
     return prime_field(101)

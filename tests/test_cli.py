@@ -339,6 +339,13 @@ REFUSALS = [
                  "= inf exceeds work cap", None, id="probe_estimate_past_float_range"),
     pytest.param(("norm", "--p", "1000003", "--family", "inverse_phase", "--d", "300"),
                  "= inf exceeds work cap", None, id="norm_estimate_past_float_range"),
+    # A large d too, and quickly: the exact estimate is never computed.
+    pytest.param(("norm", "--p", "1000003", "--family", "inverse_phase", "--d", "300000"),
+                 "U_300000 at p = 1000003: estimated cost rows * p * 2^(d-2) + dft_rows * p * "
+                 "log2 p = inf exceeds work cap 1000000000", None, id="norm_large_d"),
+    pytest.param(("probe", "--p", "101", "--family", "kloosterman", "--d", "3000000"),
+                 "probe at d = 3000000, p = 101: estimated cost p^(d-2) * p * (d + log2 p) = "
+                 "inf exceeds work cap 1000000000", None, id="probe_large_d"),
     pytest.param(("gen", "--p", str(10**400 + 1), "--family", "kloosterman"),
                  "= inf exceeds work cap", None, id="gen_estimate_past_float_range"),
     pytest.param(("baseline", "--p", str(10**400 + 1), "--d", "2"),
@@ -409,3 +416,12 @@ class TestUsageErrors:
             main(["norm", "--p", "11", "--family", "kloosterman",
                   "--d", "2", "--format", "xml"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["gen", "norm", "probe", "scan"])
+def test_family_help_names_every_family(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--family FAMILY legendre_poly | inverse_phase | kloosterman | legendre_curve | " \
+           "mixed_ask --family-args" in out

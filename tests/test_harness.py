@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import types
 from dataclasses import fields, replace
 
 import numpy as np
@@ -21,7 +22,8 @@ from gowersff import (
     scan_primes,
     verify,
 )
-from gowersff import harness
+import gowersff
+from gowersff import field, harness, norms, probe, traces
 from gowersff.cli import main
 from gowersff.harness import (
     BASELINE_COLUMNS,
@@ -31,6 +33,14 @@ from gowersff.harness import (
     stable_records,
     summary_table,
 )
+from conftest import SmallPowersOnly
+
+
+def test_package_exports_exactly_its_modules_all():
+    public = {name for name, value in vars(gowersff).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    modules = (field, traces, norms, probe, harness)
+    assert public == {name for module in modules for name in module.__all__}
 
 
 class TestBoundConstant:
@@ -60,6 +70,16 @@ class TestBoundConstant:
     def test_overflow_is_vacuous_infinity(self):
         assert math.isinf(generic_bound_constant(10, 20))
 
+    def test_other_families_read_their_conductor(self):
+        spec = parse_family("mixed_ask:f1=0,0,0,1;f2=1,1;chi=q")
+        records, errors = scan_primes(spec, 2, [101])
+        assert not errors
+        conductor = make_table(spec, 101).descriptor.conductor
+        assert records[0].bound_constant == generic_bound_constant(conductor, 2)
+        assert bound_constant("mixed_ask", 2, conductor=conductor) == records[0].bound_constant
+        with pytest.raises(ValueError, match="no bound constant for family 'mixed_ask'"):
+            bound_constant("mixed_ask", 2)
+
     def test_legendre_poly_needs_degree(self):
         with pytest.raises(ValueError):
             bound_constant("legendre_poly", 2)
@@ -82,6 +102,15 @@ class TestFamilyParsing:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             parse_family("weil_sum")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("legendre_poly", "legendre_poly needs coefficients"),
+        ("legendre_poly:", "legendre_poly needs coefficients"),
+        ("mixed_ask:f1=0,1;f3=1", "unknown mixed_ask argument 'f3'"),
+    ])
+    def test_missing_or_unknown_arguments_refused(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_family(spec)
 
     @pytest.mark.parametrize("spec, args", [
         ("legendre_poly:1,1,0,1", "0,1"), ("legendre_poly:1,1,0,1", "1,1,0,1"),
@@ -256,6 +285,17 @@ class TestVerify:
         assert [(r.d, r.p) for r in report.records] == [(1, 11), (1, 13), (2, 11), (2, 13)]
         assert [a["d"] for a in report.agreements if a["check"] == "engine"] == [1, 2]
 
+    def test_table_error_is_a_row_and_fails(self, capsys, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("families = legendre_curve\nd_values = 1 2\nprimes = 3 5 7\n")
+        report = verify(load_config(str(cfg)))
+        error = {"p": 3, "family": "legendre_curve", "error": "legendre_curve requires p >= 5"}
+        assert report.errors == (error,) and not report.failures and not report.passed
+        assert [(r.p, r.d) for r in report.records] == [(5, 1), (7, 1), (5, 2), (7, 2)]
+        assert main(["verify", "--config", str(cfg), "--stable-output"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert f"error: {error}" in lines and lines[-1] == "RESULT: FAIL"
+
     def test_p_not_exceeding_d_refused(self):
         with pytest.raises(ValueError, match="p > d"):
             verify(replace(SMALL_CONFIG, primes=(2, 11), d_values=(1, 2, 3)))
@@ -309,6 +349,12 @@ class TestVerify:
         # 211^200 has no float value: the estimate counts as infinite.
         with pytest.raises(WorkCapExceeded, match=r"U_200 at p = 211.*= inf exceeds work cap"):
             verify(replace(SMALL_CONFIG, d_values=(1, 2, 200), primes=(211, 499)))
+
+    def test_agreement_estimate_past_the_float_range_refused_without_the_power(self):
+        primes = (SmallPowersOnly(300007), SmallPowersOnly(300017))
+        with pytest.raises(WorkCapExceeded,
+                           match=r"U_300000 at p = 300007: .* p\^d = inf exceeds work cap"):
+            verify(replace(SMALL_CONFIG, d_values=(1, 2, 300000), primes=primes))
 
     def test_summary_mentions_result(self):
         report = verify(SMALL_CONFIG)

@@ -32,7 +32,7 @@ from gowersff import (
 from gowersff import field as field_module
 from gowersff import norms
 from gowersff.norms import _finalize, _orbits
-from conftest import poly_phase, random_unit_vector
+from conftest import SmallPowersOnly, poly_phase, random_unit_vector
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 
@@ -133,6 +133,8 @@ class TestOracle:
         # 101^201 has no float value: the estimate counts as infinite.
         with pytest.raises(WorkCapExceeded, match=r"p\^\(d\+1\) = inf exceeds work cap"):
             gowers_oracle(np.ones(101), 200)
+        with pytest.raises(WorkCapExceeded, match=r"U_1000000 at p = 3: .* = inf exceeds"):
+            gowers_oracle(np.ones(3), 10**6)
 
 
 class TestRecursive:
@@ -229,6 +231,26 @@ class TestAccelerated:
         # C(1502, 998) rows * 1009 * 2^998 has no float value.
         with pytest.raises(WorkCapExceeded, match="U_1000 at p = 1009: .* = inf exceeds work cap"):
             gowers_accelerated(np.ones(1009), 1000)
+
+    def test_estimate_past_the_float_range_refused_without_the_binomial(self, monkeypatch):
+        # C(599999, 99998) rows: its exact value has ~5e5 bits and no float.
+        comb = math.comb
+
+        def small_comb(n, k):
+            assert k <= 10**4, f"math.comb({n}, {k}) was computed"
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        with pytest.raises(WorkCapExceeded, match="U_100000 at p = 1000003: .* = inf exceeds"):
+            gowers_accelerated(np.ones(1000003), 100000)
+
+    def test_estimates_stay_exact_up_to_the_float_range(self):
+        assert norms._power(2, 1023) == 2**1023 and norms._power(7, 0) == 1
+        assert norms._comb(1100, 550) == math.comb(1100, 550)  # ~2^1094
+        with pytest.raises(OverflowError):
+            norms._power(SmallPowersOnly(101), 10**6)
+        with pytest.raises(OverflowError):
+            norms._comb(2000, 1000)  # ~2^1994
 
     def test_work_cap_estimate_counts_orbit_rows(self, field101):
         # 51 rows * 101 * 2 + 26 DFT rows * 101 * log2(101) ~ 2.8e4 fits;
@@ -591,6 +613,11 @@ class TestEvaluate:
             for d in (1, 2, 3):
                 res = evaluate(table, d)
                 assert res.u_d <= table.descriptor.rank ** (2**d) + 1e-6
+
+    def test_trivial_bound_violation_refused(self, monkeypatch, field101):
+        monkeypatch.setattr(norms, "gowers_accelerated", lambda *args: 2.0)
+        with pytest.raises(ArithmeticError, match=r"trivial bound violated: U_2 = 2.0"):
+            evaluate(inverse_phase_trace(field101), 2)  # rank 1: U_2 <= 1
 
     @pytest.mark.parametrize("route", [gowers_oracle, gowers_recursive, gowers_accelerated],
                              ids=["oracle", "recursive", "accelerated"])

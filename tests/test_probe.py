@@ -27,7 +27,7 @@ from gowersff import (
     scan_obstructions,
 )
 from gowersff.traces import MultiplicativeCharacter
-from conftest import poly_phase, random_unit_vector
+from conftest import SmallPowersOnly, poly_phase, random_unit_vector
 
 
 def brute_force_components(values, d, threshold, field):
@@ -111,6 +111,13 @@ class TestScanObstructions:
         F = prime_field(10007)
         with pytest.raises(WorkCapExceeded, match="work cap"):
             scan_obstructions(np.ones(10007, dtype=np.complex128), 4, 0.5, F)
+
+    def test_estimate_past_the_float_range_refused_without_the_power(self):
+        # 101^2999998 tops: the estimate is inf, and the power is never computed.
+        F = PrimeField(101)
+        F.p = SmallPowersOnly(101)
+        with pytest.raises(WorkCapExceeded, match=r"d = 3000000, p = 101: .* = inf exceeds"):
+            scan_obstructions(np.ones(101), 3 * 10**6, 0.5, F)
 
     def test_planted_cubic_recovered_at_d4(self, field101):
         v = poly_phase((0, 4, 0, 7), 101)

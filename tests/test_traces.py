@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gowersff import (
+    FIXED_FAMILIES,
     INFINITY,
     FamilyDescriptor,
     MultiplicativeCharacter,
@@ -27,6 +28,7 @@ from gowersff import (
 )
 from gowersff import field as field_module
 from gowersff.harness import KLOOSTERMAN_METHOD_TOL
+from gowersff.polys import RationalFunction
 from conftest import euler_legendre
 
 
@@ -245,6 +247,14 @@ class TestMixedAsk:
         assert mixed.descriptor.swan == {INFINITY: 3}
         assert mixed.descriptor.conductor == 4
 
+    def test_rational_functions_given_as_such(self, field101):
+        chi = MultiplicativeCharacter(field101, 50)
+        pairs = (((1, 0, 1), (0, 1)), ((0, 1), (1, 1)))
+        given = mixed_ask_trace(*(RationalFunction(*f, field101) for f in pairs), chi, field101)
+        parsed = mixed_ask_trace(*pairs, chi, field101)
+        assert np.array_equal(given.values, parsed.values)
+        assert given.descriptor == parsed.descriptor
+
     def test_zero_f2_rejected(self, field101):
         chi = MultiplicativeCharacter(field101, 0)
         with pytest.raises(ValueError):
@@ -420,6 +430,27 @@ class TestTableInvariants:
         v[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
             TraceTable(field101, v, desc)
+
+    @pytest.mark.parametrize("generator, name, conductor", [
+        (inverse_phase_trace, "inverse_phase", 3),
+        (kloosterman_trace, "kloosterman", 4),
+        (legendre_curve_trace, "legendre_curve", 5),
+    ])
+    def test_fixed_generators_share_their_descriptor(self, field101, generator, name,
+                                                     conductor):
+        desc = generator(field101).descriptor
+        assert desc is FIXED_FAMILIES[name] is generator(prime_field(103)).descriptor
+        assert desc.family == desc.label == name
+        assert desc.conductor == conductor
+
+    def test_swan_is_read_only(self):
+        swan = {3: 1, INFINITY: 0}
+        desc = FamilyDescriptor("mixed_ask", "x", 1, swan)
+        swan[3] = 7  # the descriptor keeps its own copy
+        assert desc.swan == {3: 1, INFINITY: 0} and desc.conductor == 3
+        for d in (desc, *FIXED_FAMILIES.values()):
+            with pytest.raises(TypeError):
+                d.swan[0] = 5
 
     def test_values_are_read_only(self, field101):
         t = inverse_phase_trace(field101)
