@@ -29,6 +29,7 @@ from .field import PrimeField, prime_field
 from .norms import (
     DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
+    _check_p_above_d,
     _check_positive,
     _power,
     _refuse_over_cap,
@@ -79,11 +80,6 @@ DEFAULT_FAMILIES = (
 
 ENGINE_AGREEMENT_TOL = 1e-9
 KLOOSTERMAN_METHOD_TOL = 1e-8
-
-
-def _check_p_above_d(p: int, d: int) -> None:
-    if p <= d:
-        raise ValueError(f"p = {p} violates the precondition p > d = {d}")
 
 
 def _table_field(p: int, work_cap: int) -> PrimeField:
@@ -277,10 +273,14 @@ def scan_primes(
 ) -> tuple[list[ScanRecord], list[dict]]:
     """One record per prime; per-item failures are collected, not fatal.
 
-    A bad prime, p <= d or a prime too small for the family is refused
-    where the table or the record is built, and becomes an error record.
+    An empty primes is refused before any table is built.  A bad prime,
+    p <= d or a prime too small for the family is refused where the table
+    or the record is built, and becomes an error record.
     """
     _check_positive("work_cap", work_cap)
+    primes = list(primes)
+    if not primes:
+        raise ValueError("primes is empty: scan needs at least one")
     records: list[ScanRecord] = []
     errors: list[dict] = []
     for p in primes:

@@ -109,6 +109,12 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_p_above_d(p: int, d: int) -> None:
+    """Refuse p <= d: from degree p on, the phases x^k alias (x^p = x)."""
+    if p <= d:
+        raise ValueError(f"p = {p} violates the precondition p > d = {d}")
+
+
 def xi(values: np.ndarray, h: int) -> np.ndarray:
     """Multiplicative difference: x -> phi(x+h) * conj(phi(x))."""
     return np.roll(values, -h) * np.conj(values)

@@ -33,6 +33,7 @@ from . import polys
 from .norms import (
     DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
+    _check_p_above_d,
     _check_positive,
     _power,
     _refuse_over_cap,
@@ -126,13 +127,14 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
     |beta| >= threshold, sorted by flat top, then by b; the tops not walked
     take theirs from their mirrors as (-top, -b, conj beta).  Returns the
     walk a probe_report lent for the same values object, d and field.
-    Refuses, before any allocation, when the cost p^(d-2) * p * (d + log2 p)
-    of walking all tops exceeds the default work cap.
+    Refuses, before any allocation, p <= d, and a cost p^(d-2) * p * (d + log2 p)
+    of walking all tops over the default work cap.
     """
     shared = _shared_walk.get()
     if shared and shared[0] is values and shared[1] == d and shared[2] is field:
         return shared[3]
     p = field.p
+    _check_p_above_d(p, d)
     _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
                      lambda: _power(p, max(d - 1, 1)) * (d + math.log2(p)), DEFAULT_WORK_CAP)
     n_tops = p ** max(d - 2, 0)

@@ -334,8 +334,24 @@ REFUSALS = [
                  "seed must be >= 0, got -5", None, id="baseline_negative_seed"),
     pytest.param(("verify", "--seed", "-1"), "seed must be >= 0, got -1", None,
                  id="verify_negative_seed"),
+    # From degree p on the probe's phases alias (x^p = x): p <= d is refused
+    # before the cost estimate, and before any output.
+    pytest.param(("probe", "--p", "3", "--family", "inverse_phase", "--d", "4"),
+                 "p = 3 violates the precondition p > d = 4", None, id="probe_p_below_d"),
+    pytest.param(("probe", "--p", "5", "--family", "kloosterman", "--d", "7"),
+                 "p = 5 violates the precondition p > d = 7", None, id="probe_p_below_d_kloosterman"),
+    pytest.param(("probe", "--p", "5", "--family", "inverse_phase", "--d", "5"),
+                 "p = 5 violates the precondition p > d = 5", None, id="probe_p_equal_d"),
+    pytest.param(("probe", "--p", "101", "--family", "kloosterman", "--d", "3000000"),
+                 "p = 101 violates the precondition p > d = 3000000", None,
+                 id="probe_large_d_above_p"),
+    # An empty prime list, as a reversed range or an empty comma list.
+    pytest.param(("scan", "--family", "kloosterman", "--d", "2", "--primes", "101..97"),
+                 "primes is empty: scan needs at least one", None, id="scan_reversed_range"),
+    pytest.param(("scan", "--family", "kloosterman", "--d", "2", "--primes", ","),
+                 "primes is empty: scan needs at least one", None, id="scan_no_primes"),
     # Estimates past the float range are refused as infinite, not overflowed.
-    pytest.param(("probe", "--p", "101", "--family", "kloosterman", "--d", "300"),
+    pytest.param(("probe", "--p", "307", "--family", "kloosterman", "--d", "300"),
                  "= inf exceeds work cap", None, id="probe_estimate_past_float_range"),
     pytest.param(("norm", "--p", "1000003", "--family", "inverse_phase", "--d", "300"),
                  "= inf exceeds work cap", None, id="norm_estimate_past_float_range"),
@@ -343,8 +359,8 @@ REFUSALS = [
     pytest.param(("norm", "--p", "1000003", "--family", "inverse_phase", "--d", "300000"),
                  "U_300000 at p = 1000003: estimated cost rows * p * 2^(d-2) + dft_rows * p * "
                  "log2 p = inf exceeds work cap 1000000000", None, id="norm_large_d"),
-    pytest.param(("probe", "--p", "101", "--family", "kloosterman", "--d", "3000000"),
-                 "probe at d = 3000000, p = 101: estimated cost p^(d-2) * p * (d + log2 p) = "
+    pytest.param(("probe", "--p", "1000003", "--family", "inverse_phase", "--d", "1000000"),
+                 "probe at d = 1000000, p = 1000003: estimated cost p^(d-2) * p * (d + log2 p) = "
                  "inf exceeds work cap 1000000000", None, id="probe_large_d"),
     pytest.param(("gen", "--p", str(10**400 + 1), "--family", "kloosterman"),
                  "= inf exceeds work cap", None, id="gen_estimate_past_float_range"),

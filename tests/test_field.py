@@ -1,15 +1,26 @@
+import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gowersff import PrimeField, is_prime, prime_field
+from gowersff import (
+    PrimeField,
+    gowers_accelerated,
+    inverse_phase_trace,
+    is_prime,
+    kloosterman_trace,
+    legendre_poly_trace,
+    prime_field,
+)
 from gowersff import field as field_module
 from conftest import euler_legendre
 
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 ODD_PRIMES_TO_400 = [p for p in range(3, 401) if is_prime(p)]
 
 
@@ -210,6 +221,101 @@ class TestDft:
         batched = field101.dft(m)
         for i in range(5):
             assert np.abs(batched[i] - field101.dft(m[i])).max() <= 1e-12
+
+
+class TestHermitianRoute:
+    """A single exactly Hermitian row from p = 2^17 on takes Rader's algorithm as
+    two half-length real convolutions; every other input is numpy's FFT."""
+
+    @staticmethod
+    def rows(field):
+        """The inverse-phase row, a random exactly Hermitian row, and a real even row."""
+        p = field.p
+        rng = np.random.default_rng(p)
+        head = rng.normal(size=p // 2) + 1j * rng.normal(size=p // 2)
+        hermitian = np.concatenate([[rng.normal()], head, np.conj(head[::-1])])
+        return {
+            "inverse_phase": inverse_phase_trace(field).values,
+            "hermitian": hermitian,
+            "real_even": legendre_poly_trace((1, 0, 1), field).values,  # ((x^2 + 1)/p)
+        }
+
+    @pytest.mark.parametrize("p", [131101, 262147, 1000003, 1049599])
+    def test_agrees_with_numpy_and_the_direct_sum(self, p):
+        # 1049599 pads its half-length convolutions to 2^21, the others to 2^18 and 2^20.
+        field = PrimeField(p)
+        rows = self.rows(field)
+        hats = {name: field.dft(v) for name, v in rows.items()}
+        for name, v in rows.items():
+            assert not hats[name].imag.any(), name
+            assert np.abs(hats[name] - np.fft.fft(v, norm="forward")).max() <= 1e-15, name
+        # dft_direct's sum at 16 sampled frequencies: (1/p) sum_x v[x] e(-xt/p)
+        x = np.arange(p)
+        for t in np.random.default_rng(p + 1).integers(0, p, 16):
+            kernel = field.char_table[x * t % p]
+            for name, v in rows.items():
+                assert abs(hats[name][t] - np.vdot(kernel, v) / p) <= 1e-15, (name, t)
+
+    def test_no_length_p_transform_runs(self, monkeypatch):
+        p = 131101
+        field = PrimeField(p)
+        lengths = []
+        fft = np.fft.fft
+
+        def spy(a, *args, **kwargs):
+            lengths.append(np.shape(a)[-1])
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        for v in self.rows(field).values():
+            field.dft(v)
+        assert p not in lengths
+        field.dft(np.ones(p) + 1j)  # not Hermitian: numpy's route
+        assert lengths == [p]
+
+    def test_other_inputs_take_numpy_bit_for_bit(self):
+        p = 131101
+        field = PrimeField(p)
+        v = self.rows(field)["hermitian"]
+        broken = v.copy()
+        broken[7] += 1e-9  # v[-7] is no longer conj(v[7])
+        imaginary_zero = v.copy()
+        imaginary_zero[0] += 1j
+        for u in (broken, imaginary_zero, np.stack([v, v]), v[None]):
+            assert np.array_equal(field.dft(u), np.fft.fft(u, axis=-1, norm="forward"))
+        below = PrimeField(131071)  # 2^17 - 1
+        v = self.rows(below)["hermitian"]
+        assert np.array_equal(below.dft(v), np.fft.fft(v, norm="forward"))
+
+    def test_one_and_two_workers_agree_bit_for_bit(self, monkeypatch):
+        field = PrimeField(262147)
+        spectra = []
+        for workers in (1, 2):
+            monkeypatch.setattr(field_module, "_WORKERS", workers)
+            spectra.append([field.dft(v) for v in self.rows(field).values()])
+        for one, two in zip(*spectra):
+            assert np.array_equal(one, two)
+
+    def test_out(self):
+        field = PrimeField(131101)
+        v = self.rows(field)["inverse_phase"]
+        expected = field.dft(v)
+        out = np.full(field.p, np.nan + 1j, np.complex128)
+        assert field.dft(v, out=out) is out
+        assert np.array_equal(out, expected)
+        w = v.copy()
+        assert field.dft(w, out=w) is w
+        assert np.array_equal(w, expected) and not w.imag.any()
+        for bad in (np.empty(field.p + 1, np.complex128), np.empty(field.p)):
+            with pytest.raises(ValueError, match="out must be complex128"):
+                field.dft(v, out=bad)
+
+    def test_kloosterman_u2_matches_the_reference(self):
+        p = 1000003
+        expected = json.loads(REFERENCES.read_text())["u_d"][f"kloosterman|2|{p}"]
+        field = PrimeField(p)
+        u_2 = gowers_accelerated(kloosterman_trace(field).values, 2, field)
+        assert u_2 == pytest.approx(expected, rel=1e-12)
 
 
 class TestAutocorrelation:

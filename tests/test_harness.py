@@ -172,6 +172,15 @@ class TestScanPrimes:
         assert [r.p for r in records] == [7]
         assert len(errors) == 1
 
+    @pytest.mark.parametrize("primes", [[], (), range(101, 97), iter([])])
+    def test_empty_primes_refused_before_any_table(self, monkeypatch, primes):
+        def built(*args, **kwargs):
+            raise RuntimeError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", built)
+        with pytest.raises(ValueError, match="primes is empty: scan needs at least one"):
+            scan_primes(parse_family("kloosterman"), 2, primes)
+
     @pytest.mark.parametrize("work_cap", [0, -1])
     def test_work_cap_refused_once_for_the_scan(self, work_cap):
         with pytest.raises(ValueError, match="work_cap"):

@@ -113,11 +113,11 @@ class TestScanObstructions:
             scan_obstructions(np.ones(10007, dtype=np.complex128), 4, 0.5, F)
 
     def test_estimate_past_the_float_range_refused_without_the_power(self):
-        # 101^2999998 tops: the estimate is inf, and the power is never computed.
-        F = PrimeField(101)
-        F.p = SmallPowersOnly(101)
-        with pytest.raises(WorkCapExceeded, match=r"d = 3000000, p = 101: .* = inf exceeds"):
-            scan_obstructions(np.ones(101), 3 * 10**6, 0.5, F)
+        # 10007^10003 tops: the estimate is inf, and the power is never computed.
+        F = PrimeField(10007)
+        F.p = SmallPowersOnly(10007)
+        with pytest.raises(WorkCapExceeded, match=r"d = 10005, p = 10007: .* = inf exceeds"):
+            scan_obstructions(np.ones(10007), 10005, 0.5, F)
 
     def test_planted_cubic_recovered_at_d4(self, field101):
         v = poly_phase((0, 4, 0, 7), 101)
@@ -607,3 +607,23 @@ def test_values_of_another_shape_refused(field101, monkeypatch, call, shape):
     monkeypatch.setattr(probe, "_in_chunks", walked)
     with pytest.raises(ValueError, match=r"values must have shape \(p,\)"):
         call(np.ones(shape, dtype=np.complex128), field101)
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (5, 5), (5, 7), (101, 300)])
+@pytest.mark.parametrize("call", [
+    lambda v, d, F: scan_obstructions(v, d, 0.5, F),
+    lambda v, d, F: max_phase_correlation(v, d, F),
+    lambda v, d, F: decompose(v, d, 0.5, F),
+    lambda v, d, F: dichotomy_report(kloosterman_trace(F), d),
+    lambda v, d, F: probe_report(inverse_phase_trace(F), d, 0.5),
+], ids=["scan_obstructions", "max_phase_correlation", "decompose", "dichotomy_report",
+        "probe_report"])
+def test_p_not_above_d_refused_before_the_walk(monkeypatch, call, p, d):
+    # From degree p on the phases alias (x^p = x); the cost estimate is not reached.
+    def estimated(*args, **kwargs):
+        raise RuntimeError("estimated")
+
+    monkeypatch.setattr(probe, "_refuse_over_cap", estimated)
+    F = prime_field(p)
+    with pytest.raises(ValueError, match=rf"p = {p} violates the precondition p > d = {d}"):
+        call(np.ones(p, dtype=np.complex128), d, F)
