@@ -12,11 +12,11 @@ The DFT convention used throughout is
 so a pure phase e(c*x/p) transforms to the indicator of t = c.
 :meth:`PrimeField.dft_direct` is its O(p^2) test oracle.  Batched rows
 take :meth:`PrimeField._transform`, on numpy's route or, where
-:func:`_rader_route` says, Rader's; :meth:`PrimeField.correlation` pads
-two halves to a power of two.  :meth:`PrimeField.dft` sends one long,
-exactly Hermitian row (Kloosterman's) through Rader's algorithm as two
-half-length real convolutions.  README Numerics derives all three, and
-the chunk runner :func:`_in_chunks` that shares long work between workers.
+:func:`_rader_route` says, Rader's.  :meth:`PrimeField.correlation`, U_2's
+autocorrelation, pads two halves to a power of two; :meth:`PrimeField.dft`
+sends one long, exactly Hermitian row (Kloosterman's) through Rader's
+algorithm as two half-length real convolutions.  README Numerics derives all
+three, and the chunk runner :func:`_in_chunks` that shares work between workers.
 """
 
 from __future__ import annotations
@@ -351,22 +351,17 @@ class PrimeField:
         np.fft.ifft(body, axis=-1, out=body)
         return rows
 
-    def correlation(self, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        """c(h) = sum_x v[x + h] conj(w[x]) for 0 <= h < p; w = v by default.
+    def correlation(self, v: np.ndarray) -> np.ndarray:
+        """c(h) = sum_x v[x + h] conj(v[x]) for 0 <= h < p, the cyclic autocorrelation.
 
-        v and w are split at m = (p + 1)/2 into halves zero-padded to a
-        power of two n >= p.  With S the linear lags of V1 conj W1 + V2 conj W2,
-        X those of V2 conj W1 and Y those of V1 conj W2,
-        c(h) = S(h) + S(h - p) + X(h - m) + Y(h - m + 1), and for w = v,
-        Y(k) = conj X(-k).  A given w must be real, as v then is.  README
-        Numerics says which transforms run on which worker.
+        v is split at m = (p + 1)/2 into halves zero-padded to a power of
+        two n >= p.  With S the linear lags of |V1|^2 + |V2|^2 and X those
+        of V2 conj V1, c(h) = S(h) + S(h - p) + X(h - m) + conj X(m - 1 - h).
+        README Numerics says which transforms run on which worker.
         """
         p = self.p
-        for u in (v,) if w is None else (v, w):
-            if np.shape(u) != (p,):
-                raise ValueError(f"vector shape {np.shape(u)} != (p,) = ({p},)")
-        if w is not None and not (np.isrealobj(v) and np.isrealobj(w)):
-            raise ValueError("a cross-correlation takes real vectors")
+        if np.shape(v) != (p,):
+            raise ValueError(f"vector shape {np.shape(v)} != (p,) = ({p},)")
         m, n = (p + 1) // 2, 1 << (p - 1).bit_length()
         half, real = n // 2, np.isrealobj(v)
         # Job i runs on worker i % chunks; below _CHUNK_VALUES a helper
@@ -387,37 +382,31 @@ class PrimeField:
             np.conjugate(np.subtract(a[half - 1 : 0 : -1], b[half - 1 : 0 : -1], out=top), out=top)
             return np.add(a, b, out=a)
 
-        halves = [u[s] for u in ((v,) if w is None else (v, w)) for s in (slice(m), slice(m, p))]
+        halves = [v[:m], v[m:]]
         spectra = [np.empty(half + 1 if real else n, np.complex128) for _ in halves]
         # The helper runs real transforms only (README Numerics).
         scratch = [None if real or i % chunks == 0 else np.empty(half + 1, np.complex128)
                    for i in range(len(halves))]
         transforms(*(functools.partial(forward, *job) for job in zip(halves, spectra, scratch)))
         del scratch
-        if w is None:
-            cross = [np.conj(spectra[0])]
-            cross[0] *= spectra[1]
-            # |V1|^2 + |V2|^2 in V1's real parts, squared in place; a real v
-            # hands all of V1 to irfft, so its imaginary parts are zeroed.
-            a, b = (np.square(u.view(np.float64), out=u.view(np.float64)) for u in spectra)
-            a += b
-            a[0::2] += a[1::2]
-            a[1::2] = 0.0
-            same = spectra[0] if real else a[0::2]
-            del a, b
-        else:
-            v1, v2, w1, w2 = spectra
-            cross = [v2 * np.conj(w1), v1 * np.conj(w2)]
-            same = v1 * np.conj(w1) + v2 * np.conj(w2)
-        del spectra
+        cross = np.conj(spectra[0])
+        cross *= spectra[1]
+        # |V1|^2 + |V2|^2 in V1's real parts, squared in place; a real v
+        # hands all of V1 to irfft, so its imaginary parts are zeroed.
+        a, b = (np.square(u.view(np.float64), out=u.view(np.float64)) for u in spectra)
+        a += b
+        a[0::2] += a[1::2]
+        a[1::2] = 0.0
+        same = spectra[0] if real else a[0::2]
+        del a, b, spectra
         if real:
-            lags = [np.empty(n) for _ in range(1 + len(cross))]
+            lags = [np.empty(n), np.empty(n)]
             transforms(*(functools.partial(np.fft.irfft, z, n, out=out)
-                         for z, out in zip([same, *cross], lags)))
+                         for z, out in zip((same, cross), lags)))
             c = np.concatenate([lags[0][:m], lags[0][n - m + 1 :]])
         else:  # S is the conjugate of the real |V1|^2 + |V2|^2's forward transform
-            lags = [np.empty(half + 1, np.complex128), cross[0]]
-            transforms(functools.partial(np.fft.ifft, lags[1], out=lags[1]),
+            lags = [np.empty(half + 1, np.complex128), cross]
+            transforms(functools.partial(np.fft.ifft, cross, out=cross),
                        functools.partial(np.fft.rfft, same, norm="forward", out=lags[0]))
             c = np.concatenate([lags[0][:m], lags[0][m - 1 : 0 : -1]])
             np.conjugate(c[:m], out=c[:m])
@@ -425,13 +414,9 @@ class PrimeField:
         x = lags[1]
         c[1:m] += x[n - m + 1 :]  # X(h - m), 0 < h < p
         c[m:] += x[: m - 1]
-        if w is None:  # conj X(m - 1 - h)
-            np.conjugate(x, out=x)
-            c[1:m] += x[m - 2 :: -1]
-            c[m:] += x[: n - m : -1]
-        else:  # Y(h - m + 1)
-            c[1 : m - 1] += lags[2][n - m + 2 :]
-            c[m - 1 :] += lags[2][:m]
+        np.conjugate(x, out=x)  # conj X(m - 1 - h)
+        c[1:m] += x[m - 2 :: -1]
+        c[m:] += x[: n - m : -1]
         return c
 
     def dft_direct(self, v: np.ndarray) -> np.ndarray:

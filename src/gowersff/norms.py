@@ -79,6 +79,7 @@ def _refuse_over_cap(what: str, formula: str, estimate, cap: int) -> None:
     An estimate past the float range counts as infinite, and is refused.
     One built by :func:`_power` or :func:`_comb` overflows before its integer is computed.
     """
+    _check_positive("work_cap", cap)
     try:
         est = float(estimate())
     except OverflowError:

@@ -316,6 +316,10 @@ REFUSALS = [
                   "--threshold", "nan"), "threshold", None, id="nan_threshold"),
     pytest.param(("scan", "--family", "inverse_phase", "--d", "2", "--primes", "101",
                   "--work-cap", "-1"), "work_cap", None, id="negative_work_cap"),
+    pytest.param(("norm", "--p", "101", "--family", "inverse_phase", "--d", "2", "--work-cap", "0"),
+                 "work_cap must be finite and positive, got 0", None, id="norm_zero_work_cap"),
+    pytest.param(("norm", "--p", "101", "--family", "inverse_phase", "--d", "2", "--work-cap", "-5"),
+                 "work_cap must be finite and positive, got -5", None, id="norm_negative_work_cap"),
     pytest.param(("norm", "--p", "11", "--family", "nope", "--d", "1"),
                  "unknown family", None, id="unknown_family"),
     pytest.param(("norm", "--p", "11", "--family", "legendre_poly:1,1,0,1",

@@ -141,6 +141,10 @@ class TestFamilyParsing:
         table = make_table(parse_family("mixed_ask", "f1=0;f2=0,1;chi=q"), 101)
         assert table.descriptor.family == "mixed_ask"
 
+    def test_non_positive_work_cap_refused(self):
+        with pytest.raises(ValueError, match="work_cap must be finite and positive, got 0"):
+            make_table(parse_family("inverse_phase"), 101, work_cap=0)
+
 
 class TestScanPrimes:
     def test_kloosterman_sweep_all_bounds_hold(self):

@@ -220,6 +220,10 @@ class TestAccelerated:
         with pytest.raises(WorkCapExceeded, match="work cap"):
             gowers_accelerated(v, 4, work_cap=10**6)
 
+    def test_non_positive_work_cap_refused(self):
+        with pytest.raises(ValueError, match="work_cap must be finite and positive, got -1"):
+            gowers_accelerated(np.ones(101), 2, work_cap=-1)
+
     def test_work_cap_estimate_counts_corner_products(self):
         # C(7 + 9, 10) = 8008 rows * 13 * (2^10 + log2 13) ~ 1.07e8; counting
         # only the DFTs (rows * p * log2 p) would give ~3.9e5 and run it.

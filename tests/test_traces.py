@@ -191,12 +191,23 @@ class TestLegendreCurve:
         v = legendre_curve_trace(prime_field(100003)).values
         assert np.abs(v).max() <= 2
 
+    @pytest.mark.parametrize("p", [65537, 1000003])
+    def test_large_p_sums_bounds_and_samples(self, p):
+        # At 65537, 2p - 2 = 2^17: the edge of the padding to 2^ceil(log2(2p - 1)).
+        F = PrimeField(p)
+        ints = legendre_curve_integers(F)
+        assert ints.sum() == 0  # sum_x ((u - x)/p) = 0 for every u
+        assert np.abs(ints).max() <= 2 * math.sqrt(p)
+        leg, u = F.legendre_table, np.arange(p, dtype=np.int64)
+        for x in np.random.default_rng(p).integers(0, p, 16):
+            assert ints[x] == -leg[u * ((u - 1) % p) % p * ((u - x) % p) % p].sum()
+
     def test_non_integral_correlation_refused(self, monkeypatch):
         F = prime_field(101)
-        correlation = PrimeField.correlation
-        # Every correlation entry 0.4 from an integer, past the 0.25 guard.
-        monkeypatch.setattr(PrimeField, "correlation",
-                            lambda self, v, w=None: correlation(self, v, w) + 0.4)
+        irfft = np.fft.irfft
+        # Every lag 0.4 off, so c(0), which takes one lag, lands 0.4 from an
+        # integer, past the 0.25 guard.
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: irfft(*args, **kwargs) + 0.4)
         with pytest.raises(ArithmeticError, match="not integral"):
             legendre_curve_integers(F)
 
