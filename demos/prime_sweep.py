@@ -8,7 +8,7 @@ O(p log p) or better), and a seeded random baseline.
 
 from pathlib import Path
 
-from gowersff import emit, parse_family, random_baseline, scan_primes
+from gowersff import bound_constant, emit, parse_family, random_baseline, scan_primes
 
 primes = (101, 211, 499, 997)
 families = ("legendre_poly:1,1,0,1", "inverse_phase", "kloosterman", "legendre_curve")
@@ -34,7 +34,7 @@ for family in sorted({r.family for r in records}):
 
 print("\nValues above are U_d * p: no growth with p means U_d tracks 1/p.")
 print("The proven constants are huge by comparison, e.g. the d = 2")
-print(f"Kloosterman constant is 20^24 = {20.0**24:.3g}.")
+print(f"Kloosterman constant is {bound_constant('kloosterman', 2):.3g}.")
 
 decades = (101, 1009, 10007, 100003, 1000003)
 print(f"\nU_2 * p over four decades\n{'family':<26} " + "".join(f"{p:>12}" for p in decades))

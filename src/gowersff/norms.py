@@ -266,6 +266,7 @@ def gowers_accelerated(
     values = _finite_values(values, None if field is None else field.p, d)
     p = len(values)
     if d == 1:
+        _check_positive("work_cap", work_cap)
         return u1(values)
     k = d - 2
     real = not values.imag.any()

@@ -17,8 +17,6 @@ __all__ = [
     "poly_eval",
     "poly_eval_all",
     "poly_gcd",
-    "derivative",
-    "squarefree_odd_part",
     "is_square_times_unit",
     "root_multiplicity",
     "RationalFunction",
@@ -104,48 +102,22 @@ def _poly_mul(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
     return normalize(out, p)
 
 
-def derivative(coeffs: Coeffs, p: int) -> Coeffs:
-    return normalize([i * c % p for i, c in enumerate(coeffs)][1:], p)
+def is_square_times_unit(coeffs: Coeffs, p: int) -> bool:
+    """True when f mod p is a nonzero constant times a perfect square.
 
-
-def squarefree_odd_part(coeffs: Coeffs, p: int) -> Coeffs:
-    """The monic product of irreducible factors of odd multiplicity.
-
-    Writing f = c * s * g^2 with s monic squarefree, returns s.  f is a
-    unit times a perfect square exactly when s is constant.  Multiplicity
-    parity is preserved under the char-p wrinkle f' = 0 (then f = h(X)^p
-    with p odd, so recurse on h).
+    Made monic, such an f is g^2 for one monic g of degree m = deg(f)/2.
+    Since p is odd, g's coefficients follow from the top half of f's, top
+    down: f_{m+k} = 2 g_k + sum_{i=k+1}^{m-1} g_i g_{m+k-i}.  Squaring g
+    checks the rest of f, and fails on an odd degree.
     """
     f = _monic(normalize(coeffs, p), p)
-    if degree(f) <= 0:
-        return (1,) if f else ()
-    d = derivative(f, p)
-    if not d:
-        # f = h(X^p) = h(X)^p in F_p[X]; odd p preserves parity.
-        h = f[::p]
-        return squarefree_odd_part(h, p)
-    g = poly_gcd(f, d, p)
-    radical, rem = poly_divmod(f, g, p)
-    assert not rem
-    # A factor of multiplicity e appears in g with multiplicity e-1 when
-    # p does not divide e (so its parity flips between f and g), and with
-    # multiplicity e when p | e (it then misses the radical entirely).
-    sg = squarefree_odd_part(g, p)
-    common = poly_gcd(radical, sg, p)
-    in_radical, rem = poly_divmod(radical, common, p)
-    assert not rem
-    off_radical, rem = poly_divmod(sg, common, p)
-    assert not rem
-    prod = _poly_mul(in_radical, off_radical, p)
-    return _monic(prod, p)
-
-
-def is_square_times_unit(coeffs: Coeffs, p: int) -> bool:
-    """True when f mod p is a nonzero constant times a perfect square."""
-    f = normalize(coeffs, p)
     if not f:
         return False  # the zero polynomial is treated separately by callers
-    return degree(squarefree_odd_part(f, p)) == 0
+    m, half = degree(f) // 2, (p + 1) // 2
+    g = [0] * m + [1]
+    for k in range(m - 1, -1, -1):
+        g[k] = (f[m + k] - sum(g[i] * g[m + k - i] for i in range(k + 1, m))) * half % p
+    return _poly_mul(g, g, p) == f
 
 
 def root_multiplicity(coeffs: Coeffs, r: int, p: int) -> int:

@@ -124,9 +124,10 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
 
     tops are the flat tops walked; peak and arg run over them: max_b |row[b]|
     and the smallest b attaining it.  (flat, b, beta) are the entries with
-    |beta| >= threshold, sorted by flat top, then by b; the tops not walked
-    take theirs from their mirrors as (-top, -b, conj beta).  Returns the
-    walk a probe_report lent for the same values object, d and field.
+    |beta| >= threshold, in walk order (by top, then by column); the tops not
+    walked take theirs from their mirrors as (-top, -b, conj beta), after
+    the walked ones.  Returns the walk a probe_report lent for the same
+    values object, d and field.
     Refuses, before any allocation, p <= d, and a cost p^(d-2) * p * (d + log2 p)
     of walking all tops over the default work cap.
     """
@@ -190,8 +191,7 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
         flat = np.concatenate([flat, _mirror(flat[off], d, p)])
         b = np.concatenate([b, -b[off] % p])
         beta = np.concatenate([beta, np.conj(beta[off])])
-    order = np.lexsort((b, flat))
-    return walked, peak, arg, flat[order], b[order], beta[order]
+    return walked, peak, arg, flat, b, beta
 
 
 def scan_obstructions(

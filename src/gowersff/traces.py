@@ -14,7 +14,7 @@ derived: the families are defined here by their closed-form values.
 Families:
 
 * ``legendre_poly_trace``  -- x -> (f(x)/p), the Legendre symbol of a
-  squarefree-up-to-units polynomial.
+  polynomial that is not a unit times a square mod p.
 * ``inverse_phase_trace``  -- x -> e(inv(x)/p), 0 at x = 0.
 * ``kloosterman_trace``    -- x -> S(x,1;p)/sqrt(p), the normalized
   Kloosterman sums, with value -1/sqrt(p) at x = 0.

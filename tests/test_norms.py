@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from gowersff import (
     FamilyDescriptor,
+    MultiplicativeCharacter,
     PrimeField,
     TraceTable,
     WorkCapExceeded,
     evaluate,
+    fourier_trace,
     gowers_accelerated,
     gowers_norm,
     gowers_oracle,
@@ -25,6 +27,9 @@ from gowersff import (
     kloosterman_trace,
     legendre_curve_trace,
     legendre_poly_trace,
+    make_table,
+    mixed_ask_trace,
+    parse_family,
     prime_field,
     u1,
     xi,
@@ -32,6 +37,7 @@ from gowersff import (
 from gowersff import field as field_module
 from gowersff import norms
 from gowersff.norms import _finalize, _orbits
+from gowersff.traces import legendre_curve_integers
 from conftest import SmallPowersOnly, poly_phase, random_unit_vector
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
@@ -224,6 +230,11 @@ class TestAccelerated:
         with pytest.raises(ValueError, match="work_cap must be finite and positive, got -1"):
             gowers_accelerated(np.ones(101), 2, work_cap=-1)
 
+    def test_non_positive_work_cap_refused_at_d1(self):
+        # d = 1 has no cost to estimate, yet a bad cap is refused as at d >= 2.
+        with pytest.raises(ValueError, match="work_cap must be finite and positive, got 0"):
+            gowers_accelerated(np.ones(101), 1, work_cap=0)
+
     def test_work_cap_estimate_counts_corner_products(self):
         # C(7 + 9, 10) = 8008 rows * 13 * (2^10 + log2 13) ~ 1.07e8; counting
         # only the DFTs (rows * p * log2 p) would give ~3.9e5 and run it.
@@ -369,6 +380,68 @@ class TestFamilyConstants:
         kloosterman = gowers_accelerated(kloosterman_trace(field).values, 4, field) * p
         assert inverse > 4.5  # 4.842 at 307, 4.903 at 503
         assert kloosterman < 4.1  # 4.084 at 307, 4.050 at 503
+
+
+class TestExactIdentities:
+    """Closed forms that check the production routes where no oracle reaches.
+
+    131101 and 1000003 lie past 2^17: Kloosterman's Hermitian row and U_2's
+    correlation on two workers.  2011 takes numpy's transforms, 2017 Rader's.
+    """
+
+    @pytest.mark.parametrize("p", [101, 1009, 131101, 1000003])
+    def test_u2_and_second_moment(self, p):
+        # Gauss sums; Kloosterman's spectrum e(1/t)/sqrt(p) off t = 0; and the
+        # fourth and second moments of Kloosterman sums.
+        values = {family: make_table(parse_family(family), p).values
+                  for family in ("kloosterman", "inverse_phase", "legendre_poly:0,1")}
+        u2 = {family: gowers_accelerated(v, 2) for family, v in values.items()}
+        assert u2["kloosterman"] == pytest.approx((p - 1) / p**2, rel=1e-12)
+        assert u2["inverse_phase"] == pytest.approx((2 * p**3 - 3 * p**2 - 3 * p) / p**4,
+                                                    rel=1e-12)
+        assert u2["legendre_poly:0,1"] == pytest.approx((p - 1) / p**2, rel=1e-12)
+        kl = values["kloosterman"]
+        assert float(np.sum(np.abs(kl) ** 2)) == pytest.approx(p - 1, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [101, 1009, 131101, 1000003])
+    def test_legendre_curve_integer_moments(self, p):
+        a = legendre_curve_integers(prime_field(p))
+        assert int(a.sum()) == 0
+        assert int(np.square(a).sum()) == p * p - 2 * p - 1
+
+    @pytest.mark.parametrize("p", [2011, 2017], ids=["numpy", "rader"])
+    @pytest.mark.parametrize("generator", [kloosterman_trace, inverse_phase_trace])
+    def test_u3_is_fourier_invariant(self, p, generator):
+        table = generator(prime_field(p))
+        assert gowers_accelerated(fourier_trace(table).values, 3) == pytest.approx(
+            gowers_accelerated(table.values, 3), rel=1e-12)
+
+
+class TestParityRule:
+    """U_d * p tends to (d - 2) + M, M = 3 when the rows' spectra are real up
+    to a rotation (a Hermitian table at even d - 2, an even one at odd d - 2)
+    and 2 otherwise.  e(x^-1) and e(x^-3) are Hermitian and e(x^-2) is even."""
+
+    @staticmethod
+    def inverse_power_phase(p, k):
+        field = prime_field(p)
+        f1 = ((1,), (0,) * k + (1,))  # 1/x^k
+        return mixed_ask_trace(f1, ((1,), (1,)), MultiplicativeCharacter(field, 0), field).values
+
+    @pytest.mark.parametrize("p", [503, 1009])
+    def test_u3_of_the_even_phase_tends_to_4(self, p):
+        assert gowers_accelerated(self.inverse_power_phase(p, 2), 3) * p > 3.5  # 3.973 at 503
+        assert gowers_accelerated(self.inverse_power_phase(p, 1), 3) * p < 3.1  # 2.965 at 503
+
+    @pytest.mark.parametrize("p", [211, 307])
+    def test_u4_of_the_odd_phase_tends_to_5(self, p):
+        assert gowers_accelerated(self.inverse_power_phase(p, 3), 4) * p > 4.5  # 4.787 at 211
+        assert gowers_accelerated(self.inverse_power_phase(p, 2), 4) * p < 4.0  # 3.820 at 211
+
+    @pytest.mark.parametrize("p", [101, 211])
+    def test_u4_of_legendre_curve_tends_to_5(self, p):
+        # a(1 - x) = (-1/p) a(x): the table is even or odd about 1/2.
+        assert gowers_accelerated(legendre_curve_trace(prime_field(p)).values, 4) * p > 4.5
 
 
 def _rader_field(p: int) -> PrimeField:
@@ -640,6 +713,10 @@ class TestEvaluate:
         # No field gives p, yet a table must still be one-dimensional.
         with pytest.raises(ValueError, match="shape"):
             route(np.ones(shape), d)
+
+    def test_non_positive_work_cap_refused_at_d1(self, field101):
+        with pytest.raises(ValueError, match="work_cap must be finite and positive, got -3"):
+            evaluate(kloosterman_trace(field101), 1, work_cap=-3)
 
     def test_accelerated_request_at_d1_uses_mean_formula(self, field101):
         ones = FamilyDescriptor(family="const", label="const", rank=1, swan={})

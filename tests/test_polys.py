@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from gowersff.polys import (
     poly_eval_all,
     poly_gcd,
     root_multiplicity,
-    squarefree_odd_part,
 )
 
 
@@ -64,28 +65,6 @@ def test_divmod_roundtrip(a, b):
     assert normalize(recomposed, p) == normalize(a, p)
 
 
-class TestSquarefreeOddPart:
-    @pytest.mark.parametrize("p", [5, 7, 101])
-    def test_plain_cases(self, p):
-        X = (0, 1)
-        assert squarefree_odd_part(X, p) == (0, 1)
-        assert squarefree_odd_part((0, 0, 1), p) == (1,)        # X^2
-        assert squarefree_odd_part((0, 0, 0, 1), p) == (0, 1)   # X^3
-        # (X(X+1))^2 = X^2 (X+1)^2
-        sq = polys._poly_mul((0, 0, 1), (1, 2, 1), p)
-        assert squarefree_odd_part(sq, p) == (1,)
-        # X^2 (X+1)^3 has odd part X+1
-        f = polys._poly_mul((0, 0, 1), polys._poly_mul((1, 1), (1, 2, 1), p), p)
-        assert squarefree_odd_part(f, p) == (1, 1)
-
-    def test_char_p_wrinkles(self):
-        # f' = 0: X^5 over F_5 is X*(X^2)^2, odd part X
-        assert squarefree_odd_part((0, 0, 0, 0, 0, 1), 5) == (0, 1)
-        # X^3 (X+1) over F_3: the X factor misses the radical
-        f = polys._poly_mul((0, 0, 0, 1), (1, 1), 3)
-        assert squarefree_odd_part(f, 3) == polys._poly_mul((0, 1), (1, 1), 3)
-
-
 class TestSquareDetection:
     def test_squares_detected(self):
         assert is_square_times_unit((0, 0, 1), 7)       # X^2
@@ -100,6 +79,37 @@ class TestSquareDetection:
         assert not is_square_times_unit((0, 0, 0, 1), 7)    # X^3
         assert not is_square_times_unit((1, 0, 1), 5)       # X^2+1 over F_5
         assert not is_square_times_unit((1, 1, 0, 1), 101)  # X^3+X+1
+
+    @pytest.mark.parametrize("p", [5, 7, 101])
+    def test_plain_cases(self, p):
+        assert not is_square_times_unit((0, 1), p)          # X
+        assert is_square_times_unit((0, 0, 1), p)           # X^2
+        assert not is_square_times_unit((0, 0, 0, 1), p)    # X^3
+        sq = polys._poly_mul((0, 0, 1), (1, 2, 1), p)       # (X(X+1))^2
+        assert is_square_times_unit(sq, p)
+        f = polys._poly_mul((0, 0, 1), polys._poly_mul((1, 1), (1, 2, 1), p), p)
+        assert not is_square_times_unit(f, p)               # X^2 (X+1)^3
+
+    def test_char_p_wrinkles(self):
+        # f' = 0: X^5 over F_5 is X (X^2)^2, and its square is a square
+        x5 = (0, 0, 0, 0, 0, 1)
+        assert not is_square_times_unit(x5, 5)
+        assert is_square_times_unit(polys._poly_mul(x5, x5, 5), 5)
+        # X^3 (X+1) over F_3, whose derivative X^3 misses the factor X + 1
+        f = polys._poly_mul((0, 0, 0, 1), (1, 1), 3)
+        assert not is_square_times_unit(f, 3)
+        assert is_square_times_unit(polys._poly_mul(f, f, 3), 3)
+
+    @pytest.mark.parametrize("p, max_degree", [(3, 6), (5, 4), (7, 4)])
+    def test_monic_squares_exactly(self, p, max_degree):
+        def monic(deg):
+            return (tail + (1,) for tail in itertools.product(range(p), repeat=deg))
+
+        squares = {polys._poly_mul(g, g, p)
+                   for deg in range(max_degree // 2 + 1) for g in monic(deg)}
+        for deg in range(max_degree + 1):
+            for f in monic(deg):
+                assert is_square_times_unit(f, p) == (f in squares), f
 
 
 def test_root_multiplicity():
