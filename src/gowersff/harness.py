@@ -16,22 +16,22 @@ mean-zero functions have U_d of size 1/p.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .field import PrimeField, prime_field
+from . import polys
 from .norms import (
     DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
     _check_p_above_d,
     _check_positive,
-    _power,
     _refuse_over_cap,
     evaluate,
     gowers_recursive,
@@ -249,8 +249,8 @@ BASELINE_COLUMNS = tuple(f.name for f in fields(BaselineRecord))
 def _make_record(spec: FamilySpec, table: TraceTable, d: int, work_cap: int) -> ScanRecord:
     _check_p_above_d(table.p, d)
     result = evaluate(table, d, work_cap)
-    constant = bound_constant(spec.name, d, m=len(spec.coeffs) - 1,
-                              conductor=table.descriptor.conductor)
+    m = polys.degree(polys.normalize(spec.coeffs, table.p))
+    constant = bound_constant(spec.name, d, m=m, conductor=table.descriptor.conductor)
     bound = constant / table.p
     return ScanRecord(
         p=table.p,
@@ -423,7 +423,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         raise ValueError(f"primes {bad} violate the precondition p > d = {max_d}")
     p0 = min(config.primes)
     _refuse_over_cap(f"verify agreement check U_{max_d} at p = {p0}", "p^d",
-                     lambda: _power(p0, max_d), config.work_cap)
+                     lambda: float(p0) ** max_d, config.work_cap)
     specs = [parse_family(s) for s in config.families]
     field0 = prime_field(p0)
     # Checked here, drawn last: its draw loads numpy.random (~5 MB) after the sweep's peak.
@@ -541,14 +541,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@contextmanager
 def _writing(target):
     """A file object as given, or the path ``target`` opened for writing and closed on exit."""
-    if not isinstance(target, (str, bytes)):
-        yield target
-        return
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        yield fh
+    if isinstance(target, (str, bytes)):
+        return open(target, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(target)
 
 
 def _write_json(obj, target) -> None:

@@ -77,7 +77,6 @@ def _refuse_over_cap(what: str, formula: str, estimate, cap: int) -> None:
     """Refuse ``what`` (named with its d and p) when its cost ``estimate()`` exceeds ``cap``.
 
     An estimate past the float range counts as infinite, and is refused.
-    One built by :func:`_power` or :func:`_comb` overflows before its integer is computed.
     """
     _check_positive("work_cap", cap)
     try:
@@ -88,20 +87,6 @@ def _refuse_over_cap(what: str, formula: str, estimate, cap: int) -> None:
         raise WorkCapExceeded(
             f"{what}: estimated cost {formula} = {est:.3g} exceeds work cap {cap}"
         )
-
-
-def _power(base: int, exp: int) -> int:
-    """base ** exp; OverflowError, without computing it, past 2^1100 (no float holds it)."""
-    if exp * math.log2(base) > 1100:
-        raise OverflowError(f"{base}^{exp} is past the float range")
-    return base**exp
-
-
-def _comb(n: int, k: int) -> int:
-    """math.comb(n, k); OverflowError, without computing it, past 2^1100 (no float holds it)."""
-    if math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) > 1100 * math.log(2):
-        raise OverflowError(f"C({n}, {k}) is past the float range")
-    return math.comb(n, k)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -136,7 +121,7 @@ def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) 
     """Ground-truth U_d by the unrolled cube sum over (x, h_1, ..., h_d)."""
     values = _finite_values(values, d=d)
     p = len(values)
-    _refuse_over_cap(f"oracle U_{d} at p = {p}", "p^(d+1)", lambda: _power(p, d + 1), work_cap)
+    _refuse_over_cap(f"oracle U_{d} at p = {p}", "p^(d+1)", lambda: float(p) ** (d + 1), work_cap)
     shifted = _shifts(values)
     corners = list(itertools.product((0, 1), repeat=d))
     powers = p ** np.arange(d, dtype=np.int64)
@@ -272,9 +257,11 @@ def gowers_accelerated(
     real = not values.imag.any()
 
     def estimate():
-        rows = _comb((p + 1) // 2 + k - 1, k)  # see _orbits
+        # 2^k first: it overflows from k = 1024 on, and below that the binomial has < 32k bits.
+        corners = p * 2.0**k
+        rows = math.comb((p + 1) // 2 + k - 1, k)  # see _orbits
         dft_rows = (rows + 1) // 2 if real else rows
-        return rows * p * _power(2, k) + dft_rows * p * max(1.0, math.log2(p))
+        return rows * corners + dft_rows * p * max(1.0, math.log2(p))
 
     _refuse_over_cap(f"U_{d} at p = {p}", "rows * p * 2^(d-2) + dft_rows * p * log2 p",
                      estimate, work_cap)

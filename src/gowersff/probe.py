@@ -35,7 +35,6 @@ from .norms import (
     DEFAULT_WORK_CAP,
     _check_p_above_d,
     _check_positive,
-    _power,
     _refuse_over_cap,
     gowers_accelerated,
 )
@@ -137,7 +136,7 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
     p = field.p
     _check_p_above_d(p, d)
     _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
-                     lambda: _power(p, max(d - 1, 1)) * (d + math.log2(p)), DEFAULT_WORK_CAP)
+                     lambda: float(p) ** max(d - 1, 1) * (d + math.log2(p)), DEFAULT_WORK_CAP)
     n_tops = p ** max(d - 2, 0)
     walked = np.arange(n_tops)
     if d >= 3 and not values.imag.any():  # leading nonzero digit a_k at most (p - 1)/2

@@ -177,7 +177,7 @@ def legendre_poly_trace(f_coeffs, field: PrimeField) -> TraceTable:
     """
     p = field.p
     f = polys.normalize(f_coeffs, p)
-    if not f or polys.degree(f) < 1 or polys.is_square_times_unit(f, p):
+    if not f or polys.is_square_times_unit(f, p):
         raise ValueError(
             "square-degenerate reduction: f mod p is a unit times a perfect square"
         )

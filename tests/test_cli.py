@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +18,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("gen", "--p", "7", "--family", "kloosterman"), 0, ""),
+    (("norm", "--p", "100", "--family", "kloosterman", "--d", "2"), 2, "not prime"),
+], ids=["gen", "bad_prime"])
+def test_python_dash_m_exits_with_mains_code(argv, code, message):
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "gowersff", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == code
+    assert message in done.stderr
+    assert done.stdout.startswith("# family=kloosterman p=7") == (code == 0)
 
 
 class TestGen:

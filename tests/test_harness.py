@@ -80,6 +80,16 @@ class TestBoundConstant:
         with pytest.raises(ValueError, match="no bound constant for family 'mixed_ask'"):
             bound_constant("mixed_ask", 2)
 
+    @pytest.mark.parametrize("spelling, label, constant", [
+        ("1,1,0,1", "legendre_poly(1,1,0,1)", 25**4),
+        ("1,1,0,1,0", "legendre_poly(1,1,0,1)", 25**4),  # a trailing zero
+        ("1,1,0,101", "legendre_poly(1,1)", 15**4),  # f = 1 + x mod 101: conductor 3
+    ])
+    def test_legendre_poly_degree_is_of_f_mod_p(self, spelling, label, constant):
+        (record,), errors = scan_primes(parse_family("legendre_poly:" + spelling), 1, [101])
+        assert not errors
+        assert (record.family, record.bound_constant) == (label, constant)
+
     def test_legendre_poly_needs_degree(self):
         with pytest.raises(ValueError):
             bound_constant("legendre_poly", 2)

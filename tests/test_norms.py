@@ -38,7 +38,7 @@ from gowersff import field as field_module
 from gowersff import norms
 from gowersff.norms import _finalize, _orbits
 from gowersff.traces import legendre_curve_integers
-from conftest import SmallPowersOnly, poly_phase, random_unit_vector
+from conftest import poly_phase, random_unit_vector
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 
@@ -248,24 +248,23 @@ class TestAccelerated:
             gowers_accelerated(np.ones(1009), 1000)
 
     def test_estimate_past_the_float_range_refused_without_the_binomial(self, monkeypatch):
-        # C(599999, 99998) rows: its exact value has ~5e5 bits and no float.
-        comb = math.comb
+        # The corner factor 2^k comes first: from k = 1024 on it overflows and
+        # no binomial is computed (C(599999, 99998) would have ~5e5 bits).  At
+        # k = 1023 one is, C(501023, 1023), and the product is past the float range.
+        comb, calls = math.comb, []
 
         def small_comb(n, k):
-            assert k <= 10**4, f"math.comb({n}, {k}) was computed"
+            assert k <= 1023, f"math.comb({n}, {k}) was computed"
+            calls.append(k)
             return comb(n, k)
 
         monkeypatch.setattr(math, "comb", small_comb)
-        with pytest.raises(WorkCapExceeded, match="U_100000 at p = 1000003: .* = inf exceeds"):
-            gowers_accelerated(np.ones(1000003), 100000)
-
-    def test_estimates_stay_exact_up_to_the_float_range(self):
-        assert norms._power(2, 1023) == 2**1023 and norms._power(7, 0) == 1
-        assert norms._comb(1100, 550) == math.comb(1100, 550)  # ~2^1094
-        with pytest.raises(OverflowError):
-            norms._power(SmallPowersOnly(101), 10**6)
-        with pytest.raises(OverflowError):
-            norms._comb(2000, 1000)  # ~2^1994
+        values = np.ones(1000003)
+        for d, computed in ((100000, []), (1026, []), (1025, [1023])):
+            calls.clear()
+            with pytest.raises(WorkCapExceeded, match=f"U_{d} at p = 1000003: .* = inf exceeds"):
+                gowers_accelerated(values, d)
+            assert calls == computed
 
     def test_work_cap_estimate_counts_orbit_rows(self, field101):
         # 51 rows * 101 * 2 + 26 DFT rows * 101 * log2(101) ~ 2.8e4 fits;
@@ -437,6 +436,32 @@ class TestParityRule:
     def test_u4_of_the_odd_phase_tends_to_5(self, p):
         assert gowers_accelerated(self.inverse_power_phase(p, 3), 4) * p > 4.5  # 4.787 at 211
         assert gowers_accelerated(self.inverse_power_phase(p, 2), 4) * p < 4.0  # 3.820 at 211
+
+    @staticmethod
+    def rotated_imag(values, hs, field):
+        """max |Im z| / max |z| for z(t) = dft(psi)(t) e(ct/2p), psi the row
+        Delta_h phi = xi(...xi(phi, h_1)..., h_k) and c = -(h_1 + ... + h_k)."""
+        row = values
+        for h in hs:
+            row = xi(row, h)
+        t = np.arange(field.p)
+        z = field.dft(row) * np.exp(1j * np.pi * -sum(hs) * t / field.p)
+        return np.abs(z.imag).max() / np.abs(z).max()
+
+    @pytest.mark.parametrize("p", [101, 1009])
+    def test_row_spectra_are_real_up_to_the_rotation(self, p):
+        # psi(c - x) = conj psi(x) for a Hermitian phi at k = 2 and an even
+        # phi at k = 1, so its spectrum times e(ct/2p) is real; at the other
+        # k nothing makes it so.
+        field, rng = prime_field(p), np.random.default_rng(6)
+        draws = [tuple(int(h) for h in rng.integers(1, p, size=2)) for _ in range(20)]
+        for values, k in ((inverse_phase_trace(field).values, 2),
+                          (self.inverse_power_phase(p, 3), 2),
+                          (self.inverse_power_phase(p, 2), 1)):
+            ratios = {j: max(self.rotated_imag(values, hs[:j], field) for hs in draws)
+                      for j in (1, 2)}
+            assert ratios[k] <= 1e-10  # measured <= 1.1e-12
+            assert ratios[3 - k] > 0.5  # the control: >= 0.99
 
     @pytest.mark.parametrize("p", [101, 211])
     def test_u4_of_legendre_curve_tends_to_5(self, p):

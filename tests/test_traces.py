@@ -56,6 +56,12 @@ class TestLegendrePoly:
         with pytest.raises(ValueError, match="square-degenerate"):
             legendre_poly_trace((0, 0, 3), prime_field(p))   # 3X^2
 
+    @pytest.mark.parametrize("f", [(5,), (3,), (12, 0, 7)])
+    def test_nonzero_constant_rejected(self, f):
+        # A constant is a unit times 1^2, a square or not (3 is not, mod 7).
+        with pytest.raises(ValueError, match="square-degenerate"):
+            legendre_poly_trace(f, prime_field(7))
+
     def test_vanishing_reduction_rejected(self):
         with pytest.raises(ValueError, match="square-degenerate"):
             legendre_poly_trace((7, 7), prime_field(7))      # 0 mod 7
