@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / verify PASS, 1 verify FAIL, 2 usage error
 (including refused preconditions, work-cap refusals and tables that do
-not fit in memory).
+not fit in memory), 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _out(args):
 
 
 def _cmd_gen(args) -> int:
-    spec = parse_family(args.family, args.family_args)
+    spec = parse_family(args.family)
     table = make_table(spec, args.p)
     with _writing(_out(args)) as fh:
         d = table.descriptor
@@ -60,7 +60,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    spec = parse_family(args.family, args.family_args)
+    spec = parse_family(args.family)
     table = make_table(spec, args.p, args.work_cap)
     record = _make_record(spec, table, args.d, args.work_cap)
     emit([record], args.format, _out(args))
@@ -68,14 +68,14 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    spec = parse_family(args.family, args.family_args)
+    spec = parse_family(args.family)
     table = make_table(spec, args.p)
     _write_json(probe_report(table, args.d, args.threshold, args.ceiling), _out(args))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    spec = parse_family(args.family, args.family_args)
+    spec = parse_family(args.family)
     records, errors = scan_primes(spec, args.d, _parse_primes(args.primes), args.work_cap)
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
@@ -108,11 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p, required=True):
-        p.add_argument("--family", required=required,
+    def add_family(p):
+        p.add_argument("--family", required=True,
                        help=" | ".join(["legendre_poly", *FIXED_FAMILIES, "mixed_ask"]))
-        p.add_argument("--family-args", default=None,
-                       help="family arguments (e.g. 1,1,0,1 for legendre_poly)")
 
     def add_output(p, formats=True):
         p.add_argument("--output", default=None, help="output path (default stdout)")
@@ -177,6 +175,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: what a shell reports for SIGPIPE
+        return 141
     except (ValueError, WorkCapExceeded, OSError, ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

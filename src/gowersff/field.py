@@ -194,13 +194,6 @@ class PrimeField:
 
     # -- basic arithmetic ------------------------------------------------
 
-    def inverse(self, a: int) -> int:
-        """Multiplicative inverse of a mod p; a must be nonzero mod p."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return pow(a, self.p - 2, self.p)
-
     @functools.cached_property
     def primitive_root(self) -> int:
         """Smallest generator g of the cyclic group F_p^x."""

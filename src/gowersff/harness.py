@@ -142,19 +142,16 @@ def _parse_ratio(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _parse_coeffs(text), (1,)
 
 
-def parse_family(spec: str, args: str | None = None) -> FamilySpec:
-    """Parse 'name' / 'name:args' selectors (args may come separately).
+def parse_family(spec: str) -> FamilySpec:
+    """Parse a 'name' or 'name:args' family selector.
 
     legendre_poly args are the ascending coefficients of f, e.g.
     ``1,1,0,1`` for X^3 + X + 1.  mixed_ask args are semicolon-separated
     ``f1=<num>/<den>; f2=<num>/<den>; chi=<index|q>`` coefficient lists.
     The other families take no arguments.
     """
-    if ":" in spec:
-        if args is not None:
-            raise ValueError(f"{spec} has inline arguments; do not also give {args!r}")
-        spec, args = spec.split(":", 1)
-    name = spec.strip()
+    name, _, args = spec.partition(":")
+    name = name.strip()
     if name in FIXED_FAMILIES:
         if args:
             raise ValueError(f"{name} takes no arguments, got {args!r}")
@@ -162,11 +159,10 @@ def parse_family(spec: str, args: str | None = None) -> FamilySpec:
     if name == "legendre_poly":
         if not args:
             raise ValueError("legendre_poly needs coefficients, e.g. legendre_poly:1,1,0,1")
-        text = args.split("=", 1)[1] if args.startswith("f=") else args
-        return FamilySpec(name=name, coeffs=_parse_coeffs(text))
+        return FamilySpec(name=name, coeffs=_parse_coeffs(args))
     if name == "mixed_ask":
         fields = {"f1": "0", "f2": "1", "chi": "0"}
-        for part in (args or "").split(";"):
+        for part in args.split(";"):
             part = part.strip()
             if not part:
                 continue
@@ -440,7 +436,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         if not ok:
             failures.append(failure)
 
-    for spec, fam in zip(specs, config.families):
+    for spec in specs:
         for p in config.primes:
             try:
                 table = make_table(spec, p, config.work_cap)
@@ -467,7 +463,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                 if p == p0:
                     delta = abs(rec.u_d - gowers_recursive(table.values, d))
                     agree("engine", delta, ENGINE_AGREEMENT_TOL,
-                          f"engine disagreement: {fam} d={d} p={p0}: |accel-rec|={delta:.3g}",
+                          f"engine disagreement: {rec.family} d={d} p={p0}: |accel-rec|={delta:.3g}",
                           family=rec.family, d=d)
 
     records.sort(key=lambda r: (r.family, r.d, r.p))

@@ -68,8 +68,15 @@ class TestPrimeField:
         assert np.all(inv[x] * x % 997 == 1)
 
     def test_inverse_involution_exhaustive_p997(self, field997):
-        for a in range(1, 997):
-            assert field997.inverse(field997.inverse(a)) == a
+        inv = field997.inverse_values
+        assert np.array_equal(inv[inv], np.arange(997))
+
+    def test_repr(self):
+        assert repr(prime_field(7)) == "PrimeField(7)"
+
+    def test_usable_cores_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(field_module.os, "sched_getaffinity", raising=False)
+        assert field_module._usable_cores() == (field_module.os.cpu_count() or 1)
 
     def test_primitive_root_generates(self, field101):
         g = field101.primitive_root
@@ -113,18 +120,13 @@ class TestPowerTables:
 
 class TestModInverse:
     def test_identity(self):
-        assert prime_field(7).inverse(1) == 1
+        assert prime_field(7).inverse_values[1] == 1
 
     def test_two_mod_seven(self):
-        assert prime_field(7).inverse(2) == 4  # 2*4 = 8 = 1 mod 7
+        assert prime_field(7).inverse_values[2] == 4  # 2*4 = 8 = 1 mod 7
 
-    def test_exhaustive_self_check_p997(self, field997):
-        for a in range(1, 997):
-            assert a * field997.inverse(a) % 997 == 1
-
-    def test_zero_rejected(self, field101):
-        with pytest.raises(ZeroDivisionError):
-            field101.inverse(0)
+    def test_zero_maps_to_zero(self, field101):
+        assert field101.inverse_values[0] == 0
 
 
 class TestLegendreSymbol:
@@ -398,10 +400,3 @@ class TestAutocorrelation:
     def test_shape_mismatch_rejected(self, field101, shape):
         with pytest.raises(ValueError, match="shape"):
             field101.correlation(np.ones(shape))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=996))
-def test_mod_inverse_roundtrip_property(a):
-    F = prime_field(997)
-    assert a * F.inverse(a) % 997 == 1

@@ -8,7 +8,7 @@ The files were written by the CLI (numpy 2.4.6) with
     gowersff scan --family kloosterman --d 3 --primes 1009,2011,2017 \\
         --output scan_kloosterman_d3.csv          (elapsed_ms column dropped)
     gowersff probe --p P --family kloosterman --d 3 --output probe_kloosterman_d3_P.json
-    gowersff probe --p P --family mixed_ask --family-args "f1=0,5,7;f2=1;chi=0" \\
+    gowersff probe --p P --family "mixed_ask:f1=0,5,7;f2=1;chi=0" \\
         --d 3 --output probe_mixed_ask_d3_P.json  (P = 2011, numpy's route; 2017, Rader's)
 
 Strings, integers, booleans and coefficient lists must match exactly.
@@ -28,7 +28,7 @@ import pytest
 from gowersff.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-PLANTED = ("--family", "mixed_ask", "--family-args", "f1=0,5,7;f2=1;chi=0")
+PLANTED = ("--family", "mixed_ask:f1=0,5,7;f2=1;chi=0")
 
 
 def _close(a: float, b: float) -> bool:

@@ -65,6 +65,11 @@ def test_divmod_roundtrip(a, b):
     assert normalize(recomposed, p) == normalize(a, p)
 
 
+def test_divmod_by_zero_refused():
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod((1, 2), (), 7)
+
+
 class TestSquareDetection:
     def test_squares_detected(self):
         assert is_square_times_unit((0, 0, 1), 7)       # X^2
@@ -79,6 +84,7 @@ class TestSquareDetection:
         assert not is_square_times_unit((0, 0, 0, 1), 7)    # X^3
         assert not is_square_times_unit((1, 0, 1), 5)       # X^2+1 over F_5
         assert not is_square_times_unit((1, 1, 0, 1), 101)  # X^3+X+1
+        assert not is_square_times_unit((0, 0), 7)          # the zero polynomial
 
     @pytest.mark.parametrize("p", [5, 7, 101])
     def test_plain_cases(self, p):
@@ -118,6 +124,8 @@ def test_root_multiplicity():
     assert root_multiplicity(f, 0, p) == 2
     assert root_multiplicity(f, 1, p) == 1
     assert root_multiplicity(f, 2, p) == 0
+    with pytest.raises(ValueError, match="zero polynomial"):
+        root_multiplicity((0, 7), 1, p)
 
 
 class TestRationalFunction:

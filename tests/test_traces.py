@@ -460,6 +460,14 @@ class TestTableInvariants:
         assert desc.family == desc.label == name
         assert desc.conductor == conductor
 
+    @pytest.mark.parametrize("rank, swan, message", [
+        (-1, {INFINITY: 0}, "rank must be non-negative"),
+        (1, {3: -1}, "negative Swan conductor at 3"),
+    ], ids=["negative_rank", "negative_swan"])
+    def test_negative_invariants_rejected(self, rank, swan, message):
+        with pytest.raises(ValueError, match=message):
+            FamilyDescriptor("mixed_ask", "bad", rank, swan)
+
     def test_swan_is_read_only(self):
         swan = {3: 1, INFINITY: 0}
         desc = FamilyDescriptor("mixed_ask", "x", 1, swan)
