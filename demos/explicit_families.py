@@ -37,7 +37,7 @@ for table in tables:
     print("  first values:", np.round(table.values[:4], 4))
     print("  max |value| :", round(float(np.abs(table.values).max()), 4))
     for deg in (1, 2, 3):
-        u = evaluate(table, deg).u_d
+        u = evaluate(table, deg)
         results = [u, gowers_recursive(table.values, deg)]
         if deg <= 2:
             results.append(gowers_oracle(table.values, deg))

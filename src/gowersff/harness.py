@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import re
+import time
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -244,7 +245,9 @@ BASELINE_COLUMNS = tuple(f.name for f in fields(BaselineRecord))
 
 def _make_record(spec: FamilySpec, table: TraceTable, d: int, work_cap: int) -> ScanRecord:
     _check_p_above_d(table.p, d)
-    result = evaluate(table, d, work_cap)
+    start = time.perf_counter()
+    u_d = evaluate(table, d, work_cap)
+    elapsed = time.perf_counter() - start
     m = polys.degree(polys.normalize(spec.coeffs, table.p))
     constant = bound_constant(spec.name, d, m=m, conductor=table.descriptor.conductor)
     bound = constant / table.p
@@ -252,12 +255,12 @@ def _make_record(spec: FamilySpec, table: TraceTable, d: int, work_cap: int) -> 
         p=table.p,
         family=table.descriptor.label,
         d=d,
-        u_d=result.u_d,
-        u_d_times_p=result.u_d_times_p,
+        u_d=u_d,
+        u_d_times_p=u_d * table.p,
         bound_constant=constant,
         bound=bound,
-        bound_satisfied=bool(result.u_d <= bound + 1e-12),
-        elapsed_ms=result.elapsed * 1e3,
+        bound_satisfied=bool(u_d <= bound + 1e-12),
+        elapsed_ms=elapsed * 1e3,
     )
 
 
@@ -269,11 +272,13 @@ def scan_primes(
 ) -> tuple[list[ScanRecord], list[dict]]:
     """One record per prime; per-item failures are collected, not fatal.
 
-    An empty primes is refused before any table is built.  A bad prime,
+    An empty primes or d < 1 is refused before any table is built.  A bad prime,
     p <= d or a prime too small for the family is refused where the table
     or the record is built, and becomes an error record.
     """
     _check_positive("work_cap", work_cap)
+    if d < 1:
+        raise ValueError("d must be >= 1")
     primes = list(primes)
     if not primes:
         raise ValueError("primes is empty: scan needs at least one")
@@ -340,6 +345,8 @@ class VerifyConfig:
         for key in ("families", "d_values", "primes"):
             if not getattr(self, key):
                 raise ValueError(f"{key} is empty: verify needs at least one")
+        if min(self.d_values) < 1:
+            raise ValueError("d must be >= 1")
         _check_positive("ceiling", self.ceiling)
         _check_positive("work_cap", self.work_cap)
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,7 +42,6 @@ __all__ = [
     "gowers_recursive",
     "gowers_accelerated",
     "gowers_norm",
-    "NormResult",
     "evaluate",
 ]
 
@@ -327,33 +324,14 @@ def gowers_norm(values: np.ndarray, d: int, field: PrimeField | None = None) -> 
     return float(gowers_accelerated(values, d, field) ** (1.0 / 2**d))
 
 
-# -- result ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormResult:
-    """U_d plus derived quantities and timing for one run."""
-
-    p: int
-    d: int
-    u_d: float
-    norm: float
-    u_d_times_p: float
-    elapsed: float
-
-
-def evaluate(table: TraceTable, d: int, work_cap: int = DEFAULT_WORK_CAP) -> NormResult:
-    """U_d of a trace table by :func:`gowers_accelerated`, packaged and timed.
+def evaluate(table: TraceTable, d: int, work_cap: int = DEFAULT_WORK_CAP) -> float:
+    """U_d of a trace table by :func:`gowers_accelerated`.
 
     Non-finite values are refused before anything runs.  When the family
     tracks its rank, the trivial bound U_d <= rank^(2^d) is asserted on
     the way out.
     """
-    values = _finite_values(table.values)
-    p = len(values)
-    start = time.perf_counter()
-    u_d = gowers_accelerated(values, d, table.field, work_cap)
-    elapsed = time.perf_counter() - start
+    u_d = gowers_accelerated(_finite_values(table.values), d, table.field, work_cap)
     rank = table.descriptor.rank
     if rank >= 1:
         ceiling = rank ** (2**d) + 1e-6
@@ -361,11 +339,4 @@ def evaluate(table: TraceTable, d: int, work_cap: int = DEFAULT_WORK_CAP) -> Nor
             raise ArithmeticError(
                 f"trivial bound violated: U_{d} = {u_d} > rank^(2^d) = {ceiling}"
             )
-    return NormResult(
-        p=p,
-        d=d,
-        u_d=u_d,
-        norm=float(u_d ** (1.0 / 2**d)),
-        u_d_times_p=u_d * p,
-        elapsed=elapsed,
-    )
+    return u_d

@@ -64,9 +64,10 @@ def _monic(coeffs: Coeffs, p: int) -> Coeffs:
 
 
 def poly_divmod(a: Coeffs, b: Coeffs, p: int) -> tuple[Coeffs, Coeffs]:
+    b = normalize(b, p)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
+    a = list(normalize(a, p))
     db, lead_inv = degree(b), pow(b[-1], p - 2, p)
     q = [0] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:

@@ -79,8 +79,6 @@ class Decomposition:
     t1: np.ndarray
     t2: np.ndarray
     components: tuple[PhaseComponent, ...]
-    d: int
-    threshold: float
 
 
 def _phase_values(coeffs, field: PrimeField) -> np.ndarray:
@@ -110,7 +108,7 @@ _shared_walk: ContextVar[tuple | None] = ContextVar("_shared_walk", default=None
 
 
 def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.inf):
-    """(tops, peak, arg, flat, b, beta): one walk of the p^(d-1) candidates (one at d = 1).
+    """(best, flat, b, beta): one walk of the p^(d-1) candidates (one at d = 1).
 
     The walk runs in chunks over the flat tops (a_2, ..., a_{d-1}), ascending.
     A top's row is the transform of phi(x) e(-(a_2 x^2 + ... + a_{d-1} x^(d-1))/p),
@@ -121,9 +119,9 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
     phi at d >= 3 walks only the zero top and the tops whose leading
     nonzero digit is at most (p - 1)/2, the ones before their mirror -top.
 
-    tops are the flat tops walked; peak and arg run over them: max_b |row[b]|
-    and the smallest b attaining it.  (flat, b, beta) are the entries with
-    |beta| >= threshold, in walk order (by top, then by column); the tops not
+    best is (|beta|, flat top, b) of the largest entry, of equal ones the
+    first top walked, then the smallest b.  (flat, b, beta) are the entries
+    with |beta| >= threshold, in walk order (by top, then by column); the tops not
     walked take theirs from their mirrors as (-top, -b, conj beta), after
     the walked ones.  Returns the walk a probe_report lent for the same
     values object, d and field.
@@ -171,26 +169,22 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
             np.multiply(laid_out, twisted, out=twisted)
             hat = field._transform(twisted)
         mag = np.abs(hat, out=mag_buf[: len(hat), : hat.shape[1]])
-        at = np.arange(len(mag)), mag.argmax(axis=1)
-        peak, arg = mag[at], freqs[at[1]]
-        # A peak in more than one column (the runner-up equals it) goes to
-        # the smallest b attaining it.
-        mag[at] = -1.0
-        tied = np.flatnonzero(mag.max(axis=1) == peak)
-        mag[at] = peak
-        arg[tied] = np.where(mag[tied] == peak[tied, None], freqs, p).min(axis=1)
+        peak = mag.max(axis=1)
+        r = int(peak.argmax())  # the chunk's first top of largest peak, at its smallest b
+        best = peak[r], flat[r], freqs[np.flatnonzero(mag[r] == peak[r])].min()
         hits = np.flatnonzero(peak >= threshold)
         j, c = np.nonzero(mag[hits] >= threshold)
-        return peak, arg, flat[hits[j]], freqs[c], hat[hits[j], c]
+        return best, flat[hits[j]], freqs[c], hat[hits[j], c]
 
-    peak, arg, flat, b, beta = map(
-        np.concatenate, zip(*_in_chunks(-(-len(walked) // chunk), walk_chunk, buffers)))
+    bests, *found = zip(*_in_chunks(-(-len(walked) // chunk), walk_chunk, buffers))
+    flat, b, beta = map(np.concatenate, found)
     if len(walked) < n_tops:  # a real table: the hits of the mirrors
         off = flat != 0  # the zero top is its own mirror
         flat = np.concatenate([flat, _mirror(flat[off], d, p)])
         b = np.concatenate([b, -b[off] % p])
         beta = np.concatenate([beta, np.conj(beta[off])])
-    return walked, peak, arg, flat, b, beta
+    # max keeps the first of equal peaks, and the chunks come in flat order.
+    return max(bests, key=lambda best: best[0]), flat, b, beta
 
 
 def scan_obstructions(
@@ -225,9 +219,8 @@ def max_phase_correlation(
     the smallest linear coefficient.
     """
     values = _finite_values(values, field.p, d)
-    tops, peak, arg = _walk(values, d, field)[:3]
-    t = int(peak.argmax())
-    return float(peak[t]), (0, int(arg[t]), *_tops(tops[t], d, field.p).tolist())[:d]
+    peak, top, b = _walk(values, d, field)[0]
+    return float(peak), (0, int(b), *_tops(top, d, field.p).tolist())[:d]
 
 
 def decompose(
@@ -239,8 +232,7 @@ def decompose(
     t2 = np.zeros(field.p, dtype=np.complex128)
     for comp in components:
         t2 += comp.beta * _phase_values(comp.coeffs, field)
-    return Decomposition(t1=values - t2, t2=t2, components=components, d=d,
-                         threshold=threshold)
+    return Decomposition(t1=values - t2, t2=t2, components=components)
 
 
 @dataclass(frozen=True)

@@ -292,11 +292,9 @@ def mixed_ask_trace(f1, f2, chi: MultiplicativeCharacter, field: PrimeField) -> 
     U excludes poles of f1 and f2 and zeros of f2.  Swan conductors sit
     at the poles of f1 with the pole order as the declared value; every
     other point of the complement of U (and the point at infinity) is
-    tame.  f1 and f2 may be RationalFunction or (num, den) coefficient
-    pairs.
+    tame.  f1 and f2 are (num, den) coefficient pairs.
     """
-    f1, f2 = (f if isinstance(f, RationalFunction) else RationalFunction(*f, field)
-              for f in (f1, f2))
+    f1, f2 = (RationalFunction(*f, field) for f in (f1, f2))
     if f2.is_zero:
         raise ValueError("f2 is identically zero")
 

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gowersff import cli, field, harness, norms
+from gowersff import cli, field, harness
 from gowersff.cli import main
 from gowersff.harness import SCAN_COLUMNS
 
@@ -85,7 +85,7 @@ class TestOutput:
     def test_dash_is_stdout_and_a_file_gets_the_same_bytes(self, capsys, tmp_path,
                                                            monkeypatch, argv):
         # A frozen clock: norm's elapsed_ms would otherwise differ between runs.
-        monkeypatch.setattr(norms, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
         path = tmp_path / "out"
         code, out, err = run(capsys, *argv, "--output", "-")
         assert (code, err) == (0, "") and out
@@ -223,6 +223,16 @@ class TestScan:
         assert len(out.splitlines()) == 2  # header + one good row
         assert "9" in err and "error" in err
 
+    def test_d_below_one_refused_before_any_table(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        code, out, err = run(capsys, "scan", "--family", "kloosterman", "--d", "0",
+                             "--primes", "101")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "d must be >= 1" in err
+
 
 class TestBaseline:
     def test_deterministic_output(self, capsys):
@@ -347,6 +357,17 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and f"{key} is empty" in err
+
+    def test_d_below_one_refused_before_any_table(self, capsys, tmp_path, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("d_values = 0 1\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "d must be >= 1" in err
 
 
 def _nan_table(spec, p, work_cap=None):

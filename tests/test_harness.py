@@ -167,6 +167,7 @@ class TestScanPrimes:
         assert len(records) == len(primes)
         assert all(r.bound_satisfied for r in records)
         assert all(r.u_d_times_p <= 1e3 for r in records)
+        assert all(r.u_d_times_p == r.u_d * r.p and r.elapsed_ms >= 0 for r in records)
 
     def test_nonprime_yields_error_record_and_continues(self):
         records, errors = scan_primes(parse_family("inverse_phase"), 2, [101, 9, 103])
@@ -272,6 +273,10 @@ class TestVerify:
     def test_empty_sweep_refused(self, key):
         with pytest.raises(ValueError, match=f"{key} is empty"):
             replace(SMALL_CONFIG, **{key: ()})
+
+    def test_d_below_one_refused(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            VerifyConfig(d_values=(0, 1))
 
     @pytest.mark.parametrize("change, message", [
         ({"primes": (100, 211, 499)}, "p = 100 is not prime"),

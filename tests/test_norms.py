@@ -701,20 +701,17 @@ class TestEvaluate:
     def test_engine_dispatch_and_fields(self, field101):
         table = kloosterman_trace(field101)
         for oracle, d in ((gowers_oracle, 1), (gowers_recursive, 2)):
-            res = evaluate(table, d)
-            assert res.u_d == pytest.approx(oracle(table.values, d), abs=1e-12)
-            assert res.p == 101 and res.d == d
-            assert res.u_d_times_p == pytest.approx(res.u_d * 101)
-            assert res.norm == pytest.approx(res.u_d ** (1 / 2**d))
-            assert res.elapsed >= 0
+            u_d = evaluate(table, d)
+            assert type(u_d) is float
+            assert u_d == pytest.approx(oracle(table.values, d), abs=1e-12)
+            assert gowers_norm(table.values, d, field101) == pytest.approx(u_d ** (1 / 2**d))
 
     def test_trivial_bound_checked_for_family_tables(self, field101):
         # rank 2 families must satisfy U_d <= 2^(2^d); run all and rely on
         # the internal assertion raising on violation.
         for table in (kloosterman_trace(field101), legendre_curve_trace(field101)):
             for d in (1, 2, 3):
-                res = evaluate(table, d)
-                assert res.u_d <= table.descriptor.rank ** (2**d) + 1e-6
+                assert evaluate(table, d) <= table.descriptor.rank ** (2**d) + 1e-6
 
     def test_trivial_bound_violation_refused(self, monkeypatch, field101):
         monkeypatch.setattr(norms, "gowers_accelerated", lambda *args: 2.0)
@@ -745,5 +742,4 @@ class TestEvaluate:
 
     def test_accelerated_request_at_d1_uses_mean_formula(self, field101):
         ones = FamilyDescriptor(family="const", label="const", rank=1, swan={})
-        res = evaluate(TraceTable(field101, np.ones(101), ones), 1)
-        assert res.u_d == pytest.approx(1.0)
+        assert evaluate(TraceTable(field101, np.ones(101), ones), 1) == pytest.approx(1.0)

@@ -49,16 +49,18 @@ def test_poly_gcd_basic():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.integers(0, 10), min_size=1, max_size=6),
-    st.lists(st.integers(0, 10), min_size=1, max_size=4),
+    st.lists(st.integers(0, 30), min_size=1, max_size=6),
+    st.lists(st.integers(0, 30), min_size=1, max_size=4),
 )
 def test_divmod_roundtrip(a, b):
+    # Raw inputs: coefficients past p - 1, and trailing zeros.
     p = 11
-    b = normalize(b, p)
-    if not b:
+    if not normalize(b, p):
         return
-    q, r = poly_divmod(tuple(a), b, p)
-    recomposed = list(polys._poly_mul(q, b, p))
+    q, r = poly_divmod(tuple(a), tuple(b), p)
+    assert r == normalize(r, p)
+    assert degree(r) < degree(normalize(b, p))
+    recomposed = list(polys._poly_mul(q, normalize(b, p), p))
     recomposed += [0] * (max(len(a), len(r)) - len(recomposed))
     for i, c in enumerate(r):
         recomposed[i] = (recomposed[i] + c) % p
@@ -68,6 +70,19 @@ def test_divmod_roundtrip(a, b):
 def test_divmod_by_zero_refused():
     with pytest.raises(ZeroDivisionError):
         poly_divmod((1, 2), (), 7)
+
+
+def test_divmod_by_zero_with_trailing_zeros_refused():
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod((1, 2), (0, 0), 7)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ((1, 2, 3), (3, 1, 0), ((0, 3), (1,))),  # 1 + 2x + 3x^2 = 3x (3 + x) + 1 over F_7
+    ((8,), (1, 1), ((), (1,))),
+], ids=["trailing_zero_in_b", "unreduced_a"])
+def test_divmod_normalizes_its_inputs(a, b, expected):
+    assert poly_divmod(a, b, 7) == expected
 
 
 class TestSquareDetection:

@@ -30,6 +30,21 @@ from gowersff.traces import MultiplicativeCharacter
 from conftest import SmallPowersOnly, poly_phase, random_unit_vector
 
 
+def _tied_at_3_4_9(monkeypatch, p, rader):
+    """A fresh PrimeField(p) on the given route whose every transformed row
+    is 1 at b = 3, 4 and 9 and 0 elsewhere."""
+    monkeypatch.setattr(field_module, "_rader_route", lambda p: rader)
+    F = PrimeField(p)
+    peaks = np.isin(F._plan.freqs, [3, 4, 9])
+
+    def transform(self, rows):
+        rows[:] = peaks
+        return rows
+
+    monkeypatch.setattr(PrimeField, "_transform", transform)
+    return F
+
+
 def brute_force_components(values, d, threshold, field):
     """Reference scan: loop over every zero-constant P of degree <= d-1."""
     p = field.p
@@ -277,20 +292,12 @@ class TestMaxPhaseCorrelation:
 
     @pytest.mark.parametrize("rader", [True, False], ids=["rader", "numpy"])
     def test_exact_ties_in_a_row_go_to_the_smallest_b(self, monkeypatch, rader):
-        # Every row is 1 at b = 3, 4 and 9 and 0 elsewhere.  Rader's columns
-        # at p = 11 hold b = 0, 1, 2, 4, 8, 5, 10, 9, 7, 3, 6: b = 4 comes first.
-        monkeypatch.setattr(field_module, "_rader_route", lambda p: rader)
-        F = PrimeField(11)
-        peaks = np.isin(F._plan.freqs, [3, 4, 9])
-
-        def transform(self, rows):
-            rows[:] = peaks
-            return rows
-
-        monkeypatch.setattr(PrimeField, "_transform", transform)
+        # Rader's columns at p = 11 hold b = 0, 1, 2, 4, 8, 5, 10, 9, 7, 3, 6:
+        # b = 4 comes first.
+        F = _tied_at_3_4_9(monkeypatch, 11, rader)
         # A real table walks tops 0..5; the hits of 6..10 are their mirrors'.
-        tops, peak, arg, flat, b, beta = probe._walk(np.ones(11), 3, F, 0.5)
-        assert tops.tolist() == list(range(6)) and arg.tolist() == [3] * 6
+        best, flat, b, beta = probe._walk(np.ones(11), 3, F, 0.5)
+        assert best == (1.0, 0, 3)
         assert sorted(zip(flat.tolist(), b.tolist())) == sorted(
             (t, c if t <= 5 else -c % 11) for t in range(11) for c in (3, 4, 9))
         assert max_phase_correlation(np.ones(11), 3, F) == (1.0, (0, 3, 0))
@@ -485,6 +492,20 @@ class TestChunkedWalk:
         assert n_chunks == [2]
         assert [c.coeffs for c in found] == [coeffs for coeffs, _ in expected]
         assert max(abs(c.beta - b) for c, (_, b) in zip(found, expected)) <= 1e-12
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rader", [True, False], ids=["rader", "numpy"])
+    def test_ties_across_chunks_go_to_the_first_top(self, monkeypatch, rader, workers):
+        # All 2809 tops of d = 4 tie, in both chunks: the first top wins, at
+        # its smallest b.
+        monkeypatch.setattr(field_module, "_WORKERS", workers)
+        F = _tied_at_3_4_9(monkeypatch, 53, rader)
+        n_chunks, in_chunks = [], probe._in_chunks
+        monkeypatch.setattr(probe, "_in_chunks",
+                            lambda n, *rest: n_chunks.append(n) or in_chunks(n, *rest))
+        v = random_unit_vector(53, np.random.default_rng(53))
+        assert max_phase_correlation(v, 4, F) == (1.0, (0, 3, 0, 0))
+        assert n_chunks == [2]
 
     def test_one_chunk_starts_no_thread(self, monkeypatch, field101):
         def no_thread(*args, **kwargs):

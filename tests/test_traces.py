@@ -28,7 +28,6 @@ from gowersff import (
 )
 from gowersff import field as field_module
 from gowersff.harness import KLOOSTERMAN_METHOD_TOL
-from gowersff.polys import RationalFunction
 from conftest import euler_legendre
 
 
@@ -263,14 +262,6 @@ class TestMixedAsk:
         # pure phase e(x^3/p): pole of order 3 at infinity only
         assert mixed.descriptor.swan == {INFINITY: 3}
         assert mixed.descriptor.conductor == 4
-
-    def test_rational_functions_given_as_such(self, field101):
-        chi = MultiplicativeCharacter(field101, 50)
-        pairs = (((1, 0, 1), (0, 1)), ((0, 1), (1, 1)))
-        given = mixed_ask_trace(*(RationalFunction(*f, field101) for f in pairs), chi, field101)
-        parsed = mixed_ask_trace(*pairs, chi, field101)
-        assert np.array_equal(given.values, parsed.values)
-        assert given.descriptor == parsed.descriptor
 
     def test_zero_f2_rejected(self, field101):
         chi = MultiplicativeCharacter(field101, 0)
