@@ -274,7 +274,8 @@ class PrimeField:
         of length h: p dft(v)[g^r] = v(0) + 2(X(r) - Y(r)) and
         p dft(v)[-g^r] = v(0) + 2(X(r) + Y(r)).  Each is a linear
         convolution by rfft and irfft zero-padded to a power of two, one per
-        worker (README Numerics).
+        worker (README Numerics).  When alpha = conj(beta), as on Kloosterman's
+        row, X and -Y are beta's self-convolutions: one rfft each.
         """
         p, h = self.p, (self.p - 1) // 2
         if out is not None and (out.shape != v.shape or out.dtype != np.complex128):
@@ -283,14 +284,20 @@ class PrimeField:
         pw = self._powers()
         alpha = v[np.concatenate([pw[:1], pw[:h:-1]])]
         beta = self.char_table[pw[h:]]  # e(g^(j + h)/p) = e(-g^j/p)
+        if np.array_equal(alpha, np.conj(beta)):
+            alpha = None  # only beta's parts are transformed
         v0, total = v[0].real, v.real.sum()
         folded = np.empty((2, h))
 
         def convolve(i, a, b):
             part = np.real if i == 0 else np.imag
-            np.fft.rfft(part(alpha), n, out=a)
-            np.fft.rfft(part(beta), n, out=b)
-            a *= b
+            if alpha is None:
+                np.fft.rfft(part(beta), n, out=a)
+                a *= a if i == 0 else np.negative(a, out=b)
+            else:
+                np.fft.rfft(part(alpha), n, out=a)
+                np.fft.rfft(part(beta), n, out=b)
+                a *= b
             lags = np.fft.irfft(a, n, out=b.view(np.float64)[:n])  # b is spent
             (np.add, np.subtract)[i](lags[:h], lags[h : 2 * h], out=folded[i])
 

@@ -294,12 +294,14 @@ def scan_primes(
 
 
 def _baseline_field(p: int, d: int, trials: int, seed: int) -> PrimeField:
-    """The field of a baseline at p, refused unless trials >= 1, seed >= 0 and p is an odd
-    prime above d."""
+    """The field of a baseline at p, refused unless trials >= 1, seed >= 0, d >= 1 and p is
+    an odd prime above d."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     _check_p_above_d(p, d)
     return _table_field(p, DEFAULT_WORK_CAP)
 
@@ -345,7 +347,7 @@ class VerifyConfig:
         for key in ("families", "d_values", "primes"):
             if not getattr(self, key):
                 raise ValueError(f"{key} is empty: verify needs at least one")
-        if min(self.d_values) < 1:
+        if min(self.d_values) < 1 or self.baseline_d < 1:
             raise ValueError("d must be >= 1")
         _check_positive("ceiling", self.ceiling)
         _check_positive("work_cap", self.work_cap)

@@ -14,7 +14,9 @@ where C is complex conjugation.  The routes are:
   ground truth; cost p^(d+1), refused beyond a work cap;
 * ``gowers_recursive``   -- test oracle: the inductive definition
   U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
-  xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost about p^d, uncapped.
+  xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost about p^d, uncapped.  Each
+  level runs in blocks of (row, h) pairs, one numpy pass each: about 2^16
+  values at small p, and never more than 2^21.
 
 NaN or infinite values are refused.  Values are real up to rounding; the
 routes check the imaginary part where one exists (relative to the real
@@ -110,8 +112,9 @@ def u1(values: np.ndarray) -> float:
 
 
 def _shifts(values: np.ndarray) -> np.ndarray:
-    """Row s is x -> phi(x + s): a (p, p) view of the doubled table, not a copy."""
-    return sliding_window_view(np.concatenate([values, values[:-1]]), len(values))
+    """Row s is x -> phi(x + s) along the last axis: a (..., p, p) view, not a copy."""
+    doubled = np.concatenate([values, values[..., :-1]], axis=-1)
+    return sliding_window_view(doubled, values.shape[-1], axis=-1)
 
 
 def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) -> float:
@@ -141,28 +144,41 @@ def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) 
 
 
 def _u1_rows(matrix: np.ndarray) -> np.ndarray:
-    m = matrix.mean(axis=1)
+    m = matrix.mean(axis=-1)
     return m.real * m.real + m.imag * m.imag
 
 
 def gowers_recursive(values: np.ndarray, d: int) -> float:
     """U_d by the inductive definition, recursing on d down to U_1."""
     values = _finite_values(values, d=d)
-    p = len(values)
+    return _finalize(float(_recursive_rows(values, d)), _tolerance(len(values), d))
+
+
+def _recursive_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """U_d of each row of a (..., p) batch, bit for bit as one row and one h at a time.
+
+    A block of (row, h) pairs, about 2^16 values at small p and at most
+    2^21, forms its xi_h rows in one pass and recurses on them at once.
+    Rows that are not finite are refused from d = 2 on.
+    """
     if d == 1:
-        return _finalize(u1(values), _tolerance(p, d))
-    if d == 2:
-        # (1/p) sum_h U_1(xi_h(phi)), all h at once in row-chunks.
-        acc = np.empty(p)
-        chunk = max(1, (1 << 21) // p)
-        shifted, conj = _shifts(values), np.conj(values)
-        for start in range(0, p, chunk):
-            acc[start : start + chunk] = _u1_rows(shifted[start : start + chunk] * conj)
-        return _finalize(float(acc.mean()), _tolerance(p, d))
-    per_h = np.empty(p)
-    for h in range(p):
-        per_h[h] = gowers_recursive(xi(values, h), d - 1)
-    return _finalize(float(per_h.mean()), _tolerance(p, d))
+        return _u1_rows(rows)
+    if not np.isfinite(rows).all():
+        raise ValueError("values must be finite")
+    shape, p = rows.shape[:-1], rows.shape[-1]
+    rows = rows.reshape(-1, p)
+    hs = min(p, max(1, (1 << 21) // p))
+    group = min(len(rows), max(1, (1 << 16) // (hs * p)))
+    u_d = np.empty(len(rows))
+    for r in range(0, len(rows), group):
+        # One row stays two-dimensional, (h, x); a group of rows is (row, h, x).
+        sel = r if group == 1 else slice(r, r + group)
+        shifted, conj = _shifts(rows[sel]), np.conj(rows[sel])[..., None, :]
+        per_h = np.empty(shifted.shape[:-1])
+        for h in range(0, p, hs):  # each product is freed before the next: 2x at large p
+            per_h[..., h : h + hs] = _recursive_rows(shifted[..., h : h + hs, :] * conj, d - 1)
+        u_d[sel] = per_h.mean(axis=-1)
+    return u_d.reshape(shape)
 
 
 def _orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:

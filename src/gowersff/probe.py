@@ -247,7 +247,6 @@ class DichotomyReport:
     family: str
     d: int
     max_correlation: float
-    argmax_coeffs: tuple[int, ...]
     ceiling: float
     table: TraceTable = dataclasses.field(repr=False, compare=False)
 
@@ -271,10 +270,9 @@ def dichotomy_report(
 ) -> DichotomyReport:
     """Classify a family table as phase / uniform / inconclusive at level d."""
     _check_positive("ceiling", ceiling)
-    corr, coeffs = max_phase_correlation(table.values, d, table.field)
+    corr = max_phase_correlation(table.values, d, table.field)[0]
     return DichotomyReport(p=table.p, family=table.descriptor.label, d=d,
-                           max_correlation=corr, argmax_coeffs=coeffs, ceiling=ceiling,
-                           table=table)
+                           max_correlation=corr, ceiling=ceiling, table=table)
 
 
 def probe_report(

@@ -242,6 +242,15 @@ class TestBaseline:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_d_below_one_refused_before_the_field(self, capsys, monkeypatch):
+        def no_field(p, work_cap):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(harness, "_table_field", no_field)
+        code, out, err = run(capsys, "baseline", "--p", "101", "--d", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "d must be >= 1" in err
+
 
 class TestVerifyCommand:
     CONFIG = (
@@ -367,6 +376,20 @@ class TestVerifyCommand:
         cfg.write_text("d_values = 0 1\n")
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "d must be >= 1" in err
+
+    def test_baseline_d_below_one_refused_before_any_table(self, capsys, tmp_path, monkeypatch):
+        built = []  # the sweep records a table's error and goes on, so count the calls
+
+        def no_table(spec, p, work_cap):
+            built.append(p)
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("baseline_d = 0\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out, built) == (2, "", [])
         assert err.startswith("error: ") and "d must be >= 1" in err
 
 

@@ -289,6 +289,33 @@ class TestHermitianRoute:
         v = self.rows(below)["hermitian"]
         assert np.array_equal(below.dft(v), np.fft.fft(v, norm="forward"))
 
+    def test_rfft_count_and_self_convolution_bits(self, monkeypatch):
+        # Kloosterman's inverse-phase row has alpha = conj(beta): one rfft per
+        # part, squared; a generic Hermitian row takes two per part.
+        field = PrimeField(131101)
+        rows = self.rows(field)
+        rfft, calls = np.fft.rfft, []
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        counts = {}
+        for name in ("inverse_phase", "hermitian"):
+            calls.clear()
+            field.dft(rows[name])
+            counts[name] = len(calls)
+        assert counts == {"inverse_phase": 2, "hermitian": 4}
+        v = rows["inverse_phase"]
+        fast = field._hermitian_dft(v, None)
+        calls.clear()
+        with monkeypatch.context() as patch:  # the general path, operand by operand
+            patch.setattr(field_module.np, "array_equal", lambda *args: False)
+            general = field._hermitian_dft(v, None)
+        assert len(calls) == 4
+        assert np.array_equal(fast, general)
+
     def test_one_and_two_workers_agree_bit_for_bit(self, monkeypatch):
         field = PrimeField(262147)
         spectra = []

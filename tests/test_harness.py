@@ -239,6 +239,15 @@ class TestRandomBaseline:
         with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
             random_baseline(101, 2, 20, seed=-5)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_refused_before_the_field(self, monkeypatch, d):
+        def no_field(p, work_cap):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(harness, "_table_field", no_field)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            random_baseline(101, d, 20, seed=1)
+
 
 SMALL_CONFIG = VerifyConfig(
     families=("inverse_phase", "kloosterman"),
@@ -277,6 +286,10 @@ class TestVerify:
     def test_d_below_one_refused(self):
         with pytest.raises(ValueError, match="d must be >= 1"):
             VerifyConfig(d_values=(0, 1))
+
+    def test_baseline_d_below_one_refused(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            VerifyConfig(baseline_d=0, primes=(101, 211))
 
     @pytest.mark.parametrize("change, message", [
         ({"primes": (100, 211, 499)}, "p = 100 is not prime"),

@@ -3,9 +3,11 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from gowersff import (
 )
 from gowersff import field as field_module
 from gowersff import norms
+from gowersff.harness import DEFAULT_FAMILIES
 from gowersff.norms import _finalize, _orbits
 from gowersff.traces import legendre_curve_integers
 from conftest import poly_phase, random_unit_vector
@@ -162,6 +165,74 @@ class TestRecursive:
         rng = np.random.default_rng(5)
         v = random_unit_vector(11, rng)
         assert abs(gowers_recursive(v, 4) - gowers_oracle(v, 4)) <= 1e-9
+
+
+def per_h_recursion(values: np.ndarray, d: int) -> float:
+    """U_d by recursion on one row and one h at a time: the batched oracle's reference.
+
+    Each level forms xi_h(phi) = phi(x + h) conj(phi(x)) for one h and
+    recurses on it; d = 2 takes its h values in chunks of 2^21 values.  The
+    batches must give the same floats, bit for bit.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    p = len(values)
+    if d == 1:
+        return _finalize(u1(values), 1e-9)
+    if d == 2:
+        acc = np.empty(p)
+        chunk = max(1, (1 << 21) // p)
+        shifted = sliding_window_view(np.concatenate([values, values[:-1]]), p)
+        for start in range(0, p, chunk):
+            m = (shifted[start : start + chunk] * np.conj(values)).mean(axis=1)
+            acc[start : start + chunk] = m.real * m.real + m.imag * m.imag
+        return _finalize(float(acc.mean()), 1e-9)
+    per_h = np.empty(p)
+    for h in range(p):
+        per_h[h] = per_h_recursion(xi(values, h), d - 1)
+    return _finalize(float(per_h.mean()), 1e-9)
+
+
+class TestRecursiveBlocks:
+    """gowers_recursive takes the xi_h rows of many (row, h) pairs per numpy pass."""
+
+    @pytest.mark.parametrize("p", [3, 13, 101])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bit_equal_to_the_per_h_recursion(self, p, d):
+        v = random_unit_vector(p, np.random.default_rng(10 * p + d))
+        assert gowers_recursive(v, d) == per_h_recursion(v, d)
+
+    # A block holds several rows up to p = 181 and one from 182 on; from
+    # p = 1451 on, a row's h values are split into slices of 2^21 values.
+    @pytest.mark.parametrize("p, d", [(181, 1), (181, 2), (181, 3), (191, 1), (191, 2), (191, 3),
+                                      (1447, 2), (1451, 2)])
+    def test_bit_equal_across_block_shapes(self, p, d):
+        rng = np.random.default_rng(p + d)
+        v = rng.normal(size=p) + 1j * rng.normal(size=p)
+        assert gowers_recursive(v, d) == per_h_recursion(v, d)
+
+    @pytest.mark.parametrize("family", DEFAULT_FAMILIES)
+    def test_verify_families_bit_equal(self, family):
+        values = make_table(parse_family(family), 101).values
+        for d in (1, 2, 3):
+            assert gowers_recursive(values, d) == per_h_recursion(values, d), d
+
+    def test_overflowing_xi_rows_refused(self):
+        # 1e200 is finite, but its xi_h rows overflow to inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="values must be finite"):
+                gowers_recursive(np.full(7, 1e200 + 0j), 3)
+
+    def test_memory_peak_at_p101_d3(self):
+        v = random_unit_vector(101, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            gowers_recursive(v, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestAccelerated:
