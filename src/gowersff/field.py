@@ -45,9 +45,9 @@ def is_prime(n: int) -> bool:
 
 
 def _finite_values(values, p: int | None = None, d: int = 1) -> np.ndarray:
-    """values as complex128: one-dimensional, of length p if p is given, and finite; d >= 1."""
+    """values as complex128: one-dimensional, non-empty (of length p if given), finite; d >= 1."""
     values = np.asarray(values, dtype=np.complex128)
-    if values.ndim != 1 or p not in (None, len(values)):
+    if values.ndim != 1 or not values.size or p not in (None, len(values)):
         want = "(p,)" if p is None else f"(p,) = ({p},)"
         raise ValueError(f"values must have shape {want}, got {values.shape}")
     if not np.isfinite(values).all():

@@ -137,10 +137,10 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
 
 
 def _parse_ratio(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return _parse_coeffs(num), _parse_coeffs(den) or (1,)
-    return _parse_coeffs(text), (1,)
+    num, slash, den = text.partition("/")
+    if slash and not den.strip():
+        raise ValueError(f"mixed_ask ratio {text!r} has an empty denominator")
+    return _parse_coeffs(num), _parse_coeffs(den) if slash else (1,)
 
 
 def parse_family(spec: str) -> FamilySpec:

@@ -8,20 +8,20 @@ phi : F_p -> C (the "pnorm"), so every route returns
 
 where C is complex conjugation.  The routes are:
 
-* ``gowers_accelerated`` -- the production route for every d >= 1, under
-  one work cap;
+* ``gowers_accelerated`` -- the production route for every d >= 1 (``u1``
+  at d = 1), under one work cap;
 * ``gowers_oracle``      -- test oracle: the unrolled cube sum above, the
   ground truth; cost p^(d+1), refused beyond a work cap;
 * ``gowers_recursive``   -- test oracle: the inductive definition
-  U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to the U_1 base, where
+  U_{d+1} = (1/p) sum_h U_d(xi_h(phi)) down to u1's U_1 base, where
   xi_h(phi)(x) = phi(x+h) * conj(phi(x)); cost about p^d, uncapped.  Each
   level runs in blocks of (row, h) pairs, one numpy pass each: about 2^16
   values at small p, and never more than 2^21.
 
-NaN or infinite values are refused.  Values are real up to rounding; the
-routes check the imaginary part where one exists (relative to the real
-part) and clamp tiny negative results to zero.  README Numerics derives
-the orbit kernel and the paired real rows.
+Every route and ``u1`` refuse NaN, infinite or empty values.  Values are
+real up to rounding; the routes check the imaginary part where one exists
+(relative to the real part) and clamp tiny negative results to zero.
+README Numerics derives the orbit kernel and the paired real rows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .traces import TraceTable
 __all__ = [
     "WorkCapExceeded",
     "DEFAULT_WORK_CAP",
-    "xi",
     "u1",
     "gowers_oracle",
     "gowers_recursive",
@@ -100,15 +99,14 @@ def _check_p_above_d(p: int, d: int) -> None:
         raise ValueError(f"p = {p} violates the precondition p > d = {d}")
 
 
-def xi(values: np.ndarray, h: int) -> np.ndarray:
-    """Multiplicative difference: x -> phi(x+h) * conj(phi(x))."""
-    return np.roll(values, -h) * np.conj(values)
-
-
 def u1(values: np.ndarray) -> float:
-    """U_1(phi) = |mean(phi)|^2 (the squared average; a seminorm)."""
-    m = np.mean(values)
-    return float(m.real * m.real + m.imag * m.imag)
+    """U_1(phi) = |mean(phi)|^2 (a seminorm); it refuses what every route refuses."""
+    return float(_u1_rows(_finite_values(values)))
+
+
+def _u1_rows(matrix: np.ndarray) -> np.ndarray:
+    m = matrix.mean(axis=-1)
+    return m.real * m.real + m.imag * m.imag
 
 
 def _shifts(values: np.ndarray) -> np.ndarray:
@@ -143,11 +141,6 @@ def gowers_oracle(values: np.ndarray, d: int, work_cap: int = DEFAULT_WORK_CAP) 
     return _finalize(total.real, tol)
 
 
-def _u1_rows(matrix: np.ndarray) -> np.ndarray:
-    m = matrix.mean(axis=-1)
-    return m.real * m.real + m.imag * m.imag
-
-
 def gowers_recursive(values: np.ndarray, d: int) -> float:
     """U_d by the inductive definition, recursing on d down to U_1."""
     values = _finite_values(values, d=d)
@@ -171,8 +164,7 @@ def _recursive_rows(rows: np.ndarray, d: int) -> np.ndarray:
     group = min(len(rows), max(1, (1 << 16) // (hs * p)))
     u_d = np.empty(len(rows))
     for r in range(0, len(rows), group):
-        # One row stays two-dimensional, (h, x); a group of rows is (row, h, x).
-        sel = r if group == 1 else slice(r, r + group)
+        sel = slice(r, r + group)
         shifted, conj = _shifts(rows[sel]), np.conj(rows[sel])[..., None, :]
         per_h = np.empty(shifted.shape[:-1])
         for h in range(0, p, hs):  # each product is freed before the next: 2x at large p

@@ -146,6 +146,14 @@ class TestNorm:
         assert out == ""
         assert "p > d" in err
 
+    def test_empty_denominator_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "norm", "--p", "101", "--family", "mixed_ask:f1=1/", "--d", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "mixed_ask ratio '1/' has an empty denominator" in err
+
     def test_row_matches_scan_except_timing(self, capsys):
         # d = 1 included: norm and scan run the same route at every d.
         for d in ("1", "3"):
@@ -357,6 +365,18 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "chi must be an integer or q" in err
+
+    def test_empty_denominator_refused_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_table(spec, p):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("families = mixed_ask:f2=1/\nprimes = 11 13\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "ratio '1/' has an empty denominator" in err
 
     @pytest.mark.parametrize("key", ["families", "d_values", "primes"])
     def test_empty_sweep_is_usage_error(self, capsys, tmp_path, key):

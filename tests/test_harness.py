@@ -115,6 +115,12 @@ class TestFamilyParsing:
         assert spec.f1 == ((), (1,))
         assert spec == parse_family("mixed_ask:f1=;chi=q")
 
+    @pytest.mark.parametrize("key", ["f1", "f2"])
+    def test_mixed_ask_empty_denominator_refused(self, key):
+        # "1/" is not 1/1; an empty numerator ("f1=") stays 0.
+        with pytest.raises(ValueError, match="mixed_ask ratio '1/' has an empty denominator"):
+            parse_family(f"mixed_ask:{key}=1/")
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             parse_family("weil_sum")

@@ -34,7 +34,6 @@ from gowersff import (
     parse_family,
     prime_field,
     u1,
-    xi,
 )
 from gowersff import field as field_module
 from gowersff import norms
@@ -75,29 +74,6 @@ def one_row_formula(values: np.ndarray, d: int) -> float:
     return float(weights @ (power * power).sum(axis=1)) / p**k
 
 
-class TestXi:
-    def test_h_zero_gives_squared_modulus(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=31) + 1j * rng.normal(size=31)
-        assert np.abs(xi(v, 0) - np.abs(v) ** 2).max() <= 1e-12
-
-    def test_linear_phase_gives_constant(self, field101):
-        c = 7
-        v = field101.char_table[(c * np.arange(101)) % 101]
-        for h in (1, 5, 60):
-            out = xi(v, h)
-            expected = field101.char_table[(c * h) % 101]
-            assert np.abs(out - expected).max() <= 1e-12
-
-    def test_commutes(self):
-        rng = np.random.default_rng(1)
-        v = random_unit_vector(101, rng)
-        for h, hp in [(3, 11), (50, 99), (0, 42)]:
-            a = xi(xi(v, hp), h)
-            b = xi(xi(v, h), hp)
-            assert np.abs(a - b).max() <= 1e-12
-
-
 class TestU1:
     def test_constant_one(self):
         assert abs(u1(np.ones(17, dtype=np.complex128)) - 1) <= 1e-15
@@ -111,6 +87,27 @@ class TestU1:
     def test_kloosterman_u1_vanishes(self, p):
         v = kloosterman_trace(prime_field(p)).values
         assert u1(v) <= 1e-10
+
+    @pytest.mark.parametrize("values, message", [
+        ([np.nan, 1.0], "values must be finite"),
+        ([np.inf, 1.0], "values must be finite"),
+        (np.ones((2, 3)), r"values must have shape \(p,\), got \(2, 3\)"),
+        (np.array([]), r"values must have shape \(p,\), got \(0,\)"),
+    ], ids=["nan", "inf", "2-d", "empty"])
+    def test_refuses_what_the_routes_refuse(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            u1(values)
+
+    @pytest.mark.parametrize("p", [7, 101, 1009, 131101])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_bit_equal_to_the_d1_routes(self, p, real):
+        # One reduction, over the complex128 table, for real input too.
+        rng = np.random.default_rng(p)
+        v = rng.normal(size=p) if real else rng.normal(size=p) + 1j * rng.normal(size=p)
+        assert u1(v) == gowers_accelerated(v, 1) == gowers_recursive(v, 1)
+
+    def test_takes_array_likes(self):
+        assert u1([1, 2, 3]) == 4.0
 
 
 class TestOracle:
@@ -190,7 +187,7 @@ def per_h_recursion(values: np.ndarray, d: int) -> float:
         return _finalize(float(acc.mean()), 1e-9)
     per_h = np.empty(p)
     for h in range(p):
-        per_h[h] = per_h_recursion(xi(values, h), d - 1)
+        per_h[h] = per_h_recursion(np.roll(values, -h) * np.conj(values), d - 1)
     return _finalize(float(per_h.mean()), 1e-9)
 
 
@@ -511,10 +508,11 @@ class TestParityRule:
     @staticmethod
     def rotated_imag(values, hs, field):
         """max |Im z| / max |z| for z(t) = dft(psi)(t) e(ct/2p), psi the row
-        Delta_h phi = xi(...xi(phi, h_1)..., h_k) and c = -(h_1 + ... + h_k)."""
+        Delta_h phi = xi_h_k(...xi_h_1(phi)...), xi_h(psi)(x) = psi(x + h) conj psi(x),
+        and c = -(h_1 + ... + h_k)."""
         row = values
         for h in hs:
-            row = xi(row, h)
+            row = np.roll(row, -h) * np.conj(row)
         t = np.arange(field.p)
         z = field.dft(row) * np.exp(1j * np.pi * -sum(hs) * t / field.p)
         return np.abs(z.imag).max() / np.abs(z).max()
@@ -806,6 +804,16 @@ class TestEvaluate:
         # No field gives p, yet a table must still be one-dimensional.
         with pytest.raises(ValueError, match="shape"):
             route(np.ones(shape), d)
+
+    @pytest.mark.parametrize("route, d", [
+        (gowers_oracle, 2), (gowers_recursive, 1), (gowers_recursive, 2),
+        (gowers_accelerated, 1), (gowers_accelerated, 2),
+    ], ids=["oracle-2", "recursive-1", "recursive-2", "accelerated-1", "accelerated-2"])
+    def test_empty_table_rejected(self, route, d):
+        # Not a reshape, division or DFT-length error, nor a nan from an empty
+        # mean; u1's refusal is in TestU1.
+        with pytest.raises(ValueError, match=r"values must have shape \(p,\), got \(0,\)"):
+            route(np.array([]), d)
 
     def test_non_positive_work_cap_refused_at_d1(self, field101):
         with pytest.raises(ValueError, match="work_cap must be finite and positive, got -3"):
