@@ -11,7 +11,6 @@ Weil's constants.
 import numpy as np
 
 from gowersff import (
-    MultiplicativeCharacter,
     decompose,
     dichotomy_report,
     gowers_accelerated,
@@ -43,8 +42,7 @@ print(f"  residual U_3 * p = {residual * p:.3f}  (the Kloosterman part is unifor
 
 # 2. a cubic phase e((7x^3 + 4x)/p) has no quadratic obstruction, but the
 #    full d = 4 scan over all p^3 cubics finds it exactly
-chi = MultiplicativeCharacter(F, 0)
-cubic_phase = mixed_ask_trace(((0, 4, 0, 7), (1,)), ((1,), (1,)), chi, F)
+cubic_phase = mixed_ask_trace(((0, 4, 0, 7), (1,)), ((1,), (1,)), 0, F)
 print("\nplanted cubic e((7x^3 + 4x)/p) at p = 101:")
 for d in (3, 4):
     found = [(c.coeffs, round(c.magnitude, 4))
@@ -52,7 +50,7 @@ for d in (3, 4):
     print(f"  d = {d} scan: {found}")
 
 # 3. classify tables: exact phases vs. genuinely uniform families
-linear_phase = mixed_ask_trace(((0, 1), (1,)), ((1,), (1,)), chi, F)
+linear_phase = mixed_ask_trace(((0, 1), (1,)), ((1,), (1,)), 0, F)
 
 print("\ndichotomy reports:")
 for table, d in [

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gowersff import bound_constant, emit, parse_family, random_baseline, scan_primes
+from gowersff import FIXED_FAMILIES, bound_constant, emit, parse_family, random_baseline, scan_primes
 
 primes = (101, 211, 499, 997)
 families = ("legendre_poly:1,1,0,1", "inverse_phase", "kloosterman", "legendre_curve")
@@ -28,7 +28,7 @@ for family in families:
 
 records.sort(key=lambda r: (r.family, r.d, r.p))
 out = Path(__file__).with_name("sweep.csv")
-emit(records, "csv", str(out))
+emit(records, "csv", out)
 print(f"wrote {out}")
 
 print(f"\n{'family':<26} {'d':>2} " + "".join(f"{p:>12}" for p in primes))
@@ -40,7 +40,7 @@ for family in sorted({r.family for r in records}):
 
 print("\nValues above are U_d * p: no growth with p means U_d tracks 1/p.")
 print("The proven constants are huge by comparison, e.g. the d = 2")
-print(f"Kloosterman constant is {bound_constant('kloosterman', 2):.3g}.")
+print(f"Kloosterman constant is {bound_constant(FIXED_FAMILIES['kloosterman'].conductor, 2):.3g}.")
 
 decades = (101, 1009, 10007, 100003, 1000003)
 print(f"\nU_2 * p over four decades\n{'family':<26} " + "".join(f"{p:>12}" for p in decades))

@@ -430,7 +430,7 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def prime_field(p: int) -> PrimeField:
-    """Shared, cached PrimeField instance for p (fields are immutable)."""
+    """Shared PrimeField instance for p (fields are immutable); only the last one is kept."""
     return PrimeField(p)

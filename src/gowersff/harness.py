@@ -1,12 +1,13 @@
 """Prime sweeps, proven-bound checks, random baselines, and persistence.
 
-Each family carries an explicit bound U_d <= C^((d+1) 2^d) / p with base
-constant C = 5m+10 (Legendre of a degree-m polynomial), 15 (inverse
-phase), 20 (Kloosterman), 25 (Legendre curve); a generic family of
-conductor c uses C = 5c.  These constants are astronomically generous
-at desk scale, so scans also check the informative quantity U_d * p
-against a modest configurable ceiling (default 10^3): boundedness of
-U_d * p across a prime sweep is what makes the 1/p scaling visible.
+Each family carries an explicit bound U_d <= (5c)^((d+1) 2^d) / p, a
+function of its conductor c alone: m+2 for the Legendre symbol of a
+degree-m polynomial f mod p, and the descriptor's conductor otherwise
+(3 inverse phase, 4 Kloosterman, 5 Legendre curve).  These constants
+are astronomically generous at desk scale, so scans also check the
+informative quantity U_d * p against a modest configurable ceiling
+(default 10^3): boundedness of U_d * p across a prime sweep is what
+makes the 1/p scaling visible.
 
 Random baselines average U_d over independent uniform +-1 functions
 drawn from numpy's PCG64 generator (fixed algorithm; the seed is
@@ -20,6 +21,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import re
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -40,7 +42,6 @@ from .norms import (
 )
 from .traces import (
     FIXED_FAMILIES,
-    MultiplicativeCharacter,
     TraceTable,
     inverse_phase_trace,
     kloosterman_direct,
@@ -54,7 +55,6 @@ from .traces import (
 
 __all__ = [
     "bound_constant",
-    "generic_bound_constant",
     "FamilySpec",
     "parse_family",
     "make_table",
@@ -90,29 +90,12 @@ def _table_field(p: int, work_cap: int) -> PrimeField:
     return prime_field(p)
 
 
-def generic_bound_constant(conductor: int, d: int) -> float:
-    """(5c)^((d+1) 2^d) for a family of conductor c; inf when it overflows."""
+def bound_constant(conductor: int, d: int) -> float:
+    """(5c)^((d+1) 2^d) for a family of conductor c; inf, a vacuous bound, on overflow."""
     try:
         return float(5 * conductor) ** ((d + 1) * 2**d)
     except OverflowError:
         return math.inf
-
-
-def bound_constant(family: str, d: int, m: int | None = None,
-                   conductor: int | None = None) -> float:
-    """The proven bound constant for a named family (or generic conductor).
-
-    Overflow yields +inf: the bound is then trivially satisfied and
-    should be reported as vacuous.
-    """
-    if family == "legendre_poly":
-        if m is None:
-            raise ValueError("legendre_poly bound needs the degree m")
-        conductor = m + 2
-    conductor = FIXED_FAMILIES[family].conductor if family in FIXED_FAMILIES else conductor
-    if conductor is None:
-        raise ValueError(f"no bound constant for family {family!r} without a conductor")
-    return generic_bound_constant(conductor, d)
 
 
 # -- family specs ------------------------------------------------------------
@@ -199,8 +182,7 @@ def make_table(spec: FamilySpec, p: int, work_cap: int = DEFAULT_WORK_CAP) -> Tr
         return legendre_curve_trace(field)
     if spec.name == "mixed_ask":
         index = (p - 1) // 2 if spec.chi == "q" else int(spec.chi)
-        chi = MultiplicativeCharacter(field, index)
-        return mixed_ask_trace(spec.f1, spec.f2, chi, field)
+        return mixed_ask_trace(spec.f1, spec.f2, index, field)
     raise ValueError(f"unknown family {spec.name!r}")
 
 
@@ -248,8 +230,9 @@ def _make_record(spec: FamilySpec, table: TraceTable, d: int, work_cap: int) -> 
     start = time.perf_counter()
     u_d = evaluate(table, d, work_cap)
     elapsed = time.perf_counter() - start
-    m = polys.degree(polys.normalize(spec.coeffs, table.p))
-    constant = bound_constant(spec.name, d, m=m, conductor=table.descriptor.conductor)
+    conductor = (polys.degree(polys.normalize(spec.coeffs, table.p)) + 2
+                 if spec.name == "legendre_poly" else table.descriptor.conductor)
+    constant = bound_constant(conductor, d)
     bound = constant / table.p
     return ScanRecord(
         p=table.p,
@@ -548,7 +531,7 @@ def _fmt(value) -> str:
 
 def _writing(target):
     """A file object as given, or the path ``target`` opened for writing and closed on exit."""
-    if isinstance(target, (str, bytes)):
+    if isinstance(target, (str, bytes, os.PathLike)):
         return open(target, "w", encoding="utf-8", newline="")
     return contextlib.nullcontext(target)
 

@@ -286,15 +286,17 @@ def legendre_curve_trace(field: PrimeField) -> TraceTable:
     return TraceTable(field, values, FIXED_FAMILIES["legendre_curve"])
 
 
-def mixed_ask_trace(f1, f2, chi: MultiplicativeCharacter, field: PrimeField) -> TraceTable:
+def mixed_ask_trace(f1, f2, chi: int, field: PrimeField) -> TraceTable:
     """x -> e(f1(x)/p) * chi(f2(x)) on the domain U, 0 outside.
 
     U excludes poles of f1 and f2 and zeros of f2.  Swan conductors sit
     at the poles of f1 with the pole order as the declared value; every
     other point of the complement of U (and the point at infinity) is
-    tame.  f1 and f2 are (num, den) coefficient pairs.
+    tame.  f1 and f2 are (num, den) coefficient pairs; chi is the index
+    of a ``MultiplicativeCharacter`` of the field.
     """
     f1, f2 = (RationalFunction(*f, field) for f in (f1, f2))
+    chi = MultiplicativeCharacter(field, chi)
     if f2.is_zero:
         raise ValueError("f2 is identically zero")
 

@@ -13,7 +13,6 @@ from gowersff import (
     WorkCapExceeded,
     bound_constant,
     emit,
-    generic_bound_constant,
     gowers_oracle,
     load_config,
     make_table,
@@ -46,40 +45,40 @@ def test_package_exports_exactly_its_modules_all():
 
 class TestBoundConstant:
     def test_inverse_phase_d1(self):
-        assert bound_constant("inverse_phase", 1) == 15**4 == 50625
+        assert bound_constant(traces.FIXED_FAMILIES["inverse_phase"].conductor, 1) == 15**4 == 50625
 
     def test_kloosterman_d1(self):
-        assert bound_constant("kloosterman", 1) == 20**4 == 160000
+        assert bound_constant(traces.FIXED_FAMILIES["kloosterman"].conductor, 1) == 20**4 == 160000
 
     def test_generic_conductor_three_matches_inverse_phase(self):
-        assert generic_bound_constant(3, 1) == bound_constant("inverse_phase", 1)
+        (record,), errors = scan_primes(parse_family("inverse_phase"), 1, [101])
+        assert not errors
+        assert record.bound_constant == bound_constant(3, 1)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_coherence_with_family_conductors(self, d):
-        assert generic_bound_constant(3, d) == bound_constant("inverse_phase", d)
-        assert generic_bound_constant(4, d) == bound_constant("kloosterman", d)
-        assert generic_bound_constant(5, d) == bound_constant("legendre_curve", d)
-        for m in (1, 3, 7):
-            assert generic_bound_constant(m + 2, d) == bound_constant(
-                "legendre_poly", d, m=m
-            )
+        for name, conductor in (("inverse_phase", 3), ("kloosterman", 4), ("legendre_curve", 5)):
+            (record,), errors = scan_primes(parse_family(name), d, [101])
+            assert not errors
+            assert record.bound_constant == bound_constant(conductor, d)
+        for m, coeffs in ((1, "1,1"), (3, "1,1,0,1"), (7, "1,1,0,0,0,0,0,1")):
+            (record,), errors = scan_primes(parse_family("legendre_poly:" + coeffs), d, [101])
+            assert not errors
+            assert record.bound_constant == bound_constant(m + 2, d)
 
     def test_exponent_structure(self):
         for d in (1, 2, 3):
-            assert bound_constant("legendre_curve", d) == 25.0 ** ((d + 1) * 2**d)
+            assert bound_constant(5, d) == 25.0 ** ((d + 1) * 2**d)
 
     def test_overflow_is_vacuous_infinity(self):
-        assert math.isinf(generic_bound_constant(10, 20))
+        assert math.isinf(bound_constant(10, 20))
 
     def test_other_families_read_their_conductor(self):
         spec = parse_family("mixed_ask:f1=0,0,0,1;f2=1,1;chi=q")
         records, errors = scan_primes(spec, 2, [101])
         assert not errors
         conductor = make_table(spec, 101).descriptor.conductor
-        assert records[0].bound_constant == generic_bound_constant(conductor, 2)
-        assert bound_constant("mixed_ask", 2, conductor=conductor) == records[0].bound_constant
-        with pytest.raises(ValueError, match="no bound constant for family 'mixed_ask'"):
-            bound_constant("mixed_ask", 2)
+        assert records[0].bound_constant == bound_constant(conductor, 2)
 
     @pytest.mark.parametrize("spelling, label, constant", [
         ("1,1,0,1", "legendre_poly(1,1,0,1)", 25**4),
@@ -90,10 +89,6 @@ class TestBoundConstant:
         (record,), errors = scan_primes(parse_family("legendre_poly:" + spelling), 1, [101])
         assert not errors
         assert (record.family, record.bound_constant) == (label, constant)
-
-    def test_legendre_poly_needs_degree(self):
-        with pytest.raises(ValueError):
-            bound_constant("legendre_poly", 2)
 
 
 class TestFamilyParsing:
@@ -204,6 +199,11 @@ class TestScanPrimes:
         monkeypatch.setattr(harness, "make_table", built)
         with pytest.raises(ValueError, match="primes is empty: scan needs at least one"):
             scan_primes(parse_family("kloosterman"), 2, primes)
+
+    def test_field_cache_keeps_only_the_last_field(self):
+        records, errors = scan_primes(parse_family("kloosterman"), 2, [101, 103, 107])
+        assert len(records) == 3 and not errors
+        assert field.prime_field.cache_info().currsize == 1
 
     @pytest.mark.parametrize("work_cap", [0, -1])
     def test_work_cap_refused_once_for_the_scan(self, work_cap):
@@ -457,6 +457,17 @@ class TestEmit:
     def test_non_record_rejected(self, fmt):
         with pytest.raises(TypeError):
             emit([{"p": 11}], fmt, io.StringIO())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_path_objects_are_written(self, tmp_path, fmt):
+        rec = BaselineRecord(p=101, d=2, trials=50, seed=1,
+                             mean_u_d=1 / 3, mean_u_d_times_p=101 / 3)
+        buf = io.StringIO()
+        emit([rec], fmt, buf)
+        emit([rec], fmt, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == buf.getvalue().encode()
+        harness._write_json({"p": 101}, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == b'{\n  "p": 101\n}\n'
 
     def test_unwritable_path_errors(self):
         with pytest.raises(OSError):

@@ -26,7 +26,6 @@ from gowersff import (
     probe_report,
     scan_obstructions,
 )
-from gowersff.traces import MultiplicativeCharacter
 from conftest import SmallPowersOnly, poly_phase, random_unit_vector
 
 
@@ -140,8 +139,7 @@ class TestScanObstructions:
         comps = scan_obstructions(v, 4, 0.5, field101)
         assert [c.coeffs for c in comps] == [(0, 4, 0, 7)]
         assert abs(comps[0].magnitude - 1) <= 1e-10
-        chi = MultiplicativeCharacter(field101, 0)
-        table = mixed_ask_trace(((0, 4, 0, 7), (1,)), ((1,), (1,)), chi, field101)
+        table = mixed_ask_trace(((0, 4, 0, 7), (1,)), ((1,), (1,)), 0, field101)
         assert probe_report(table, 4, 0.5)["branch"] == "phase"
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -0.5])
@@ -202,8 +200,7 @@ class TestDecompose:
 
 class TestDichotomy:
     def test_exact_linear_phase_is_phase_branch(self, field101):
-        chi = MultiplicativeCharacter(field101, 0)
-        table = mixed_ask_trace(((0, 1), (1,)), ((1,), (1,)), chi, field101)
+        table = mixed_ask_trace(((0, 1), (1,)), ((1,), (1,)), 0, field101)
         report = dichotomy_report(table, 2)
         assert report.branch == "phase"
         assert report.max_correlation >= 0.99
@@ -263,8 +260,7 @@ class TestProbeReport:
         )
 
     def test_component_serialization(self, field101):
-        chi = MultiplicativeCharacter(field101, 0)
-        table = mixed_ask_trace(((0, 3), (1,)), ((1,), (1,)), chi, field101)
+        table = mixed_ask_trace(((0, 3), (1,)), ((1,), (1,)), 0, field101)
         report = probe_report(table, 2, 0.5)
         assert len(report["components"]) == 1
         comp = report["components"][0]
@@ -360,8 +356,7 @@ def _composed(table, d, threshold):
 
 
 def _planted(field, coeffs):
-    chi = MultiplicativeCharacter(field, 0)
-    return mixed_ask_trace((coeffs, (1,)), ((1,), (1,)), chi, field)
+    return mixed_ask_trace((coeffs, (1,)), ((1,), (1,)), 0, field)
 
 
 class TestSharedWalk:

@@ -242,37 +242,33 @@ class TestLegendreCurve:
 
 class TestMixedAsk:
     def test_reproduces_legendre_poly(self, field101):
-        chi = MultiplicativeCharacter(field101, 50)  # (p-1)/2: the quadratic character
-        mixed = mixed_ask_trace(((), (1,)), ((0, 1), (1,)), chi, field101)
+        # index (p-1)/2: the quadratic character
+        mixed = mixed_ask_trace(((), (1,)), ((0, 1), (1,)), 50, field101)
         direct = legendre_poly_trace((0, 1), field101)
         assert np.abs(mixed.values - direct.values).max() <= 1e-12
         assert mixed.descriptor.conductor == 3
 
     def test_reproduces_inverse_phase(self, field101):
-        chi = MultiplicativeCharacter(field101, 0)
-        mixed = mixed_ask_trace(((1,), (0, 1)), ((1,), (1,)), chi, field101)
+        mixed = mixed_ask_trace(((1,), (0, 1)), ((1,), (1,)), 0, field101)
         direct = inverse_phase_trace(field101)
         assert np.abs(mixed.values - direct.values).max() <= 1e-12
         assert mixed.descriptor.swan == {0: 1, INFINITY: 0}
         assert mixed.descriptor.conductor == 3
 
     def test_cubic_phase_conductor(self, field101):
-        chi = MultiplicativeCharacter(field101, 0)
-        mixed = mixed_ask_trace(((0, 0, 0, 1), (1,)), ((1,), (1,)), chi, field101)
+        mixed = mixed_ask_trace(((0, 0, 0, 1), (1,)), ((1,), (1,)), 0, field101)
         # pure phase e(x^3/p): pole of order 3 at infinity only
         assert mixed.descriptor.swan == {INFINITY: 3}
         assert mixed.descriptor.conductor == 4
 
     def test_zero_f2_rejected(self, field101):
-        chi = MultiplicativeCharacter(field101, 0)
         with pytest.raises(ValueError):
-            mixed_ask_trace(((), (1,)), ((), (1,)), chi, field101)
+            mixed_ask_trace(((), (1,)), ((), (1,)), 0, field101)
 
     def test_cubic_phase_uniformity_switches_at_its_degree(self, field101):
         from gowersff import gowers_accelerated
 
-        chi = MultiplicativeCharacter(field101, 0)
-        mixed = mixed_ask_trace(((0, 0, 0, 1), (1,)), ((1,), (1,)), chi, field101)
+        mixed = mixed_ask_trace(((0, 0, 0, 1), (1,)), ((1,), (1,)), 0, field101)
         u3 = gowers_accelerated(mixed.values, 3, field101)
         u4 = gowers_accelerated(mixed.values, 4, field101)
         assert u3 < 1
@@ -280,6 +276,14 @@ class TestMixedAsk:
         # with U_2 = 1/p, so U_3 = (1 + (p-1)/p)/p
         assert abs(u3 - (2 * 101 - 1) / 101**2) <= 1e-10
         assert abs(u4 - 1) <= 1e-9
+
+    def test_character_is_an_index_into_the_tables_field(self, field101):
+        f1, f2 = ((0, 1), (1,)), ((0, 1), (1,))
+        mixed = mixed_ask_trace(f1, f2, 151, field101)
+        assert mixed.descriptor.label == "mixed_ask(f1=0,1;f2=0,1;chi=51)"
+        assert np.array_equal(mixed.values, mixed_ask_trace(f1, f2, 51, field101).values)
+        with pytest.raises(TypeError):  # a character of another field is not an index
+            mixed_ask_trace(f1, f2, MultiplicativeCharacter(prime_field(103), 51), field101)
 
     def test_character_multiplicativity(self):
         F = prime_field(31)
@@ -404,13 +408,12 @@ def test_conductor_bound_xi_values():
 
 class TestTableInvariants:
     def test_pointwise_bound_all_families(self, field101):
-        chi = MultiplicativeCharacter(field101, 50)
         tables = [
             legendre_poly_trace((1, 1, 0, 1), field101),
             inverse_phase_trace(field101),
             kloosterman_trace(field101),
             legendre_curve_trace(field101),
-            mixed_ask_trace(((0, 0, 0, 1), (1,)), ((0, 1), (1,)), chi, field101),
+            mixed_ask_trace(((0, 0, 0, 1), (1,)), ((0, 1), (1,)), 50, field101),
         ]
         for t in tables:
             assert np.abs(t.values).max() <= t.descriptor.rank + 1e-12
