@@ -4,8 +4,9 @@ A function over F_p with non-negligible U_d either is (close to) a
 polynomial phase e(P(x)/p) of degree < d, or its U_d * p stays small.
 This demo plants a phase inside a Kloosterman background, recovers it,
 recovers a cubic phase that only the d = 4 scan can see, classifies
-several tables, and sets the families' peak phase correlations beside
-Weil's constants.
+several tables, sets the families' peak phase correlations beside
+Weil's constants, and shows the theorem's easy direction ruling out
+quadratic twists before the d = 3 probe walks them.
 """
 
 import numpy as np
@@ -21,8 +22,10 @@ from gowersff import (
     mixed_ask_trace,
     parse_family,
     prime_field,
+    probe_report,
     scan_obstructions,
 )
+from gowersff.probe import PHASE_PROXY
 
 p = 101
 F = prime_field(p)
@@ -94,3 +97,23 @@ for name, constants in weil.items():
             u2p = gowers_accelerated(t.values, 2, t.field) * t.p
             cells.append(f"{u2p:.3f} <= {bound:.3f}")
         print(f"  {name:<22} " + "  ".join(cells))
+
+# 5. the easy direction, exactly: phi's coefficient beta(a, b) against
+#    e((a x^2 + b x)/p) has |beta(a, b)|^4 <= E(a) = sum_b |beta(a, b)|^4, the
+#    U_2 of the twist phi(x) e(-a x^2/p), and U_3's own spectra give E(a) for
+#    every a.  A top a with E(a) under level^4, level = min(threshold,
+#    PHASE_PROXY), holds no phase at the level, so the d = 3 probe walks only
+#    the tops that its U_3 pass leaves.
+p, threshold = 2017, 0.5
+F = prime_field(p)
+level = min(threshold, PHASE_PROXY)
+print(f"\nU_3's twist energies at p = {p}, d = 3, threshold {threshold} "
+      f"(level^4 = {level**4:.4f}):")
+for table in (mixed_ask_trace(((0, 309, 1942), (1,)), ((1,), (1,)), 0, F), kloosterman_trace(F)):
+    energies = np.empty(p)
+    gowers_accelerated(table.values, 3, F, twists=energies)
+    left = int((energies >= level**4 * (1 - 1e-9)).sum())
+    report = probe_report(table, 3, threshold)
+    print(f"  {table.descriptor.label:<36} max E(a) = {energies.max():.4f}: "
+          f"{left} of {p} tops left to walk; {len(report['components'])} component(s), "
+          f"branch {report['branch']}")

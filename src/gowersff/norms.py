@@ -194,27 +194,32 @@ def _orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.rint(weights)
 
 
-def _u2_sums(hat: np.ndarray) -> np.ndarray:
+def _u2_sums(hat: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
     """sum_t |hat(t)|^4 for each row of a batch of spectra, computed in hat's memory.
 
-    hat's last axis must be contiguous; its values are overwritten.
+    hat's last axis must be contiguous; its values are overwritten.  Given
+    ``kept``, of hat's shape, it receives |hat|^2 first.
     """
     parts = hat.view(np.float64)  # re, im interleaved
     np.square(parts, out=parts)
     power = parts[:, 0::2]
     np.add(power, parts[:, 1::2], out=power)
+    if kept is not None:
+        np.copyto(kept, power)
     np.square(power, out=power)
     return power.sum(axis=1)
 
 
-def _paired_u2_sums(hat: np.ndarray, scratch: np.ndarray, partners: slice) -> np.ndarray:
+def _paired_u2_sums(hat: np.ndarray, scratch: np.ndarray, partners: slice,
+                    kept: np.ndarray | None = None) -> np.ndarray:
     """U_2 of both real rows behind each spectrum Z of r + i s, interleaved.
 
     2 r_hat(t) = Z(t) + conj Z(-t) and 2i s_hat(t) = Z(t) - conj Z(-t), and
     U_2(r) = r_hat(0)^4 + 2 sum of |r_hat(t)|^4 over the t of
     hat[:, 1:(p + 1) // 2], whose partners Z(-t) are hat[:, partners].
     hat is overwritten; ``scratch`` is complex with hat's rows and at least
-    (p - 1) / 2 columns.
+    (p - 1) / 2 columns.  Given ``kept``, its rows 2j and 2j + 1 receive
+    |2 r_hat|^2 and |2 s_hat|^2 over those t.
     """
     half = (hat.shape[1] + 1) // 2
     sums = np.empty(2 * len(hat))
@@ -224,8 +229,8 @@ def _paired_u2_sums(hat: np.ndarray, scratch: np.ndarray, partners: slice) -> np
     np.conjugate(zm, out=zm)
     diff = np.subtract(zt, zm, out=scratch[:, : half - 1])
     # 2 |r_hat(t)|^4 = |Z(t) + conj Z(-t)|^4 / 8, and likewise for s.
-    sums[0::2] += _u2_sums(np.add(zt, zm, out=zt)) / 8
-    sums[1::2] += _u2_sums(diff) / 8
+    for j, z in enumerate((np.add(zt, zm, out=zt), diff)):
+        sums[j::2] += _u2_sums(z, None if kept is None else kept[j::2]) / 8
     return sums
 
 
@@ -234,6 +239,7 @@ def gowers_accelerated(
     d: int,
     field: PrimeField | None = None,
     work_cap: int = DEFAULT_WORK_CAP,
+    *, twists: np.ndarray | None = None,
 ) -> float:
     """U_d for any d >= 1; from d = 3 on, one U_2 row per orbit of (h_1..h_{d-2}).
 
@@ -252,9 +258,14 @@ def gowers_accelerated(
     the rows = C((p+1)/2 + k - 1, k) rows is 2^k corner products, and each
     of the dft_rows = ceil(rows / 2) rows of a real table (rows of a
     complex one) one DFT.
+
+    At d = 3 only, ``twists`` (shape (p,)) receives every E(a) = U_2(phi e(-a x^2/p)),
+    read from the spectra (README Numerics); U_3 keeps its bits.
     """
     values = _finite_values(values, None if field is None else field.p, d)
     p = len(values)
+    if twists is not None and (d != 3 or np.shape(twists) != (p,)):
+        raise ValueError(f"twists takes d = 3 and shape ({p},), got d = {d}, {np.shape(twists)}")
     if d == 1:
         _check_positive("work_cap", work_cap)
         return u1(values)
@@ -289,11 +300,19 @@ def gowers_accelerated(
     chunk = min(max(1, _CHUNK_VALUES // p), len(reps))
     if real:  # real rows pair up within a chunk
         chunk += chunk % 2
+    if twists is not None:  # E(g^m) reads row h at t = -2h g^m = g^(log(-2h) + m)
+        pw = field._powers()
+        logs, column = np.argsort(pw), np.argsort(plan.freqs)  # log t at t - 1; t's column
+        cycle, width = ((p - 1) // 2, (p - 1) // 2) if real else (p - 1, p)
+        columns = column[pw[:cycle]]
+        if real:  # the kept columns 1..(p-1)/2 hold t or -t, and |K(-t)| = |K(t)|
+            columns = np.minimum(columns, column[p - pw[:cycle]]) - 1
+        columns = np.tile(columns, 2)  # row h reads its cycle from log(-2h) on
 
     def buffers():
         # Gather indices, one corner's factor, the DFT rows (which collect
         # the corner products and then hold their spectra), and the paired
-        # sums' scratch.
+        # sums' scratch.  The twist energies reuse all but the last once spent.
         m = (chunk + 1) // 2 if real else chunk
         return (np.empty((chunk, p), np.int64), np.empty((chunk, p), values.dtype),
                 np.empty((m, p), np.complex128),
@@ -319,11 +338,28 @@ def gowers_accelerated(
             for rows, dest in parts:  # the first factor times phi (omega = 0)
                 np.multiply(factor[rows], dest if j else first, out=dest)
         field._transform(hat)
-        sums = (_paired_u2_sums(hat, scratch[: len(hat)], plan.partners)[:n] if real
-                else _u2_sums(hat))
-        return float(weights[start : start + chunk] @ sums)
+        w, kept = weights[start : start + chunk], None
+        if twists is not None:  # |K_h(0)|^2 now; |K_h|^2 over the spent corner products
+            zero = np.square(hat[:, :1].view(np.float64))
+            zero = 4 * zero.ravel()[:n] if real else zero.sum(axis=1)  # real: |2 K_h|^2
+            kept = np.ndarray((2 * len(hat) if real else n, width), buffer=factor)
+        sums = (_paired_u2_sums(hat, scratch[: len(hat)], plan.partners, kept)[:n] if real
+                else _u2_sums(hat, kept))
+        if kept is None:
+            return float(w @ sums), None
+        # E(0): each h's t = 0.  E(g^m): h = 0's t = 0, and twice each other h's g^(log(-2h) + m).
+        nz = np.flatnonzero(h[:, 0])
+        at = np.ndarray((len(nz), cycle), np.int64, index)  # flat indices into kept
+        for row, r, log in zip(at, nz.tolist(), (logs[-2 * h[nz, 0] % p - 1] % cycle).tolist()):
+            np.add(columns[log : log + cycle], r * width, out=row)
+        rolled = np.take(kept, at, out=np.ndarray(at.shape, buffer=hat), mode="clip")
+        energy = np.concatenate([[w @ zero], 2 * rolled.sum(axis=0) + (0.0 if start else zero[0])])
+        return float(w @ sums), energy
 
-    partial = _in_chunks(-(-len(reps) // chunk), chunk_sum, buffers)
+    partial, energies = zip(*_in_chunks(-(-len(reps) // chunk), chunk_sum, buffers))
+    if twists is not None:  # in chunk order; a real table's E(-a) = E(a)
+        total = sum(energies) / (p * (4 if real else 1))
+        twists[0], twists[pw] = total[0], np.resize(total[1:], p - 1)
     return _finalize(sum(partial) / p**k, _tolerance(p, d))
 
 

@@ -7,9 +7,9 @@ coefficient) whose correlation reaches a threshold, ``max_phase_correlation``
 finds the largest, and ``decompose`` splits phi = t1 + t2 with t2 the
 detected phase part.  All of them read one walk of the p^(d-1)
 candidates (``_walk``), refused when its cost p^(d-2) * p * (d + log2 p)
-exceeds the default work cap.  ``probe_report`` walks once and lends that
-walk to its scan and its dichotomy.  Values must be finite; every entry
-point refuses NaN and infinities.
+exceeds the default work cap.  ``probe_report`` lends its one walk (at
+d = 3, of the tops its U_3 leaves) to its scan and dichotomy.  Values
+must be finite; every entry point refuses NaN and infinities.
 
 ``dichotomy_report`` classifies a family table as "phase" (some
 correlation >= 0.99, the analytic proxy for containing that phase
@@ -107,7 +107,15 @@ def _mirror(flat, d: int, p: int) -> np.ndarray:
 _shared_walk: ContextVar[tuple | None] = ContextVar("_shared_walk", default=None)
 
 
-def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.inf):
+def _refuse_walk(p: int, d: int) -> None:
+    """Refuse p <= d, and a walk of all tops costing p^(d-2) * p * (d + log2 p) over the cap."""
+    _check_p_above_d(p, d)
+    _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
+                     lambda: float(p) ** max(d - 1, 1) * (d + math.log2(p)), DEFAULT_WORK_CAP)
+
+
+def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.inf,
+          tops: np.ndarray | None = None):
     """(best, flat, b, beta): one walk of the p^(d-1) candidates (one at d = 1).
 
     The walk runs in chunks over the flat tops (a_2, ..., a_{d-1}), ascending.
@@ -118,6 +126,7 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
     At d = 2 the one top is (); at d = 1 the one row is the mean.  A real
     phi at d >= 3 walks only the zero top and the tops whose leading
     nonzero digit is at most (p - 1)/2, the ones before their mirror -top.
+    Given ``tops`` (flat indices), it walks only those; an empty walk's best is (0.0, 0, 0).
 
     best is (|beta|, flat top, b) of the largest entry, of equal ones the
     first top walked, then the smallest b.  (flat, b, beta) are the entries
@@ -125,21 +134,22 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
     walked take theirs from their mirrors as (-top, -b, conj beta), after
     the walked ones.  Returns the walk a probe_report lent for the same
     values object, d and field.
-    Refuses, before any allocation, p <= d, and a cost p^(d-2) * p * (d + log2 p)
-    of walking all tops over the default work cap.
+    Refuses first what :func:`_refuse_walk` refuses.
     """
     shared = _shared_walk.get()
     if shared and shared[0] is values and shared[1] == d and shared[2] is field:
         return shared[3]
     p = field.p
-    _check_p_above_d(p, d)
-    _refuse_over_cap(f"probe at d = {d}, p = {p}", "p^(d-2) * p * (d + log2 p)",
-                     lambda: float(p) ** max(d - 1, 1) * (d + math.log2(p)), DEFAULT_WORK_CAP)
-    n_tops = p ** max(d - 2, 0)
-    walked = np.arange(n_tops)
-    if d >= 3 and not values.imag.any():  # leading nonzero digit a_k at most (p - 1)/2
+    _refuse_walk(p, d)
+    walked = np.arange(p ** max(d - 2, 0))
+    real = d >= 3 and not values.imag.any()
+    if real:  # leading nonzero digit a_k at most (p - 1)/2
         walked = np.concatenate([[0], *(np.arange(p**k, (p + 1) // 2 * p**k)
                                         for k in range(d - 2))])
+    if tops is not None:
+        walked = walked[np.isin(walked, tops)]
+    if not len(walked):
+        return (0.0, 0, 0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, complex)
     x, freqs = field._plan.order, field._plan.freqs  # column j holds x = order[j]
     laid_out = values[x]
     powers = [x * x % p]  # x^2, ..., x^(d-1)
@@ -178,7 +188,7 @@ def _walk(values: np.ndarray, d: int, field: PrimeField, threshold: float = np.i
 
     bests, *found = zip(*_in_chunks(-(-len(walked) // chunk), walk_chunk, buffers))
     flat, b, beta = map(np.concatenate, found)
-    if len(walked) < n_tops:  # a real table: the hits of the mirrors
+    if real:  # the hits of the mirrors
         off = flat != 0  # the zero top is its own mirror
         flat = np.concatenate([flat, _mirror(flat[off], d, p)])
         b = np.concatenate([b, -b[off] % p])
@@ -283,20 +293,29 @@ def probe_report(
     Returns the JSON-ready report ``{p, family, d, threshold, components,
     residual_u_d, residual_u_d_times_p, branch}`` where each component
     is ``{coeffs, beta_re, beta_im}`` with ascending coefficients.
-    The threshold and ceiling are checked before the one walk of the
-    candidates, which the decomposition and the dichotomy both read.
+    The threshold, the ceiling and the walk's cost are checked first.  At
+    d = 3 the table's U_3 then rules tops out (README Numerics), and the one
+    walk of the rest is read by the decomposition and the dichotomy, whose
+    max_correlation is exact from min(threshold, PHASE_PROXY) on.
     """
     _check_positive("threshold", threshold)
     _check_positive("ceiling", ceiling)
     field, values = table.field, _finite_values(table.values, table.p, d)
-    token = _shared_walk.set((values, d, field, _walk(values, d, field, threshold)))
+    _refuse_walk(field.p, d)
+    tops = u_d = None
+    if d == 3:
+        energies = np.empty(field.p)
+        u_d = gowers_accelerated(values, d, field, twists=energies)
+        tops = np.flatnonzero(energies >= min(threshold, PHASE_PROXY) ** 4 * (1 - 1e-9))
+    token = _shared_walk.set((values, d, field, _walk(values, d, field, threshold, tops)))
     try:
         decomp = decompose(values, d, threshold, field)
         report = dichotomy_report(table, d, ceiling)
     finally:
         _shared_walk.reset(token)
-    # With no components t1 is the table itself, whose U_d the report holds;
-    # a planted phase's report never computes it.
+    if u_d is not None:  # the table's U_3, where the cached property would compute it
+        vars(report)["u_d"] = u_d
+    # With no components t1 is the table itself, whose U_d the report holds.
     residual_u = (gowers_accelerated(decomp.t1, d, field) if decomp.components
                   else report.u_d)
     return {

@@ -596,6 +596,63 @@ class TestRaderRoute:
         assert prime_field(8011)._plan.spectrum is None
 
 
+def _brute_twist_energies(values: np.ndarray, p: int) -> np.ndarray:
+    """sum_b |beta(a, b)|^4 for every a: U_2 of phi(x) e(-a x^2/p), one FFT per a."""
+    x = np.arange(p)
+    twisted = values * np.exp(-2j * np.pi * (np.outer(x, x * x) % p) / p)
+    return (np.abs(np.fft.fft(twisted, axis=1) / p) ** 4).sum(axis=1)
+
+
+def _twist_table(family: str, field: PrimeField) -> np.ndarray:
+    if family == "planted":  # e((5x + 7x^2)/p), complex
+        return mixed_ask_trace(((0, 5, 7), (1,)), ((1,), (1,)), 0, field).values
+    return (kloosterman_trace if family == "kloosterman" else inverse_phase_trace)(field).values
+
+
+class TestTwistEnergies:
+    """At d = 3 the orbit kernel's spectra also give every a its energy
+    E(a) = sum_b |beta(a, b)|^4 = U_2(phi(x) e(-a x^2/p))."""
+
+    # Below Rader's floor, on Rader's route (101) and on numpy's (107).
+    @pytest.mark.parametrize("p", [5, 7, 101, 107])
+    @pytest.mark.parametrize("family", ["kloosterman", "inverse_phase", "planted"])
+    def test_energies_match_brute_force(self, p, family):
+        field = prime_field(p)
+        values = _twist_table(family, field)
+        energies = np.full(p, np.nan)
+        assert gowers_accelerated(values, 3, field, twists=energies) == gowers_accelerated(
+            values, 3, field)
+        expected = _brute_twist_energies(values, p)
+        assert np.all(np.abs(energies - expected) <= 1e-12 * expected)
+        if family == "kloosterman":  # a real table reads t and -t alike: E(-a) = E(a)
+            assert np.array_equal(energies[1:], energies[:0:-1])
+
+    @pytest.mark.parametrize("p", [101, 107])
+    @pytest.mark.parametrize("family", ["kloosterman", "planted"])
+    def test_chunks_and_workers(self, monkeypatch, p, family):
+        # Chunks of 8 rows: 51 or 54 orbit rows over several chunks, a real
+        # table's last one odd at p = 101.  The energies are summed in chunk
+        # order, so one worker and two give the same bits.
+        monkeypatch.setattr(norms, "_CHUNK_VALUES", 8 * p)
+        field = prime_field(p)
+        values = _twist_table(family, field)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(field_module, "_WORKERS", workers)
+            runs.append(np.empty(p))
+            gowers_accelerated(values, 3, field, twists=runs[-1])
+        assert np.array_equal(runs[0], runs[1])
+        expected = _brute_twist_energies(values, p)
+        assert np.all(np.abs(runs[0] - expected) <= 1e-12 * expected)
+
+    @pytest.mark.parametrize("d, shape", [(1, (101,)), (2, (101,)), (4, (101,)),
+                                          (3, (100,)), (3, (101, 1))])
+    def test_refused_off_d3_and_at_a_wrong_shape(self, field101, d, shape):
+        values = kloosterman_trace(field101).values
+        with pytest.raises(ValueError, match="twists takes d = 3"):
+            gowers_accelerated(values, d, field101, twists=np.empty(shape))
+
+
 class TestChunkRunner:
     """The orbit kernel's chunks, shared between the calling thread and a helper."""
 

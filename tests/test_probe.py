@@ -377,18 +377,21 @@ class TestSharedWalk:
             assert report["branch"] == "phase"
             assert report["components"] == []
 
-    @pytest.mark.parametrize("case, rows", [("kloosterman", 77), ("planted", 152)])
-    def test_rows_transformed(self, field101, monkeypatch, case, rows):
-        # One walk, which keeps its hits: all 101 tops of the complex planted
-        # table, and the 51 tops 0..50 of the real Kloosterman table, whose
-        # other tops are mirrors.  U_3 of Kloosterman (26 packed orbit rows)
-        # decides its branch; the planted phase's branch needs no U_3, so only
-        # its complex residual's 51 orbit rows are transformed.  At p = 101
-        # every row takes Rader's route through PrimeField._transform, which
-        # calls no dft.
-        assert field101._plan.spectrum is not None
-        table = kloosterman_trace(field101) if case == "kloosterman" else _planted(
-            field101, (0, 5, 7))
+    @pytest.mark.parametrize("case, p, rows", [
+        ("kloosterman", 101, 26), ("planted", 101, 103),
+        ("kloosterman", 2017, 505), ("planted", 2017, 2019)])
+    def test_rows_transformed(self, monkeypatch, case, p, rows):
+        # The table's U_3 comes first: 51 orbit rows at p = 101 and 1009 at
+        # 2017, packed two to a DFT row for the real Kloosterman table (26
+        # and 505).  Its twist energies rule out every top of Kloosterman, whose
+        # U_3 then decides the branch with no row walked, and every top of the
+        # planted phase but its own, one row.  The planted phase's complex
+        # residual takes its own U_3 (51 and 1009 rows).  Both primes take
+        # Rader's route through PrimeField._transform, which calls no dft.
+        field = prime_field(p)
+        assert field._plan.spectrum is not None
+        table = kloosterman_trace(field) if case == "kloosterman" else _planted(
+            field, (0, 5, 7) if p == 101 else (0, 309, 1942))
         dft, transform = PrimeField.dft, PrimeField._transform
         seen = []
 
@@ -405,20 +408,56 @@ class TestSharedWalk:
         probe_report(table, 3, 0.5)
         assert sum(seen) == rows
 
-    def test_a_planted_phase_takes_u_d_of_the_residual_only(self, field101, monkeypatch):
+    def test_a_planted_phase_takes_u_d_of_the_table_then_the_residual(self, field101,
+                                                                      monkeypatch):
+        # At d = 3 the table's U_3 comes first, with its twist energies, and
+        # the dichotomy reads it; then the residual's.  At d = 4 nothing
+        # changed: the planted cubic's report computes its residual's U_4 only.
         table = _planted(field101, (0, 5, 7))
         seen = []
 
         def spy(values, d, field=None, **kwargs):
-            seen.append(values)
+            seen.append((values, sorted(kwargs)))
             return gowers_accelerated(values, d, field, **kwargs)
 
         monkeypatch.setattr(probe, "gowers_accelerated", spy)
         report = probe_report(table, 3, 0.5)
         t1 = decompose(table.values, 3, 0.5, field101).t1
-        assert len(seen) == 1 and np.array_equal(seen[0], t1)
+        assert [kwargs for _, kwargs in seen] == [["twists"], []]
+        assert np.array_equal(seen[0][0], table.values) and np.array_equal(seen[1][0], t1)
         assert report["branch"] == "phase"
         assert report["residual_u_d"] == gowers_accelerated(t1, 3, field101)
+        seen.clear()
+        cubic = mixed_ask_trace(((0, 4, 0, 7), (1,)), ((1,), (1,)), 0, field101)
+        assert probe_report(cubic, 4, 0.5)["branch"] == "phase"
+        assert [kwargs for _, kwargs in seen] == [[]]
+
+    def test_the_walk_is_refused_before_the_tables_u3(self, field101, monkeypatch):
+        # A cap between U_3's estimate at p = 101 (about 2.8e4) and the
+        # walk's (about 9.9e4): the probe is refused with no row transformed.
+        table = kloosterman_trace(field101)
+        seen = []
+        monkeypatch.setattr(probe, "DEFAULT_WORK_CAP", 60_000)
+        monkeypatch.setattr(PrimeField, "_transform", lambda self, rows: seen.append(rows))
+        with pytest.raises(WorkCapExceeded, match="probe at d = 3, p = 101"):
+            probe_report(table, 3, 0.5)
+        assert seen == []
+
+    @pytest.mark.parametrize("threshold", [1e-3, 0.05, 0.35, 0.5, 0.99, 0.995, 1.5])
+    @pytest.mark.parametrize("p", [101, 107])
+    @pytest.mark.parametrize("case", ["kloosterman", "inverse_phase", "planted", "scaled"])
+    def test_a_pruned_walk_reports_as_the_full_walk(self, case, p, threshold):
+        # The full walk's composition, on Rader's route (101) and numpy's
+        # (107).  "scaled" is a phase of magnitude 0.992: over PHASE_PROXY,
+        # under 0.995.  At 1e-3 and 0.05 every top is walked, at 0.35 all but
+        # a few of Kloosterman's and inverse_phase's, and from 0.5 on none of
+        # theirs; a phase keeps only its own top from 0.35 on.
+        field = prime_field(p)
+        table = {"kloosterman": kloosterman_trace, "inverse_phase": inverse_phase_trace}.get(
+            case, lambda f: _planted(f, (0, 5, 7)))(field)
+        if case == "scaled":
+            table = dataclasses.replace(table, values=0.992 * table.values)
+        assert probe_report(table, 3, threshold) == _composed(table, 3, threshold)
 
     def test_refusal_comes_before_any_walk(self, field101, monkeypatch):
         def walked(*args, **kwargs):
@@ -448,6 +487,33 @@ class TestSharedWalk:
         max_phase_correlation(table.values, 3, field101)
         max_phase_correlation(table.values, 3, field101)
         assert len(walks) == 2
+
+
+class TestWalkedTops:
+    """A walk of the given tops only: a real table's mirrors still follow."""
+
+    def test_an_empty_walk_has_no_hits_and_a_zero_best(self, field101, monkeypatch):
+        def walked(*args, **kwargs):
+            raise RuntimeError("walked")
+
+        monkeypatch.setattr(probe, "_in_chunks", walked)
+        values = kloosterman_trace(field101).values
+        best, *hits = probe._walk(values, 3, field101, 0.5, np.array([], np.int64))
+        assert best == (0.0, 0, 0) and [len(h) for h in hits] == [0, 0, 0]
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_a_partial_walk_keeps_the_full_walks_hits(self, field101, real):
+        # cos(2 pi (5x + 7x^2)/p) is real, with beta = 1/2 at (5, 7) and at
+        # its mirror (-5, -7), top 94; e((5x + 7x^2)/p) is complex, with one
+        # hit and no mirror.  Walking tops 7 and 94 finds what the full walk does.
+        phase = poly_phase((0, 5, 7), 101)
+        values = phase.real.astype(complex) if real else phase
+        full = probe._walk(values, 3, field101, 0.4)
+        part = probe._walk(values, 3, field101, 0.4, np.array([7, 94]))
+        assert len(full[1]) == (2 if real else 1)
+        assert part[0] == full[0]
+        for got, want in zip(part[1:], full[1:]):
+            assert np.array_equal(got, want)
 
 
 class TestChunkedWalk:
