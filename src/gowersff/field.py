@@ -14,9 +14,9 @@ so a pure phase e(c*x/p) transforms to the indicator of t = c.
 take :meth:`PrimeField._transform`, on numpy's route or, where
 :func:`_rader_route` says, Rader's.  :meth:`PrimeField.correlation`, U_2's
 autocorrelation, pads two halves to a power of two; :meth:`PrimeField.dft`
-sends one long, exactly Hermitian row (Kloosterman's) through Rader's
-algorithm as two half-length real convolutions.  README Numerics derives all
-three, and the chunk runner :func:`_in_chunks` that shares work between workers.
+sends Kloosterman's long inverse-phase row through Rader's algorithm as two
+half-length real self-convolutions.  README Numerics derives all three, and
+the chunk runner :func:`_in_chunks` that shares work between workers.
 """
 
 from __future__ import annotations
@@ -254,55 +254,44 @@ class PrimeField:
 
         O(p log p) for any p; accepts batched input of shape (..., p).
         ``out``, a complex128 array of the same shape, receives the
-        transform and is returned; by default a new array is.  A single
-        row from p = _CHUNK_VALUES on that is exactly Hermitian,
-        v[-x] == conj(v[x]), takes :meth:`_hermitian_dft`; every other
-        input is numpy's prime-length FFT (Bluestein's algorithm).
+        transform and is returned; by default a new array is.  From
+        p = _CHUNK_VALUES on, one row that is exactly the inverse-phase row,
+        v(x) = e(x^-1/p) for x != 0 and v(0) real, takes
+        :meth:`_inverse_phase_dft`; every other input is numpy's FFT (Bluestein's).
         """
-        v, h = self._vectors(v), self.p // 2
+        v = self._vectors(v)
         if (v.ndim == 1 and self.p >= _CHUNK_VALUES and v[0].imag == 0
-                and np.array_equal(v[1 : h + 1], np.conj(v[:h:-1]))):
-            return self._hermitian_dft(v, out)
+                and v[1] == self.char_table[1]  # before the O(p) comparison
+                and np.array_equal(v[1:], self.char_table[self.inverse_values[1:]])):
+            return self._inverse_phase_dft(v, out)
         return np.fft.fft(v, axis=-1, norm="forward", out=out)
 
-    def _hermitian_dft(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """:meth:`dft` of one Hermitian row by Rader's algorithm: a real spectrum.
+    def _inverse_phase_dft(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """:meth:`dft` of the inverse-phase row by Rader's algorithm: a real spectrum.
 
-        With h = (p - 1)/2, alpha(j) = v(g^-j) and beta(j) = e(-g^j/p) for
-        0 <= j < h, the length p - 1 convolution folds to a cyclic one X of
-        Re alpha with Re beta and a negacyclic one Y of Im alpha with Im beta,
-        of length h: p dft(v)[g^r] = v(0) + 2(X(r) - Y(r)) and
-        p dft(v)[-g^r] = v(0) + 2(X(r) + Y(r)).  Each is a linear
-        convolution by rfft and irfft zero-padded to a power of two, one per
-        worker (README Numerics).  When alpha = conj(beta), as on Kloosterman's
-        row, X and -Y are beta's self-convolutions: one rfft each.
+        With h = (p - 1)/2 and beta(j) = e(-g^j/p), the row in log order is
+        v(g^-j) = conj beta(j), so the length p - 1 convolution folds to X and
+        Y of length h, the cyclic self-convolution of Re beta and minus the
+        negacyclic one of Im beta: p dft(v)[+-g^r] = v(0) + 2(X(r) -+ Y(r)).
+        Each is one rfft, squared in place, and one irfft, zero-padded to a
+        power of two, one per worker (README Numerics).
         """
         p, h = self.p, (self.p - 1) // 2
         if out is not None and (out.shape != v.shape or out.dtype != np.complex128):
             raise ValueError(f"out must be complex128 of shape ({p},)")
         n = 1 << (2 * h - 2).bit_length()  # >= 2h - 1, the linear convolution's length
         pw = self._powers()
-        alpha = v[np.concatenate([pw[:1], pw[:h:-1]])]
         beta = self.char_table[pw[h:]]  # e(g^(j + h)/p) = e(-g^j/p)
-        if np.array_equal(alpha, np.conj(beta)):
-            alpha = None  # only beta's parts are transformed
         v0, total = v[0].real, v.real.sum()
         folded = np.empty((2, h))
 
         def convolve(i, a, b):
-            part = np.real if i == 0 else np.imag
-            if alpha is None:
-                np.fft.rfft(part(beta), n, out=a)
-                a *= a if i == 0 else np.negative(a, out=b)
-            else:
-                np.fft.rfft(part(alpha), n, out=a)
-                np.fft.rfft(part(beta), n, out=b)
-                a *= b
+            np.fft.rfft((beta.real, beta.imag)[i], n, out=a)
+            a *= a if i == 0 else np.negative(a, out=b)
             lags = np.fft.irfft(a, n, out=b.view(np.float64)[:n])  # b is spent
             (np.add, np.subtract)[i](lags[:h], lags[h : 2 * h], out=folded[i])
 
         _in_chunks(2, convolve, lambda: np.empty((2, n // 2 + 1), np.complex128))
-        del alpha, beta
         x, y = folded
         x += v0 / 2
         res = np.empty(p, np.complex128) if out is None else out

@@ -428,8 +428,8 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         if not ok:
             failures.append(failure)
 
-    for spec in specs:
-        for p in config.primes:
+    for p in config.primes:  # one field per prime: prime_field keeps only the last
+        for spec in specs:
             try:
                 table = make_table(spec, p, config.work_cap)
             except Exception as exc:

@@ -268,7 +268,7 @@ def gowers_accelerated(
         raise ValueError(f"twists takes d = 3 and shape ({p},), got d = {d}, {np.shape(twists)}")
     if d == 1:
         _check_positive("work_cap", work_cap)
-        return u1(values)
+        return float(_u1_rows(values))
     k = d - 2
     real = not values.imag.any()
 

@@ -226,74 +226,87 @@ class TestDft:
 
 
 class TestHermitianRoute:
-    """A single exactly Hermitian row from p = 2^17 on takes Rader's algorithm as
-    two half-length real convolutions; every other input is numpy's FFT."""
+    """From p = 2^17 on, a single row that is exactly the inverse-phase row, a
+    Hermitian row, takes Rader's algorithm as two half-length real
+    self-convolutions; every other input is numpy's FFT."""
 
     @staticmethod
-    def rows(field):
-        """The inverse-phase row, a random exactly Hermitian row, and a real even row."""
+    def numpy_rows(field):
+        """A random exactly Hermitian row and a real even row: numpy's route."""
         p = field.p
         rng = np.random.default_rng(p)
         head = rng.normal(size=p // 2) + 1j * rng.normal(size=p // 2)
-        hermitian = np.concatenate([[rng.normal()], head, np.conj(head[::-1])])
         return {
-            "inverse_phase": inverse_phase_trace(field).values,
-            "hermitian": hermitian,
+            "hermitian": np.concatenate([[rng.normal()], head, np.conj(head[::-1])]),
             "real_even": legendre_poly_trace((1, 0, 1), field).values,  # ((x^2 + 1)/p)
         }
 
-    @pytest.mark.parametrize("p", [131101, 262147, 1000003, 1049599])
-    def test_agrees_with_numpy_and_the_direct_sum(self, p):
-        # 1049599 pads its half-length convolutions to 2^21, the others to 2^18 and 2^20.
-        field = PrimeField(p)
-        rows = self.rows(field)
-        hats = {name: field.dft(v) for name, v in rows.items()}
-        for name, v in rows.items():
-            assert not hats[name].imag.any(), name
-            assert np.abs(hats[name] - np.fft.fft(v, norm="forward")).max() <= 1e-15, name
-        # dft_direct's sum at 16 sampled frequencies: (1/p) sum_x v[x] e(-xt/p)
-        x = np.arange(p)
-        for t in np.random.default_rng(p + 1).integers(0, p, 16):
-            kernel = field.char_table[x * t % p]
-            for name, v in rows.items():
-                assert abs(hats[name][t] - np.vdot(kernel, v) / p) <= 1e-15, (name, t)
-
-    def test_no_length_p_transform_runs(self, monkeypatch):
-        p = 131101
-        field = PrimeField(p)
-        lengths = []
-        fft = np.fft.fft
+    @staticmethod
+    def fft_lengths(monkeypatch):
+        """The lengths of the rows passed to np.fft.fft from here on."""
+        lengths, fft = [], np.fft.fft
 
         def spy(a, *args, **kwargs):
             lengths.append(np.shape(a)[-1])
             return fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", spy)
-        for v in self.rows(field).values():
-            field.dft(v)
+        return lengths
+
+    @pytest.mark.parametrize("p", [131101, 262147, 1000003, 1049599])
+    def test_agrees_with_numpy_and_the_direct_sum(self, p):
+        # 1049599 pads its half-length convolutions to 2^21, the others to 2^18 and 2^20.
+        field = PrimeField(p)
+        v = inverse_phase_trace(field).values
+        hat = field.dft(v)
+        assert not hat.imag.any()
+        assert np.abs(hat - np.fft.fft(v, norm="forward")).max() <= 1e-15
+        # dft_direct's sum at 16 sampled frequencies: (1/p) sum_x v[x] e(-xt/p)
+        x = np.arange(p)
+        for t in np.random.default_rng(p + 1).integers(0, p, 16):
+            assert abs(hat[t] - np.vdot(field.char_table[x * t % p], v) / p) <= 1e-15, t
+
+    def test_no_length_p_transform_runs(self, monkeypatch):
+        p = 131101
+        field = PrimeField(p)
+        v = inverse_phase_trace(field).values
+        lengths = self.fft_lengths(monkeypatch)
+        field.dft(v)
         assert p not in lengths
-        field.dft(np.ones(p) + 1j)  # not Hermitian: numpy's route
-        assert lengths == [p]
+        for u in self.numpy_rows(field).values():  # Hermitian, but not the inverse-phase row
+            field.dft(u)
+        assert lengths == [p, p]
+
+    def test_kloosterman_table_takes_the_route(self, monkeypatch):
+        # The route reads the inverse-phase row's exact values: a table that
+        # drifted from them would fall back to Bluestein's algorithm unseen.
+        lengths = self.fft_lengths(monkeypatch)
+        kloosterman_trace(PrimeField(131101))
+        assert 131101 not in lengths
 
     def test_other_inputs_take_numpy_bit_for_bit(self):
         p = 131101
         field = PrimeField(p)
-        v = self.rows(field)["hermitian"]
-        broken = v.copy()
-        broken[7] += 1e-9  # v[-7] is no longer conj(v[7])
+        v = inverse_phase_trace(field).values
+        inputs = list(self.numpy_rows(field).values())
+        for x in (7, p - 7):  # one in each half of the log order, since g^((p - 1)/2) = -1
+            broken = v.copy()
+            broken[x] += 1e-9
+            inputs.append(broken)
         imaginary_zero = v.copy()
         imaginary_zero[0] += 1j
-        for u in (broken, imaginary_zero, np.stack([v, v]), v[None]):
+        inputs += [imaginary_zero, np.stack([v, v]), v[None]]
+        for u in inputs:
             assert np.array_equal(field.dft(u), np.fft.fft(u, axis=-1, norm="forward"))
         below = PrimeField(131071)  # 2^17 - 1
-        v = self.rows(below)["hermitian"]
+        v = inverse_phase_trace(below).values
         assert np.array_equal(below.dft(v), np.fft.fft(v, norm="forward"))
 
-    def test_rfft_count_and_self_convolution_bits(self, monkeypatch):
-        # Kloosterman's inverse-phase row has alpha = conj(beta): one rfft per
-        # part, squared; a generic Hermitian row takes two per part.
+    def test_one_rfft_per_part(self, monkeypatch):
+        # X and -Y are the self-convolutions of Re beta and Im beta: one rfft
+        # each, squared in place.
         field = PrimeField(131101)
-        rows = self.rows(field)
+        v = inverse_phase_trace(field).values
         rfft, calls = np.fft.rfft, []
 
         def spy(*args, **kwargs):
@@ -301,33 +314,21 @@ class TestHermitianRoute:
             return rfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", spy)
-        counts = {}
-        for name in ("inverse_phase", "hermitian"):
-            calls.clear()
-            field.dft(rows[name])
-            counts[name] = len(calls)
-        assert counts == {"inverse_phase": 2, "hermitian": 4}
-        v = rows["inverse_phase"]
-        fast = field._hermitian_dft(v, None)
-        calls.clear()
-        with monkeypatch.context() as patch:  # the general path, operand by operand
-            patch.setattr(field_module.np, "array_equal", lambda *args: False)
-            general = field._hermitian_dft(v, None)
-        assert len(calls) == 4
-        assert np.array_equal(fast, general)
+        field.dft(v)
+        assert calls == [(65550,), (65550,)]
 
     def test_one_and_two_workers_agree_bit_for_bit(self, monkeypatch):
         field = PrimeField(262147)
+        v = inverse_phase_trace(field).values
         spectra = []
         for workers in (1, 2):
             monkeypatch.setattr(field_module, "_WORKERS", workers)
-            spectra.append([field.dft(v) for v in self.rows(field).values()])
-        for one, two in zip(*spectra):
-            assert np.array_equal(one, two)
+            spectra.append(field.dft(v))
+        assert np.array_equal(*spectra)
 
     def test_out(self):
         field = PrimeField(131101)
-        v = self.rows(field)["inverse_phase"]
+        v = inverse_phase_trace(field).values
         expected = field.dft(v)
         out = np.full(field.p, np.nan + 1j, np.complex128)
         assert field.dft(v, out=out) is out

@@ -335,6 +335,21 @@ class TestVerify:
         assert [(r.d, r.p) for r in report.records] == [(1, 11), (1, 13), (2, 11), (2, 13)]
         assert [a["d"] for a in report.agreements if a["check"] == "engine"] == [1, 2]
 
+    def test_failures_come_in_p_family_d_order(self):
+        # The sweep walks the primes outermost, so each prime's field is built once.
+        report = verify(replace(SMALL_CONFIG, d_values=(2, 3), ceiling=1e-9))
+        where = [f.split(": ")[1] for f in report.failures]
+        assert where == [f"{family} d={d} p={p}" for p in (11, 13)
+                         for family in ("inverse_phase", "kloosterman") for d in (2, 3)]
+        assert [(r.family, r.d, r.p) for r in report.records] == sorted(
+            (r.family, r.d, r.p) for r in report.records)
+
+    def test_default_verify_builds_each_field_once(self):
+        # One per prime, then the baseline's at p = 101 again, after the sweep.
+        field.prime_field.cache_clear()
+        verify()
+        assert field.prime_field.cache_info().misses == 5
+
     def test_table_error_is_a_row_and_fails(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text("families = legendre_curve\nd_values = 1 2\nprimes = 3 5 7\n")

@@ -843,6 +843,20 @@ class TestEvaluate:
         with pytest.raises(ArithmeticError, match=r"trivial bound violated: U_2 = 2.0"):
             evaluate(inverse_phase_trace(field101), 2)  # rank 1: U_2 <= 1
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_table_checked_twice(self, monkeypatch, field101, d):
+        # Once by evaluate, once by gowers_accelerated; u1 is not called at d = 1.
+        checked = []
+        finite_values = norms._finite_values
+
+        def spy(*args, **kwargs):
+            checked.append(d)
+            return finite_values(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "_finite_values", spy)
+        evaluate(kloosterman_trace(field101), d)
+        assert len(checked) == 2
+
     @pytest.mark.parametrize("route", [gowers_oracle, gowers_recursive, gowers_accelerated],
                              ids=["oracle", "recursive", "accelerated"])
     def test_non_finite_values_rejected(self, route):
