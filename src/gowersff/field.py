@@ -57,10 +57,13 @@ def _finite_values(values, p: int | None = None, d: int = 1) -> np.ndarray:
     return values
 
 
-#: Values per chunk of rows.  Each worker holds one chunk's rows and
-#: spectra: larger chunks run no faster and only raise peak memory.  A
-#: correlation's transforms take the second worker from this length on.
+#: Values per chunk of rows, the unit a worker takes and a reduction sums,
+#: so the chunk fixes the bits of U_d.  A correlation's transforms take the
+#: second worker from this length on.
 _CHUNK_VALUES = 1 << 17
+#: Values per batch of DFT rows, the orbit kernel's unit of work within a chunk,
+#: which bounds its buffers.  A batch keeps 16 rows or more: numpy plans each call.
+_BATCH_VALUES = 1 << 15
 
 
 def _usable_cores() -> int:

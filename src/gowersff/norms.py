@@ -32,7 +32,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import _CHUNK_VALUES, PrimeField, _finite_values, _in_chunks, prime_field
+from .field import (_BATCH_VALUES, _CHUNK_VALUES, PrimeField, _finite_values, _in_chunks,
+                    prime_field)
 from .traces import TraceTable
 
 __all__ = [
@@ -252,8 +253,8 @@ def gowers_accelerated(
     them), laid out in the field plan's order and turned into spectra by
     :meth:`PrimeField._transform`.  The rows of an exactly real phi are
     real and pair up, two per complex DFT row (:func:`_paired_u2_sums`).
-    The chunks of rows run through :func:`_in_chunks`.  Refuses non-finite
-    values (``ValueError``) and any request whose estimated cost
+    The chunks of rows run through :func:`_in_chunks`, in batches.  Refuses
+    non-finite values (``ValueError``) and any request whose estimated cost
     rows * p * 2^k + dft_rows * p * log2 p exceeds ``work_cap``: each of
     the rows = C((p+1)/2 + k - 1, k) rows is 2^k corner products, and each
     of the dft_rows = ceil(rows / 2) rows of a real table (rows of a
@@ -300,6 +301,10 @@ def gowers_accelerated(
     chunk = min(max(1, _CHUNK_VALUES // p), len(reps))
     if real:  # real rows pair up within a chunk
         chunk += chunk % 2
+    # Each chunk runs in batches of `batch` DFT rows (`pack` orbit rows to a DFT
+    # row), the last one shorter: about _BATCH_VALUES values and 16 or more rows each.
+    pack, per_chunk = (2, chunk // 2) if real else (1, chunk)
+    batch = -(-per_chunk // max(1, min(per_chunk // 16, -(-per_chunk * p // _BATCH_VALUES))))
     if twists is not None:  # E(g^m) reads row h at t = -2h g^m = g^(log(-2h) + m)
         pw = field._powers()
         logs, column = np.argsort(pw), np.argsort(plan.freqs)  # log t at t - 1; t's column
@@ -310,35 +315,33 @@ def gowers_accelerated(
         columns = np.tile(columns, 2)  # row h reads its cycle from log(-2h) on
 
     def buffers():
-        # Gather indices, one corner's factor, the DFT rows (which collect
-        # the corner products and then hold their spectra), and the paired
-        # sums' scratch.  The twist energies reuse all but the last once spent.
-        m = (chunk + 1) // 2 if real else chunk
-        return (np.empty((chunk, p), np.int64), np.empty((chunk, p), values.dtype),
-                np.empty((m, p), np.complex128),
-                np.empty((m, p // 2), np.complex128) if real else None)
+        # One batch's gather indices, one corner's factor, DFT rows (which collect the
+        # corner products and then hold their spectra) and paired sums' scratch.  The
+        # twist energies reuse all but the last once spent.
+        return (np.empty((batch, p), np.int64), np.empty((batch, p), values.dtype),
+                np.empty((batch, p), np.complex128),
+                np.empty((batch, p // 2), np.complex128) if real else None)
 
-    def chunk_sum(i, index, factor, hat, scratch):
-        start = i * chunk
-        h = reps[start : start + chunk]
+    def batch_sums(start, stop, index, factor, hat, scratch):
+        h = reps[start:stop]
         n = len(h)
-        index, factor = index[:n], factor[:n]
         hat = hat[: (n + 1) // 2 if real else n]
         # Rows 2j and 2j + 1 of a real table are the real and imaginary
-        # parts of DFT row j (an odd last row has 0 for Im); a complex
-        # table's rows are the DFT rows.
+        # parts of DFT row j (an odd last row has 0 for Im), filled one part
+        # at a time; a complex table's rows are the DFT rows.
         if real:
-            parts = [(slice(0, None, 2), hat.real), (slice(1, None, 2), hat.imag[: n // 2])]
+            parts = [(h[0::2], hat.real), (h[1::2], hat.imag[: n // 2])]
             hat.imag[n // 2 :] = 0.0
         else:
-            parts = [(slice(None), hat)]
-        for j, omega in enumerate(corners):
-            np.add(((h @ omega) % p)[:, None], plan.order, out=index)
-            np.take(doubled[omega.sum() % 2], index, out=factor, mode="clip")
-            for rows, dest in parts:  # the first factor times phi (omega = 0)
-                np.multiply(factor[rows], dest if j else first, out=dest)
+            parts = [(h, hat)]
+        for hs, dest in parts:
+            ix, fx = index[: len(hs)], factor[: len(hs)]
+            for j, omega in enumerate(corners):
+                np.add(((hs @ omega) % p)[:, None], plan.order, out=ix)
+                np.take(doubled[omega.sum() % 2], ix, out=fx, mode="clip")
+                np.multiply(fx, dest if j else first, out=dest)  # the first times phi (omega = 0)
         field._transform(hat)
-        w, kept = weights[start : start + chunk], None
+        w, kept = weights[start:stop], None
         if twists is not None:  # |K_h(0)|^2 now; |K_h|^2 over the spent corner products
             zero = np.square(hat[:, :1].view(np.float64))
             zero = 4 * zero.ravel()[:n] if real else zero.sum(axis=1)  # real: |2 K_h|^2
@@ -346,7 +349,7 @@ def gowers_accelerated(
         sums = (_paired_u2_sums(hat, scratch[: len(hat)], plan.partners, kept)[:n] if real
                 else _u2_sums(hat, kept))
         if kept is None:
-            return float(w @ sums), None
+            return sums, 0.0
         # E(0): each h's t = 0.  E(g^m): h = 0's t = 0, and twice each other h's g^(log(-2h) + m).
         nz = np.flatnonzero(h[:, 0])
         at = np.ndarray((len(nz), cycle), np.int64, index)  # flat indices into kept
@@ -354,7 +357,13 @@ def gowers_accelerated(
             np.add(columns[log : log + cycle], r * width, out=row)
         rolled = np.take(kept, at, out=np.ndarray(at.shape, buffer=hat), mode="clip")
         energy = np.concatenate([[w @ zero], 2 * rolled.sum(axis=0) + (0.0 if start else zero[0])])
-        return float(w @ sums), energy
+        return sums, energy
+
+    def chunk_sum(i, *bufs):  # U_d sums the chunk's rows in one product, whatever its batches
+        start, stop = i * chunk, min(i * chunk + chunk, len(reps))
+        sums, energies = zip(*(batch_sums(b, min(b + pack * batch, stop), *bufs)
+                               for b in range(start, stop, pack * batch)))
+        return float(weights[start:stop] @ np.concatenate(sums)), sum(energies)
 
     partial, energies = zip(*_in_chunks(-(-len(reps) // chunk), chunk_sum, buffers))
     if twists is not None:  # in chunk order; a real table's E(-a) = E(a)

@@ -317,7 +317,8 @@ class TestVerify:
             verify(replace(SMALL_CONFIG, **change))
         assert built == []
 
-    def test_failures_and_errors_come_in_family_p_d_order(self, monkeypatch):
+    def test_failures_and_errors_come_in_p_family_d_order(self, monkeypatch):
+        # Two families, so the primes' loop is seen outside the families'.
         evaluate = harness.evaluate
 
         def no_deep_norm(table, d, work_cap):
@@ -326,14 +327,21 @@ class TestVerify:
             return evaluate(table, d, work_cap)
 
         monkeypatch.setattr(harness, "evaluate", no_deep_norm)
-        report = verify(replace(SMALL_CONFIG, families=("inverse_phase",), d_values=(1, 2, 3, 4),
-                                ceiling=1e-9))
-        assert [(e["p"], e["d"]) for e in report.errors] == [(11, 3), (11, 4), (13, 3), (13, 4)]
+        report = verify(replace(SMALL_CONFIG, d_values=(1, 2, 3, 4), ceiling=1e-9))
+        assert [(e["p"], e["family"], e["d"]) for e in report.errors] == [
+            (11, "inverse_phase", 3), (11, "inverse_phase", 4), (11, "kloosterman", 3),
+            (11, "kloosterman", 4), (13, "inverse_phase", 3), (13, "inverse_phase", 4),
+            (13, "kloosterman", 3), (13, "kloosterman", 4)]
+        # Kloosterman's U_1 is 0 up to rounding, under the ceiling.
         where = [f.split(": ")[1] for f in report.failures if f.startswith("ceiling exceeded")]
         assert where == ["inverse_phase d=1 p=11", "inverse_phase d=2 p=11",
-                         "inverse_phase d=1 p=13", "inverse_phase d=2 p=13"]
-        assert [(r.d, r.p) for r in report.records] == [(1, 11), (1, 13), (2, 11), (2, 13)]
-        assert [a["d"] for a in report.agreements if a["check"] == "engine"] == [1, 2]
+                         "kloosterman d=2 p=11", "inverse_phase d=1 p=13",
+                         "inverse_phase d=2 p=13", "kloosterman d=2 p=13"]
+        assert [(r.family, r.d, r.p) for r in report.records] == [
+            (family, d, p) for family in ("inverse_phase", "kloosterman") for d in (1, 2)
+            for p in (11, 13)]
+        assert [(a["family"], a["d"]) for a in report.agreements if a["check"] == "engine"] == [
+            ("inverse_phase", 1), ("inverse_phase", 2), ("kloosterman", 1), ("kloosterman", 2)]
 
     def test_failures_come_in_p_family_d_order(self):
         # The sweep walks the primes outermost, so each prime's field is built once.
@@ -346,6 +354,9 @@ class TestVerify:
 
     def test_default_verify_builds_each_field_once(self):
         # One per prime, then the baseline's at p = 101 again, after the sweep.
+        # Drawing the baseline while p = 101 is still cached would build 4,
+        # but its draw imports numpy.random, about 5.5 MB of resident memory,
+        # which would then stack under the p = 997 U_3 pass and its peak.
         field.prime_field.cache_clear()
         verify()
         assert field.prime_field.cache_info().misses == 5

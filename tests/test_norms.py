@@ -653,6 +653,77 @@ class TestTwistEnergies:
             gowers_accelerated(values, d, field101, twists=np.empty(shape))
 
 
+class TestBatches:
+    """A chunk is filled, transformed and summed in batches of DFT rows that
+    share the worker's buffers; the chunk stays the unit of U_d's sum."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("p", [157, 149], ids=["rader", "numpy"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_batch_size_does_not_change_u_d(self, monkeypatch, workers, real, p, d):
+        # One batch per chunk against batches of the 16-row floor.  At d = 3
+        # the 79 or 75 orbit rows are one chunk: a complex table's run as 4
+        # batches, a real table's as 40 + 39 or 38 + 37, an odd last row.  At
+        # d = 4 the 3160 or 2850 rows are several chunks.
+        monkeypatch.setattr(field_module, "_WORKERS", workers)
+        field = PrimeField(p)
+        rng = np.random.default_rng(p + d)
+        v = rng.uniform(-1, 1, p) if real else rng.random(p) * np.exp(2j * np.pi * rng.random(p))
+        runs = {}
+        for budget in (1 << 40, 1):
+            monkeypatch.setattr(norms, "_BATCH_VALUES", budget)
+            runs[budget] = gowers_accelerated(v, d, field)
+        assert runs[1] == runs[1 << 40]
+
+    @pytest.mark.parametrize("p", [157, 149], ids=["rader", "numpy"])
+    @pytest.mark.parametrize("family", ["kloosterman", "planted"])
+    def test_twist_energies_over_several_batches(self, monkeypatch, p, family):
+        monkeypatch.setattr(norms, "_BATCH_VALUES", 1)  # 2 real batches, or 4 complex
+        field = prime_field(p)
+        values = _twist_table(family, field)
+        energies = np.empty(p)
+        gowers_accelerated(values, 3, field, twists=energies)
+        expected = _brute_twist_energies(values, p)
+        assert np.all(np.abs(energies - expected) <= 1e-12 * expected)
+
+    @pytest.mark.parametrize("family, rows", [
+        # 1006 orbit rows in chunks of 65: 15 full ones and one of 31.
+        ("planted", [17, 17, 17, 14] * 15 + [17, 14]),
+        # Chunks of 66 real rows (15 and one of 16), two to a DFT row: no
+        # batch holds an odd row, or the DFT rows would add up to more than 503.
+        ("kloosterman", [17, 16] * 15 + [8]),
+    ])
+    def test_batches_at_p2011(self, monkeypatch, family, rows):
+        monkeypatch.setattr(field_module, "_WORKERS", 1)
+        field = prime_field(2011)
+        transform = PrimeField._transform
+        seen = []
+
+        def spy(self, hat):
+            seen.append(len(hat))
+            return transform(self, hat)
+
+        monkeypatch.setattr(PrimeField, "_transform", spy)
+        gowers_accelerated(_twist_table(family, field), 3, field)
+        assert seen == rows
+
+    def test_memory_of_a_u3_pass_with_twists(self):
+        # Each worker's buffers hold one batch of about 2^15 values: buffers
+        # for a whole chunk of 2^17 values would trace about 10.6 MiB.
+        field = prime_field(2011)
+        values = _twist_table("planted", field)
+        energies = np.empty(2011)
+        gowers_accelerated(values, 3, field, twists=energies)  # the field's tables, cached
+        tracemalloc.start()
+        try:
+            gowers_accelerated(values, 3, field, twists=energies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+
 class TestChunkRunner:
     """The orbit kernel's chunks, shared between the calling thread and a helper."""
 
