@@ -361,10 +361,10 @@ def load_config(path: str) -> VerifyConfig:
     """Read a flat ``key = value`` config file (# starts a comment).
 
     ``stable_output`` takes 1/0, true/false or yes/no in any case.  Every
-    error in a line is reported with its ``path:line``.
+    error in a line, a repeated key included, is reported with its ``path:line``.
     """
-    values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    values, lines = {}, {}
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -375,6 +375,8 @@ def load_config(path: str) -> VerifyConfig:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if (first := lines.setdefault(key, lineno)) != lineno:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {first}")
             try:
                 values[key] = _CONFIG_KEYS[key](value.strip())
             except ValueError as exc:

@@ -260,13 +260,15 @@ def gowers_accelerated(
     of the dft_rows = ceil(rows / 2) rows of a real table (rows of a
     complex one) one DFT.
 
-    At d = 3 only, ``twists`` (shape (p,)) receives every E(a) = U_2(phi e(-a x^2/p)),
-    read from the spectra (README Numerics); U_3 keeps its bits.
+    At d = 3 only, ``twists``, a writable float64 array of shape (p,), receives every
+    E(a) = U_2(phi e(-a x^2/p)), read from the spectra (README Numerics); U_3 keeps its bits.
     """
     values = _finite_values(values, None if field is None else field.p, d)
     p = len(values)
-    if twists is not None and (d != 3 or np.shape(twists) != (p,)):
-        raise ValueError(f"twists takes d = 3 and shape ({p},), got d = {d}, {np.shape(twists)}")
+    if twists is not None and (d != 3 or not isinstance(twists, np.ndarray) or twists.shape != (p,)
+                               or twists.dtype != np.float64 or not twists.flags.writeable):
+        raise ValueError(f"twists takes d = 3 and a writable float64 array of shape ({p},), got"
+                         f" d = {d}, {getattr(twists, 'dtype', type(twists))} {np.shape(twists)}")
     if d == 1:
         _check_positive("work_cap", work_cap)
         return float(_u1_rows(values))

@@ -56,8 +56,6 @@ __all__ = [
     "legendre_curve_point_count",
     "mixed_ask_trace",
     "fourier_trace",
-    "exceptional_set",
-    "conductor_bound_xi",
 ]
 
 #: Key used for the point at infinity in Swan-conductor maps.
@@ -342,19 +340,3 @@ def fourier_trace(table: TraceTable) -> TraceTable:
     )
     return TraceTable(field, out, desc)
 
-
-def exceptional_set(points, p: int) -> set[int]:
-    """Nonzero pairwise differences of a singular set S.
-
-    These are the shifts h for which S meets S - h, i.e. where the
-    difference construction degrades; |E| <= |S| (|S| - 1).
-    """
-    pts = [int(s) % p for s in points]
-    return {(a - b) % p for a in pts for b in pts if (a - b) % p != 0}
-
-
-def conductor_bound_xi(c: int) -> int:
-    """Conductor bound 5*c^2 for the multiplicative difference of a sheaf."""
-    if c < 1:
-        raise ValueError("conductor must be >= 1")
-    return 5 * c * c

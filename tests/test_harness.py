@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import re
@@ -41,6 +42,10 @@ def test_package_exports_exactly_its_modules_all():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     modules = (field, traces, norms, probe, harness)
     assert public == {name for module in modules for name in module.__all__}
+    # Pairwise disjoint too: a name in two lists would pass the set test
+    # above while the later star import silently won.
+    for first, second in itertools.combinations(modules, 2):
+        assert not set(first.__all__) & set(second.__all__), (first.__name__, second.__name__)
 
 
 class TestBoundConstant:
@@ -573,6 +578,19 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n{text}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            load_config(str(path))
+
+    def test_byte_order_mark_read(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("seed = 3\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(str(path)).seed == 3
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed = 3\n# again\nseed = 4\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: key 'seed' already set on line 1")):
             load_config(str(path))
 
     def test_malformed_line_rejected(self, tmp_path):

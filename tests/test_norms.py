@@ -652,6 +652,23 @@ class TestTwistEnergies:
         with pytest.raises(ValueError, match="twists takes d = 3"):
             gowers_accelerated(values, d, field101, twists=np.empty(shape))
 
+    # An int64 array would take its energies as zeros, a complex one complex
+    # energies: each is refused before any row is transformed.
+    @pytest.mark.parametrize("kind", ["int64", "complex128", "read-only", "list"])
+    def test_refused_unless_a_writable_float64_array(self, monkeypatch, field101, kind):
+        twists = {"int64": np.zeros(101, np.int64), "complex128": np.zeros(101, np.complex128),
+                  "read-only": np.zeros(101), "list": [0.0] * 101}[kind]
+        if kind == "read-only":
+            twists.flags.writeable = False
+        values = kloosterman_trace(field101).values
+
+        def transform(self, rows):
+            raise AssertionError("a row was transformed")
+
+        monkeypatch.setattr(PrimeField, "_transform", transform)
+        with pytest.raises(ValueError, match="writable float64 array of shape"):
+            gowers_accelerated(values, 3, field101, twists=twists)
+
 
 class TestBatches:
     """A chunk is filled, transformed and summed in batches of DFT rows that

@@ -12,8 +12,6 @@ from gowersff import (
     MultiplicativeCharacter,
     PrimeField,
     TraceTable,
-    conductor_bound_xi,
-    exceptional_set,
     fourier_trace,
     inverse_phase_trace,
     is_prime,
@@ -378,32 +376,6 @@ class TestFourierTrace:
         out = fourier_trace(inverse_phase_trace(field101))
         assert out.descriptor.rank == 0
         assert out.descriptor.conductor == 0
-
-
-class TestExceptionalSet:
-    def test_empty(self):
-        assert exceptional_set(set(), 7) == set()
-
-    def test_pair_mod_seven(self):
-        assert exceptional_set({0, 1}, 7) == {1, 6}
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.sets(st.integers(0, 100), max_size=12))
-    def test_size_bound_and_membership(self, s):
-        p = 101
-        e = exceptional_set(s, p)
-        assert len(e) <= len(s) * (len(s) - 1) if s else e == set()
-        for h in range(1, p):
-            overlaps = any((x - h) % p in s for x in s)
-            assert (h in e) == overlaps
-
-
-def test_conductor_bound_xi_values():
-    assert conductor_bound_xi(1) == 5
-    assert conductor_bound_xi(3) == 45
-    assert conductor_bound_xi(4) == 80
-    with pytest.raises(ValueError):
-        conductor_bound_xi(0)
 
 
 class TestTableInvariants:
