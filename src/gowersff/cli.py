@@ -37,10 +37,14 @@ __all__ = ["main"]
 
 def _parse_primes(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = (int(t) for t in text.split("..", 1))
-        return [p for p in range(lo, hi + 1) if is_prime(p) and p != 2]
-    return [int(t) for t in text.split(",") if t.strip()]
+    try:
+        if ".." in text:
+            lo, hi = (int(t) for t in text.split("..", 1))
+            return [p for p in range(lo, hi + 1) if is_prime(p) and p != 2]
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError("--primes takes a comma list (101,499) or one range (101..199), "
+                         f"got {text!r}") from None
 
 
 def _out(args):
@@ -60,9 +64,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    spec = parse_family(args.family)
-    table = make_table(spec, args.p, args.work_cap)
-    record = _make_record(spec, table, args.d, args.work_cap)
+    table = make_table(parse_family(args.family), args.p, args.work_cap)
+    record = _make_record(table, args.d, args.work_cap)
     emit([record], args.format, _out(args))
     return 0
 

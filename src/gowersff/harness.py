@@ -1,9 +1,9 @@
 """Prime sweeps, proven-bound checks, random baselines, and persistence.
 
 Each family carries an explicit bound U_d <= (5c)^((d+1) 2^d) / p, a
-function of its conductor c alone: m+2 for the Legendre symbol of a
-degree-m polynomial f mod p, and the descriptor's conductor otherwise
-(3 inverse phase, 4 Kloosterman, 5 Legendre curve).  These constants
+function of its descriptor's conductor c alone: m+2 for the Legendre
+symbol of a degree-m polynomial f mod p, 3 inverse phase, 4 Kloosterman,
+5 Legendre curve, and a count from degrees for mixed_ask.  These constants
 are astronomically generous at desk scale, so scans also check the
 informative quantity U_d * p against a modest configurable ceiling
 (default 10^3): boundedness of U_d * p across a prime sweep is what
@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .field import PrimeField, prime_field
-from . import polys
 from .norms import (
     DEFAULT_CEILING,
     DEFAULT_WORK_CAP,
@@ -225,14 +224,12 @@ SCAN_COLUMNS = tuple(f.name for f in fields(ScanRecord))
 BASELINE_COLUMNS = tuple(f.name for f in fields(BaselineRecord))
 
 
-def _make_record(spec: FamilySpec, table: TraceTable, d: int, work_cap: int) -> ScanRecord:
+def _make_record(table: TraceTable, d: int, work_cap: int) -> ScanRecord:
     _check_p_above_d(table.p, d)
     start = time.perf_counter()
     u_d = evaluate(table, d, work_cap)
     elapsed = time.perf_counter() - start
-    conductor = (polys.degree(polys.normalize(spec.coeffs, table.p)) + 2
-                 if spec.name == "legendre_poly" else table.descriptor.conductor)
-    constant = bound_constant(conductor, d)
+    constant = bound_constant(table.descriptor.conductor, d)
     bound = constant / table.p
     return ScanRecord(
         p=table.p,
@@ -270,7 +267,7 @@ def scan_primes(
     for p in primes:
         try:
             p = int(p)
-            records.append(_make_record(spec, make_table(spec, p, work_cap), d, work_cap))
+            records.append(_make_record(make_table(spec, p, work_cap), d, work_cap))
         except Exception as exc:  # per-item error record, scan continues
             errors.append({"p": p, "family": spec.name, "d": d, "error": str(exc)})
     return records, errors
@@ -328,8 +325,13 @@ class VerifyConfig:
 
     def __post_init__(self):
         for key in ("families", "d_values", "primes"):
-            if not getattr(self, key):
+            values = getattr(self, key)
+            if not values:
                 raise ValueError(f"{key} is empty: verify needs at least one")
+            if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+                raise ValueError(f"{key} repeats {repeated[0]!r}: verify runs each once")
+        for spec in self.families:
+            parse_family(spec)
         if min(self.d_values) < 1 or self.baseline_d < 1:
             raise ValueError("d must be >= 1")
         _check_positive("ceiling", self.ceiling)
@@ -379,6 +381,7 @@ def load_config(path: str) -> VerifyConfig:
                 raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {first}")
             try:
                 values[key] = _CONFIG_KEYS[key](value.strip())
+                VerifyConfig(**{key: values[key]})  # a value refused alone is refused on its line
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return VerifyConfig(**values)
@@ -439,7 +442,7 @@ def verify(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                 continue
             for d in config.d_values:
                 try:
-                    rec = _make_record(spec, table, d, config.work_cap)
+                    rec = _make_record(table, d, config.work_cap)
                 except Exception as exc:
                     errors.append({"p": p, "family": spec.name, "d": d, "error": str(exc)})
                     continue

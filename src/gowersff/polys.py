@@ -18,7 +18,6 @@ __all__ = [
     "poly_eval_all",
     "poly_gcd",
     "is_square_times_unit",
-    "root_multiplicity",
     "RationalFunction",
 ]
 
@@ -121,25 +120,11 @@ def is_square_times_unit(coeffs: Coeffs, p: int) -> bool:
     return _poly_mul(g, g, p) == f
 
 
-def root_multiplicity(coeffs: Coeffs, r: int, p: int) -> int:
-    """Multiplicity of X - r in f (0 when f(r) != 0)."""
-    f = normalize(coeffs, p)
-    if not f:
-        raise ValueError("zero polynomial has no well-defined multiplicity")
-    lin = normalize((-r, 1), p)
-    m = 0
-    while True:
-        q, rem = poly_divmod(f, lin, p)
-        if rem:
-            return m
-        f, m = q, m + 1
-
-
 class RationalFunction:
     """f = num/den over F_p, reduced to lowest terms.
 
-    Evaluation is vectorized over all of F_p; poles are reported rather
-    than evaluated.
+    Evaluation is vectorized over all of F_p; poles are flagged as
+    undefined rather than evaluated.
     """
 
     def __init__(self, num, den, field: PrimeField):
@@ -158,20 +143,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return not self.num
-
-    def poles(self) -> dict[int, int]:
-        """Affine poles mapped to their orders."""
-        p = self.field.p
-        if degree(self.den) == 0:
-            return {}
-        den_vals = poly_eval_all(self.den, p)
-        return {
-            int(r): root_multiplicity(self.den, int(r), p)
-            for r in np.nonzero(den_vals == 0)[0]
-        }
-
-    def pole_order_at_infinity(self) -> int:
-        return max(0, degree(self.num) - degree(self.den))
 
     def eval_all(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, defined) with values[x] = f(x) where defined."""

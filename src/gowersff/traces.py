@@ -2,14 +2,15 @@
 
 Each generator returns a :class:`TraceTable`: the length-p vector of
 complex values together with a :class:`FamilyDescriptor` carrying the
-family's declared invariants (rank, singular set, Swan data, conductor).
-Conductors follow the rule
+family's declared invariants (rank, conductor, singular set).  The
+conductor is the one the proven bound uses: an upper bound on
 
-    conductor = rank + sum over singular points (incl. infinity) of
-                max(1, swan at the point),
+    rank + sum over the singular points over the algebraic closure
+           (infinity included) of max(1, Swan conductor at the point),
 
-with the per-family rank/Swan data declared as metadata rather than
-derived: the families are defined here by their closed-form values.
+counted from degrees, so no polynomial is factored over an extension.
+The families are defined here by their closed-form values, and their
+invariants are declared rather than derived from the tables.
 
 Families:
 
@@ -31,9 +32,7 @@ The O(p^2) test oracles ``kloosterman_direct`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from . import polys
 from .polys import RationalFunction
 
 __all__ = [
-    "INFINITY",
     "FamilyDescriptor",
     "FIXED_FAMILIES",
     "TraceTable",
@@ -58,9 +56,6 @@ __all__ = [
     "fourier_trace",
 ]
 
-#: Key used for the point at infinity in Swan-conductor maps.
-INFINITY = "inf"
-
 _POINTWISE_SLACK = 1e-12
 
 #: Largest distance from an integer a rounded point count may have.
@@ -71,42 +66,33 @@ _INTEGER_SLACK = 0.25
 class FamilyDescriptor:
     """Identity and declared sheaf-style metadata of a trace family.
 
-    ``swan`` maps every singular point (affine ints, plus ``INFINITY``)
-    to its Swan conductor; tame points carry 0 but still count toward
-    the conductor.  It is stored read-only, since tables share
-    descriptors, and compares equal to the dict given.  ``rank = 0``
-    marks an untracked family (Fourier transforms), whose conductor is
-    reported as 0.
+    ``conductor`` is the one the family's bound uses (module docstring).
+    ``singular_set`` holds the F_p-rational affine singular points, so
+    a rank >= 1 conductor below ``rank + len(singular_set)`` is refused.
+    ``rank = 0`` marks an untracked family (Fourier transforms), whose
+    conductor is reported as 0.
     """
 
     family: str
     label: str
     rank: int
-    swan: Mapping[int | str, int]
-    conductor: int = dataclass_field(init=False)
-    singular_set: frozenset[int] = dataclass_field(init=False)
+    conductor: int
+    singular_set: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "swan", MappingProxyType(dict(self.swan)))
+        object.__setattr__(self, "singular_set", frozenset(self.singular_set))
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
-        for pt, s in self.swan.items():
-            if s < 0:
-                raise ValueError(f"negative Swan conductor at {pt}")
-        cond = self.rank + sum(max(1, s) for s in self.swan.values()) if self.rank else 0
-        object.__setattr__(self, "conductor", cond)
-        object.__setattr__(
-            self,
-            "singular_set",
-            frozenset(pt for pt in self.swan if pt != INFINITY),
-        )
+        if self.rank and self.conductor < self.rank + len(self.singular_set):
+            raise ValueError(f"conductor {self.conductor} is below rank + |singular set| = "
+                             f"{self.rank + len(self.singular_set)}")
 
 
 #: The families that take no arguments, each with the one descriptor all its tables share.
 FIXED_FAMILIES = {desc.family: desc for desc in (
-    FamilyDescriptor("inverse_phase", "inverse_phase", rank=1, swan={0: 1, INFINITY: 0}),
-    FamilyDescriptor("kloosterman", "kloosterman", rank=2, swan={0: 0, INFINITY: 1}),
-    FamilyDescriptor("legendre_curve", "legendre_curve", rank=2, swan={0: 0, 1: 0, INFINITY: 0}),
+    FamilyDescriptor("inverse_phase", "inverse_phase", rank=1, conductor=3, singular_set={0}),
+    FamilyDescriptor("kloosterman", "kloosterman", rank=2, conductor=4, singular_set={0}),
+    FamilyDescriptor("legendre_curve", "legendre_curve", rank=2, conductor=5, singular_set={0, 1}),
 )}
 
 
@@ -169,9 +155,10 @@ def legendre_poly_trace(f_coeffs, field: PrimeField) -> TraceTable:
 
     Rejects reductions where f mod p is a unit times a perfect square
     (including constants and the zero polynomial): the character sum is
-    degenerate there.  Affine singularities are the roots of f in F_p,
-    found by exhaustive evaluation; the family is tame with the point at
-    infinity always counted.
+    degenerate there.  The singular set is the roots of f in F_p, found
+    by exhaustive evaluation.  The family is tame: its conductor m + 2
+    counts the rank, the at most m roots of f over the closure and the
+    point at infinity.
     """
     p = field.p
     f = polys.normalize(f_coeffs, p)
@@ -181,14 +168,12 @@ def legendre_poly_trace(f_coeffs, field: PrimeField) -> TraceTable:
         )
     f_vals = polys.poly_eval_all(f, p)
     values = field.legendre_table[f_vals].astype(np.complex128)
-    roots = [int(r) for r in np.nonzero(f_vals == 0)[0]]
-    swan = {r: 0 for r in roots}
-    swan[INFINITY] = 0
     desc = FamilyDescriptor(
         family="legendre_poly",
         label="legendre_poly(" + ",".join(str(c) for c in f) + ")",
         rank=1,
-        swan=swan,
+        conductor=polys.degree(f) + 2,
+        singular_set={int(r) for r in np.nonzero(f_vals == 0)[0]},
     )
     return TraceTable(field, values, desc)
 
@@ -287,11 +272,13 @@ def legendre_curve_trace(field: PrimeField) -> TraceTable:
 def mixed_ask_trace(f1, f2, chi: int, field: PrimeField) -> TraceTable:
     """x -> e(f1(x)/p) * chi(f2(x)) on the domain U, 0 outside.
 
-    U excludes poles of f1 and f2 and zeros of f2.  Swan conductors sit
-    at the poles of f1 with the pole order as the declared value; every
-    other point of the complement of U (and the point at infinity) is
-    tame.  f1 and f2 are (num, den) coefficient pairs; chi is the index
-    of a ``MultiplicativeCharacter`` of the field.
+    U excludes poles of f1 and f2 and zeros of f2: its complement in F_p
+    is the singular set.  Over the closure, the poles of f1 add at most
+    deg den f1 to the conductor (a pole's Swan conductor is at most its
+    order), the zeros and poles of f2 at most deg num f2 + deg den f2,
+    and infinity max(1, deg num f1 - deg den f1), all of f1 and f2 in
+    lowest terms mod p.  f1 and f2 are (num, den) coefficient pairs; chi
+    is the index of a ``MultiplicativeCharacter`` of the field.
     """
     f1, f2 = (RationalFunction(*f, field) for f in (f1, f2))
     chi = MultiplicativeCharacter(field, chi)
@@ -305,22 +292,18 @@ def mixed_ask_trace(f1, f2, chi: int, field: PrimeField) -> TraceTable:
     chi_vals = chi.values()
     values = np.where(domain, field.char_table[f1_vals] * chi_vals[f2_vals], 0j)
 
-    poles = f1.poles()
-    swan: dict[int | str, int] = {
-        int(x): poles.get(int(x), 0) for x in np.nonzero(~domain)[0]
-    }
-    swan[INFINITY] = f1.pole_order_at_infinity()
-
     def fmt(r: RationalFunction) -> str:
         num = ",".join(str(c) for c in r.num) or "0"
         den = ",".join(str(c) for c in r.den)
         return num if r.den == (1,) else f"({num})/({den})"
 
+    deg = polys.degree
     desc = FamilyDescriptor(
         family="mixed_ask",
         label=f"mixed_ask(f1={fmt(f1)};f2={fmt(f2)};chi={chi.index})",
         rank=1,
-        swan=swan,
+        conductor=1 + deg(f1.den) + deg(f2.num) + deg(f2.den) + max(1, deg(f1.num) - deg(f1.den)),
+        singular_set={int(x) for x in np.nonzero(~domain)[0]},
     )
     return TraceTable(field, values, desc)
 
@@ -332,11 +315,6 @@ def fourier_trace(table: TraceTable) -> TraceTable:
     """
     field = table.field
     out = -np.sqrt(field.p) * field.dft(table.values)[-np.arange(field.p) % field.p]
-    desc = FamilyDescriptor(
-        family="fourier_of",
-        label=f"fourier_of({table.descriptor.label})",
-        rank=0,
-        swan={},
-    )
-    return TraceTable(field, out, desc)
+    label = f"fourier_of({table.descriptor.label})"
+    return TraceTable(field, out, FamilyDescriptor("fourier_of", label, rank=0, conductor=0))
 

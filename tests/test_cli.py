@@ -75,6 +75,12 @@ class TestGen:
         assert code == 0
         assert out.startswith("# family=kloosterman p=11 rank=2 conductor=4\n")
 
+    def test_conductor_is_the_one_the_bound_uses(self, capsys):
+        # f = X^3 + X + 1: m + 2 = 5, though f has one root in F_101.
+        code, out, _ = run(capsys, "gen", "--p", "101", "--family", "legendre_poly:1,1,0,1")
+        assert code == 0
+        assert out.startswith("# family=legendre_poly(1,1,0,1) p=101 rank=1 conductor=5\n")
+
 
 class TestOutput:
     @pytest.mark.parametrize("argv", [
@@ -171,6 +177,16 @@ class TestNorm:
             assert rows[0] == rows[1], d
 
 
+    @pytest.mark.parametrize("p", [103, 101])
+    def test_bound_counts_poles_over_the_closure(self, capsys, p):
+        # 1/(x^2 + 1) has two poles over the closure, in F_p only at 101.
+        code, out, _ = run(capsys, "norm", "--p", str(p), "--family", "mixed_ask:f1=1/1,0,1",
+                           "--d", "2", "--format", "json")
+        assert code == 0
+        (record,) = json.loads(out)
+        assert record["bound_constant"] == harness.bound_constant(4, 2) == 4.096e15
+
+
 class TestProbe:
     def test_json_schema(self, capsys):
         code, out, _ = run(
@@ -230,6 +246,14 @@ class TestScan:
         assert code == 0
         assert len(out.splitlines()) == 2  # header + one good row
         assert "9" in err and "error" in err
+
+    @pytest.mark.parametrize("primes", ["101..103,107", "101,,10x", "101..", "a..b"])
+    def test_malformed_primes_name_both_forms(self, capsys, primes):
+        code, out, err = run(capsys, "scan", "--family", "kloosterman", "--d", "2",
+                             "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err == ("error: --primes takes a comma list (101,499) or one range (101..199), "
+                       f"got {primes!r}\n")
 
     def test_d_below_one_refused_before_any_table(self, capsys, monkeypatch):
         def no_table(*args):
@@ -397,6 +421,27 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "d must be >= 1" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("d_values =", "d_values is empty: verify needs at least one"),
+        ("d_values = 0", "d must be >= 1"),
+        ("families = kloosterman, inverse_phase", "unknown family 'kloosterman,'"),
+        ("primes = 101, 101", "primes repeats 101: verify runs each once"),
+        ("families = kloosterman inverse_phase kloosterman",
+         "families repeats 'kloosterman': verify runs each once"),
+        ("d_values = 2 3 2", "d_values repeats 2: verify runs each once"),
+    ], ids=["empty_d_values", "d_zero", "comma_in_families", "repeated_prime",
+            "repeated_family", "repeated_d"])
+    def test_config_error_names_its_line(self, capsys, tmp_path, monkeypatch, line, message):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "make_table", no_table)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"# a config\nseed = 3\n{line}\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:3: {message}\n"
 
     def test_baseline_d_below_one_refused_before_any_table(self, capsys, tmp_path, monkeypatch):
         built = []  # the sweep records a table's error and goes on, so count the calls

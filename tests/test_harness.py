@@ -298,6 +298,18 @@ class TestVerify:
         with pytest.raises(ValueError, match="d must be >= 1"):
             VerifyConfig(d_values=(0, 1))
 
+    @pytest.mark.parametrize("key, values, repeated", [
+        ("primes", (101, 211, 101), "101"), ("d_values", (1, 2, 2), "2"),
+        ("families", ("kloosterman", "inverse_phase", "kloosterman"), "'kloosterman'"),
+    ])
+    def test_repeated_value_refused(self, key, values, repeated):
+        with pytest.raises(ValueError, match=f"{key} repeats {repeated}: verify runs each once"):
+            replace(SMALL_CONFIG, **{key: values})
+
+    def test_unknown_family_refused_by_the_config(self):
+        with pytest.raises(ValueError, match="unknown family 'weil_sum'"):
+            replace(SMALL_CONFIG, families=("kloosterman", "weil_sum"))
+
     def test_baseline_d_below_one_refused(self):
         with pytest.raises(ValueError, match="d must be >= 1"):
             VerifyConfig(baseline_d=0, primes=(101, 211))

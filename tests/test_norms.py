@@ -978,5 +978,5 @@ class TestEvaluate:
             evaluate(kloosterman_trace(field101), 1, work_cap=-3)
 
     def test_accelerated_request_at_d1_uses_mean_formula(self, field101):
-        ones = FamilyDescriptor(family="const", label="const", rank=1, swan={})
+        ones = FamilyDescriptor(family="const", label="const", rank=1, conductor=1)
         assert evaluate(TraceTable(field101, np.ones(101), ones), 1) == pytest.approx(1.0)

@@ -16,7 +16,6 @@ from gowersff.polys import (
     poly_eval,
     poly_eval_all,
     poly_gcd,
-    root_multiplicity,
 )
 
 
@@ -133,16 +132,6 @@ class TestSquareDetection:
                 assert is_square_times_unit(f, p) == (f in squares), f
 
 
-def test_root_multiplicity():
-    p = 7
-    f = polys._poly_mul((0, 0, 1), (6, 1), p)  # X^2 (X+6) = X^2 (X-1)
-    assert root_multiplicity(f, 0, p) == 2
-    assert root_multiplicity(f, 1, p) == 1
-    assert root_multiplicity(f, 2, p) == 0
-    with pytest.raises(ValueError, match="zero polynomial"):
-        root_multiplicity((0, 7), 1, p)
-
-
 class TestRationalFunction:
     def test_reduction_to_lowest_terms(self):
         F = prime_field(11)
@@ -151,17 +140,12 @@ class TestRationalFunction:
         assert r.num == normalize((1, 1), 11)
         assert r.den == (1,)
 
-    def test_poles_and_orders(self):
-        F = prime_field(11)
-        r = RationalFunction((1,), (0, 0, 1), F)  # 1/X^2
-        assert r.poles() == {0: 2}
-        assert r.pole_order_at_infinity() == 0
-
     def test_pole_at_infinity(self):
         F = prime_field(11)
-        r = RationalFunction((0, 0, 0, 1), (1,), F)  # X^3
-        assert r.poles() == {}
-        assert r.pole_order_at_infinity() == 3
+        r = RationalFunction((0, 0, 0, 1), (1,), F)  # X^3: its one pole is at infinity
+        assert (r.num, r.den) == ((0, 0, 0, 1), (1,))
+        vals, defined = r.eval_all()
+        assert defined.all() and [int(v) for v in vals] == [x**3 % 11 for x in range(11)]
 
     def test_eval_skips_poles(self):
         F = prime_field(11)

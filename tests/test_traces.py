@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from gowersff import (
     FIXED_FAMILIES,
-    INFINITY,
     FamilyDescriptor,
     MultiplicativeCharacter,
     PrimeField,
@@ -73,12 +73,11 @@ class TestLegendrePoly:
         assert abs(table.values.mean()) <= 1e-12
 
     def test_descriptor_roots_and_conductor(self):
-        # f = X(X-1) has roots {0, 1}; conductor 1 + |{0,1}| + 1 = 4 <= 2+2
+        # f = X(X-1) has roots {0, 1}; conductor m + 2 = 4
         table = legendre_poly_trace((0, -1, 1), prime_field(11))
         d = table.descriptor
         assert d.rank == 1
         assert d.singular_set == {0, 1}
-        assert d.swan[INFINITY] == 0
         assert d.conductor == 4
 
 
@@ -101,7 +100,6 @@ class TestInversePhase:
         d = inverse_phase_trace(field101).descriptor
         assert d.rank == 1
         assert d.singular_set == {0}
-        assert d.swan == {0: 1, INFINITY: 0}
         assert d.conductor == 3
 
 
@@ -155,7 +153,7 @@ class TestKloosterman:
     def test_descriptor(self, field101):
         d = kloosterman_trace(field101).descriptor
         assert d.rank == 2
-        assert d.swan == {0: 0, INFINITY: 1}
+        assert d.singular_set == {0}
         assert d.conductor == 4
 
 
@@ -250,14 +248,21 @@ class TestMixedAsk:
         mixed = mixed_ask_trace(((1,), (0, 1)), ((1,), (1,)), 0, field101)
         direct = inverse_phase_trace(field101)
         assert np.abs(mixed.values - direct.values).max() <= 1e-12
-        assert mixed.descriptor.swan == {0: 1, INFINITY: 0}
+        assert mixed.descriptor.singular_set == {0}
         assert mixed.descriptor.conductor == 3
 
     def test_cubic_phase_conductor(self, field101):
         mixed = mixed_ask_trace(((0, 0, 0, 1), (1,)), ((1,), (1,)), 0, field101)
         # pure phase e(x^3/p): pole of order 3 at infinity only
-        assert mixed.descriptor.swan == {INFINITY: 3}
+        assert mixed.descriptor.singular_set == frozenset()
         assert mixed.descriptor.conductor == 4
+
+    @pytest.mark.parametrize("p, poles", [(103, set()), (101, {10, 91})])
+    def test_conductor_counts_poles_over_the_closure(self, p, poles):
+        # 1/(x^2 + 1): two poles, in F_p only when p = 1 mod 4 (10^2 = -1 mod 101).
+        d = mixed_ask_trace(((1,), (1, 0, 1)), ((1,), (1,)), 0, prime_field(p)).descriptor
+        assert d.singular_set == poles
+        assert d.conductor == 4
 
     def test_zero_f2_rejected(self, field101):
         with pytest.raises(ValueError):
@@ -338,7 +343,7 @@ class TestFourierTrace:
         const = TraceTable(
             field101,
             np.ones(101, dtype=np.complex128),
-            FamilyDescriptor("mixed_ask", "const", 1, {INFINITY: 0}),
+            FamilyDescriptor("mixed_ask", "const", 1, 2),
         )
         out = fourier_trace(const).values
         assert abs(out[0] - (-math.sqrt(101))) <= 1e-9
@@ -355,7 +360,7 @@ class TestFourierTrace:
         rng = np.random.default_rng(5)
         v = rng.normal(size=101) + 1j * rng.normal(size=101)
         table = TraceTable(
-            field101, v, FamilyDescriptor("fourier_of", "raw", 0, {})
+            field101, v, FamilyDescriptor("fourier_of", "raw", 0, 0)
         )
         twice = fourier_trace(fourier_trace(table)).values
         reflected = v[(-np.arange(101)) % 101]
@@ -368,7 +373,7 @@ class TestFourierTrace:
         F = prime_field(p)
         rng = np.random.default_rng(p)
         v = rng.normal(size=p) + 1j * rng.normal(size=p)
-        table = TraceTable(F, v, FamilyDescriptor("fourier_of", "raw", 0, {}))
+        table = TraceTable(F, v, FamilyDescriptor("fourier_of", "raw", 0, 0))
         direct = -math.sqrt(p) * np.conj(F.dft_direct(np.conj(v)))
         assert np.abs(fourier_trace(table).values - direct).max() <= 1e-9
 
@@ -391,24 +396,36 @@ class TestTableInvariants:
             assert np.abs(t.values).max() <= t.descriptor.rank + 1e-12
 
     def test_conductor_formula_every_family(self, field101):
-        tables = [
-            legendre_poly_trace((1, 1, 0, 1), field101),
-            inverse_phase_trace(field101),
-            kloosterman_trace(field101),
-            legendre_curve_trace(field101),
+        # legendre_poly: m + 2.  mixed_ask: 1 + deg den f1 + deg num f2 + deg den f2
+        # + max(1, deg num f1 - deg den f1), in lowest terms mod p.
+        cases = [
+            (legendre_poly_trace((1, 1, 0, 1), field101), 3 + 2),
+            (legendre_poly_trace((1, 1, 0, 101), field101), 1 + 2),  # f = 1 + X mod 101
+            (inverse_phase_trace(field101), 3),
+            (kloosterman_trace(field101), 4),
+            (legendre_curve_trace(field101), 5),
+            (mixed_ask_trace(((0, 0, 0, 1), (1,)), ((0, 1), (1, 1)), 50, field101),
+             1 + 0 + 1 + 1 + 3),
+            (mixed_ask_trace(((1,), (0, 0, 1)), ((1, 1), (1,)), 7, field101), 1 + 2 + 1 + 0 + 1),
+            (mixed_ask_trace(((0, 1, 0, 0, 1), (1, 0, 1)), ((0, 1), (1,)), 3, field101),
+             1 + 2 + 1 + 0 + 2),
+            # (X^2 - 1)/(X - 1) reduces to X + 1: no pole, degree 1 at infinity.
+            (mixed_ask_trace(((-1, 0, 1), (-1, 1)), ((1,), (1,)), 0, field101), 1 + 1),
+            (mixed_ask_trace(((), (1,)), ((1,), (1,)), 0, field101), 1 + 1),  # f1 = 0
+            (fourier_trace(inverse_phase_trace(field101)), 0),
         ]
-        for t in tables:
-            d = t.descriptor
-            expected = d.rank + sum(max(1, s) for s in d.swan.values())
-            assert d.conductor == expected
+        for table, conductor in cases:
+            d = table.descriptor
+            assert d.conductor == conductor, d.label
+            assert d.rank == 0 or d.conductor >= d.rank + len(d.singular_set)
 
     def test_bound_violation_rejected(self, field101):
-        desc = FamilyDescriptor("mixed_ask", "bad", 1, {INFINITY: 0})
+        desc = FamilyDescriptor("mixed_ask", "bad", 1, 2)
         with pytest.raises(ValueError, match="pointwise bound"):
             TraceTable(field101, np.full(101, 3.0, dtype=np.complex128), desc)
 
     def test_non_finite_values_rejected(self, field101):
-        desc = FamilyDescriptor("mixed_ask", "bad", 1, {INFINITY: 0})
+        desc = FamilyDescriptor("mixed_ask", "bad", 1, 2)
         v = np.zeros(101, dtype=np.complex128)
         v[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
@@ -426,22 +443,26 @@ class TestTableInvariants:
         assert desc.family == desc.label == name
         assert desc.conductor == conductor
 
-    @pytest.mark.parametrize("rank, swan, message", [
-        (-1, {INFINITY: 0}, "rank must be non-negative"),
-        (1, {3: -1}, "negative Swan conductor at 3"),
-    ], ids=["negative_rank", "negative_swan"])
-    def test_negative_invariants_rejected(self, rank, swan, message):
+    @pytest.mark.parametrize("rank, conductor, message", [
+        (-1, 2, "rank must be non-negative"),
+    ], ids=["negative_rank"])
+    def test_negative_invariants_rejected(self, rank, conductor, message):
         with pytest.raises(ValueError, match=message):
-            FamilyDescriptor("mixed_ask", "bad", rank, swan)
+            FamilyDescriptor("mixed_ask", "bad", rank, conductor)
 
-    def test_swan_is_read_only(self):
-        swan = {3: 1, INFINITY: 0}
-        desc = FamilyDescriptor("mixed_ask", "x", 1, swan)
-        swan[3] = 7  # the descriptor keeps its own copy
-        assert desc.swan == {3: 1, INFINITY: 0} and desc.conductor == 3
-        for d in (desc, *FIXED_FAMILIES.values()):
-            with pytest.raises(TypeError):
-                d.swan[0] = 5
+    def test_conductor_below_rank_and_singular_points_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "conductor 2 is below rank + |singular set| = 3")):
+            FamilyDescriptor("mixed_ask", "bad", 1, 2, {3, 5})
+        with pytest.raises(ValueError, match=re.escape(
+                "conductor 3 is below rank + |singular set| = 4")):
+            FamilyDescriptor("kloosterman", "bad", 2, 3, [0, 1])
+        singular = {3, 5}
+        desc = FamilyDescriptor("mixed_ask", "x", 1, 3, singular)
+        singular.add(7)  # the descriptor keeps its own frozen copy
+        assert desc.singular_set == frozenset({3, 5}) and hash(desc) == hash(desc)
+        # rank 0 is untracked: its conductor is 0 whatever the singular set.
+        assert FamilyDescriptor("fourier_of", "raw", 0, 0, {3}).conductor == 0
 
     def test_values_are_read_only(self, field101):
         t = inverse_phase_trace(field101)
